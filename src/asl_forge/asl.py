@@ -24,7 +24,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from typing import Iterator
 
 from .groebner import GeneratorSet, initial_ideal, is_groebner, reduce
@@ -175,12 +175,13 @@ def monomials_of_degree(ctx: RingContext, d: int) -> Iterator[Monomial]:
     """All degree-d monomials of the ring, in a fixed deterministic order."""
     if d < 0:
         return
-    nvars = len(ctx.variables)
-    for combo in combinations_with_replacement(range(nvars), d):
-        exps: dict[int, int] = {}
-        for p in combo:
-            exps[p] = exps.get(p, 0) + 1
-        yield Monomial(ctx, tuple(sorted(exps.items())))
+    for combo in combinations_with_replacement(range(len(ctx.variables)), d):
+        yield _monomial_of_positions(ctx, combo)
+
+
+def _monomial_of_positions(ctx: RingContext, combo: tuple[int, ...]) -> Monomial:
+    """The product of the variables at the given sorted positions."""
+    return Monomial(ctx, tuple((p, len(list(run))) for p, run in groupby(combo)))
 
 
 def count_standard_monomials(n: int, d: int) -> int:
@@ -212,39 +213,59 @@ def _check_degree(ctx: RingContext, gens: GeneratorSet, init, poset: Poset,
     degree slice (row echelon over all monomial multiples of the
     generators) must be exactly the non-normal monomials.  Together these
     say the standard monomials are a basis of the slice of the quotient.
+
+    The degree-d monomials are visited once, as sorted tuples of variable
+    positions.  "Standard" is read off per-position comparability bitmasks
+    built from ``poset``, and "normal" off (support bitmask, exponents)
+    pairs built from the generators of ``init``.
     """
-    order_key = ctx.order.sort_key
-    standard = set()
-    normal = set()
+    variables = ctx.variables
+    # comparable[p]: bitmask of the positions comparable with position p
+    comparable = [sum(1 << q for q, b in enumerate(variables)
+                      if poset.comparable(a, b))
+                  for a in variables]
+    divisors = [(sum(1 << p for p, _ in g.exps), g.exps)
+                for g in init.generators]
+
+    total = standard = normal = 0
     mismatches = []
-    total = 0
-    for m in monomials_of_degree(ctx, degree):
+    for combo in combinations_with_replacement(range(len(variables)), degree):
+        support = 0
+        allowed = -1
+        for p in combo:
+            support |= 1 << p
+            allowed &= comparable[p]
+        std = support & allowed == support
+        nrm = True
+        for mask, exps in divisors:
+            if (support & mask == mask
+                    and all(combo.count(p) >= e for p, e in exps)):
+                nrm = False
+                break
         total += 1
-        std = is_standard_monomial(m, poset)
-        nrm = init.is_normal(m)
-        if std:
-            standard.add(m)
-        if nrm:
-            normal.add(m)
+        standard += std
+        normal += nrm
         if std != nrm:
-            mismatches.append(str(m))
+            mismatches.append(str(_monomial_of_positions(ctx, combo)))
 
     rows = (row_from_polynomial(g.mul_term(1, m))
             for m in monomials_of_degree(ctx, degree - 2) for g in gens)
-    pivots = set(staircase(rows, order_key))
-    non_normal = {m for m in monomials_of_degree(ctx, degree) if m not in normal}
-    basis_ok = pivots == non_normal
+    pivots = staircase(rows, ctx.order.sort_key)
+    # pivots are distinct degree-d monomials, so "all non-normal" plus the
+    # count is set equality with the non-normal monomials
+    basis_ok = (len(pivots) == total - normal
+                and not any(init.is_normal(m) for m in pivots))
 
     expected = count_standard_monomials(ctx.n, degree)
     return {
         "degree": degree,
         "monomials": total,
-        "standard": len(standard),
-        "normal": len(normal),
+        "standard": standard,
+        "normal": normal,
         "standard_equals_normal": not mismatches,
         "mismatches": sorted(mismatches),
         "count_formula": expected,
-        "count_matches": len(standard) == expected,
+        "count_matches": standard == expected,
         "ideal_slice_rank": len(pivots),
         "basis_check": basis_ok,
     }

@@ -5,10 +5,10 @@ init-ideal expose the Groebner side, poset and std-count the
 combinatorial side, and verify chains everything into one self-describing
 JSON certificate.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage or
-malformed input.  Output is deterministic byte-for-byte for a fixed
-command line; ASL_FORGE_THREADS caps worker threads (default 1) without
-affecting output bytes.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage,
+malformed input or an unwritable output file.  Output is deterministic
+byte-for-byte for a fixed command line; ASL_FORGE_THREADS caps worker
+threads (default 1) without affecting output bytes.
 """
 
 from __future__ import annotations
@@ -107,11 +107,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output:
+    """Write the output; an unwritable --output file exits 2, not 1."""
+    if not cfg.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {cfg.output}: {exc.strerror or exc}",
+              file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _emit_json(payload: dict, cfg: RunConfig) -> None:

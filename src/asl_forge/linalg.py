@@ -2,11 +2,12 @@
 
 A degree slice of a homogeneous ideal is a subspace of the span of the
 monomials of that degree.  Rows here are sparse vectors mapping Monomial
-to coefficient; elimination always pivots on the largest monomial present
-in a row (largest under the ring's order), so the surviving pivot set is
-exactly the set of leading monomials realized in the slice.  That is the
-same pivot set classical Gaussian elimination with columns scanned in
-descending monomial order would produce.
+to coefficient.  Elimination brings the rows to (not reduced) row echelon
+form, always pivoting on the largest monomial present in a row (largest
+under the ring's order).  The pivot set is then exactly the set of
+leading monomials realized in the slice, which is the same pivot set
+classical Gaussian elimination with columns scanned in descending monomial
+order would produce.
 """
 
 from __future__ import annotations
@@ -32,11 +33,15 @@ def _scale_into(target: Row, source: Row, factor) -> None:
 
 
 def staircase(rows, sort_key) -> dict[Monomial, Row]:
-    """Reduce rows to echelon form; return {pivot monomial: normalized row}.
+    """Reduce rows to row echelon form; return {pivot monomial: row}.
 
-    Each returned row has coefficient 1 on its pivot, the pivot is the
-    row's largest monomial, and no row contains another row's pivot.  The
-    pivot set is independent of the input row order.
+    Each incoming row is reduced against the stored pivot rows until its
+    largest monomial is not yet a pivot, then stored under that monomial.
+    Each returned row has coefficient 1 on its pivot and the pivot is the
+    row's largest monomial; rows are not inter-reduced, so a row may
+    still contain smaller pivot monomials.  The pivot set is the set of
+    leading monomials of the rows' span, so it is independent of the
+    input row order.
     """
     pivots: dict[Monomial, Row] = {}
     for raw in rows:
@@ -52,24 +57,5 @@ def staircase(rows, sort_key) -> dict[Monomial, Row]:
         lc = row[lead]
         if lc != 1:
             row = {m: c / lc for m, c in row.items()}
-        # clear this pivot from existing rows to reach reduced echelon form
-        for other in pivots.values():
-            f = other.get(lead)
-            if f:
-                _scale_into(other, row, -f)
         pivots[lead] = row
     return pivots
-
-
-def reduce_against(row: Row, pivots: dict[Monomial, Row]) -> Row:
-    """Eliminate every pivot monomial from a copy of the row.
-
-    Valid because staircase keeps rows fully reduced: a pivot row never
-    contains another pivot monomial, so one sweep cannot reintroduce one.
-    """
-    out = dict(row)
-    for m in [m for m in out if m in pivots]:
-        c = out.get(m)
-        if c:
-            _scale_into(out, pivots[m], -c)
-    return out

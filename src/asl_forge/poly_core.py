@@ -75,16 +75,36 @@ class Variable:
         return self.name
 
 
+# Miller-Rabin with the primes up to 37 as bases is deterministic for every
+# p below this bound (Sorenson and Webster, 2015); larger moduli are refused.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for p < PRIME_BOUND."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"prime-field modulus {p} is not below the supported "
+                         f"bound {PRIME_BOUND}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -3,8 +3,8 @@
 Everything here recomputes results through a different route than the
 library: networkx for closure and transitive reduction, dense exponent
 tuples plus hand-rolled elimination for ideal membership and slice
-ranks, and direct divisibility scans for standard-monomial counting.
-Rationals only.
+ranks, direct divisibility scans for standard-monomial counting, and
+trial division for primality.  Rationals only.
 """
 
 from fractions import Fraction
@@ -196,3 +196,43 @@ def count_standard(n, degree):
         if not any(e[x_pos(i, i)] and e[y_pos(i)] for i in range(1, n + 1)):
             count += 1
     return count
+
+def standard_normal_mismatches(n, degree, relations):
+    """Degree-d monomials that are standard but not normal, or vice versa.
+
+    Standard: the support is a chain in the closure of `relations`, given
+    as pairs of variable names.  Normal: no x_i_i * y_i divides it.  Each
+    monomial is rendered like the library's, in the layout x's row-major
+    then y's; the list is sorted.
+    """
+    names = [f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    names += [f"y_{j}" for j in range(1, n + 1)]
+    tc = closure(names, relations)
+
+    def comparable(a, b):
+        return a == b or tc.has_edge(a, b) or tc.has_edge(b, a)
+
+    out = []
+    for e in dense_monomials(len(names), degree):
+        support = [names[p] for p, k in enumerate(e) if k]
+        standard = all(comparable(a, b) for a in support for b in support)
+        normal = not any(e[(i - 1) * (n + 1)] and e[n * n + i - 1]
+                         for i in range(1, n + 1))
+        if standard != normal:
+            out.append("*".join(names[p] if k == 1 else f"{names[p]}^{k}"
+                                for p, k in enumerate(e) if k))
+    return sorted(out)
+
+
+# ------------------------------------------------------------ primality
+
+def is_prime(p):
+    """Trial division; only for small p."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from asl_forge import (
     CoefficientField,
+    GeneratorSet,
     MatrixPattern,
     NonStandardExpansionError,
     POSET_NOTE,
@@ -17,6 +18,7 @@ from asl_forge import (
     count_standard_monomials,
     expected_incomparable_pairs,
     incomparable_pairs,
+    initial_ideal,
     is_standard_monomial,
     matrix_product_ideal,
     monomials_of_degree,
@@ -25,6 +27,7 @@ from asl_forge import (
     verify_axiom1,
     verify_axiom2,
 )
+from asl_forge.asl import _check_degree
 
 
 class TestBuildPoset:
@@ -244,6 +247,37 @@ class TestAxiom1:
     def test_degree_bound_validation(self):
         with pytest.raises(ValueError):
             verify_axiom1(2, -1)
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 3)])
+    def test_extra_relation_yields_oracle_mismatches(self, n, d):
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(n))
+        base = build_poset(n)
+        relations = base.covers() + [(Variable.x(1, 1), Variable.y(1))]
+        poset = Poset(base.elements, relations)
+        entry = _check_degree(ctx, gens, initial_ideal(gens), poset, d)
+        expected = oracles.standard_normal_mismatches(
+            n, d, [(a.name, b.name) for a, b in relations])
+        assert expected
+        assert not entry["standard_equals_normal"]
+        assert entry["mismatches"] == expected
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dropped_generator_fails_basis_check(self, d):
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
+        entry = _check_degree(ctx, GeneratorSet(ctx, list(gens)[:-1]),
+                              initial_ideal(gens), build_poset(3), d)
+        assert entry["standard_equals_normal"] and entry["count_matches"]
+        assert entry["ideal_slice_rank"] < entry["monomials"] - entry["normal"]
+        assert not entry["basis_check"]
+
+    def test_normal_pivot_fails_basis_check(self):
+        # the slice rank still matches, but one pivot, x_3_1*y_1, is normal
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
+        swapped = ctx.polynomial({ctx.monomial({ctx.x(3, 1): 1, ctx.y(1): 1}): 1})
+        entry = _check_degree(ctx, GeneratorSet(ctx, list(gens)[:-1] + [swapped]),
+                              initial_ideal(gens), build_poset(3), 2)
+        assert entry["ideal_slice_rank"] == entry["monomials"] - entry["normal"]
+        assert not entry["basis_check"]
 
 
 class TestAxiom2:

@@ -4,17 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 
-def run_cli(*args, threads=None, check=False):
+def run_cli(*args, threads=None, check=False, timeout=None):
     env = {k: v for k, v in os.environ.items() if k != "ASL_FORGE_THREADS"}
     if threads is not None:
         env["ASL_FORGE_THREADS"] = str(threads)
     proc = subprocess.run(
         [sys.executable, "-m", "asl_forge", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -178,6 +179,23 @@ class TestGuardsAndErrors:
         proc = run_cli("gb", "--n", "2", "--field", "gf(4)")
         assert proc.returncode == 2
         assert "prime" in proc.stderr
+
+    def test_huge_prime_field_refused_quickly(self):
+        start = time.monotonic()
+        proc = run_cli("verify", "--n", "2", "--degree", "2",
+                       "--field", f"gf({2**127 - 1})", timeout=5)
+        assert time.monotonic() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "bound" in proc.stderr
+
+    def test_unwritable_output_is_an_io_error(self, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        proc = run_cli("verify", "--n", "2", "--degree", "2",
+                       "--output", str(target))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not target.exists()
 
     def test_zero_pattern_requires_mask(self):
         assert run_cli("ideal", "--n", "2", "--pattern", "zero").returncode == 2

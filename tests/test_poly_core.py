@@ -18,6 +18,7 @@ from asl_forge import (
     polynomial_from_json,
     variable_from_name,
 )
+from asl_forge.poly_core import PRIME_BOUND, _is_prime
 
 CONTEXTS = [RingContext(n) for n in range(1, 5)]
 
@@ -302,9 +303,27 @@ class TestCoefficientFields:
         for bad in (0, 1, 4, 9, 15):
             with pytest.raises(ValueError):
                 CoefficientField.prime(bad)
-        # primality by trial division holds up a bit further out
         CoefficientField.prime(97)
         CoefficientField.prime(10007)
+
+    def test_primality_agrees_with_trial_division(self):
+        assert [p for p in range(10**5) if _is_prime(p)] == [
+            p for p in range(10**5) if oracles.is_prime(p)]
+
+    def test_pseudoprimes_rejected(self):
+        # 561 is a Carmichael number; the second is a strong pseudoprime
+        # to every base up to 23
+        assert 149491 * 747451 * 34233211 == 3825123056546413051
+        for bad in (561, 3825123056546413051):
+            with pytest.raises(ValueError, match="not prime"):
+                CoefficientField.prime(bad)
+
+    def test_large_prime_accepted(self):
+        assert CoefficientField.prime(2**61 - 1).name == f"GF({2**61 - 1})"
+
+    def test_modulus_above_bound_refused(self):
+        with pytest.raises(ValueError, match="bound"):
+            CoefficientField.prime(PRIME_BOUND)
 
     def test_gf_polynomials_normalize(self):
         ctx = RingContext(2, field=CoefficientField.prime(3))
