@@ -107,17 +107,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
-    """Write the output; an unwritable --output file exits 2, not 1."""
-    if not cfg.output:
-        sys.stdout.write(text)
-        return
-    try:
+    if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {cfg.output}: {exc.strerror or exc}",
-              file=sys.stderr)
-        raise SystemExit(2) from None
+    else:
+        sys.stdout.write(text)
 
 
 def _emit_json(payload: dict, cfg: RunConfig) -> None:
@@ -398,7 +392,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.handlers[args.command](cfg)
+    try:
+        return args.handlers[args.command](cfg)
+    except OSError as exc:
+        # an unwritable --output file is a usage error (2), not a failed check (1)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -75,10 +75,12 @@ class Variable:
         return self.name
 
 
-# Miller-Rabin with the primes up to 37 as bases is deterministic for every
-# p below this bound (Sorenson and Webster, 2015); larger moduli are refused.
+# Miller-Rabin with the first 13 primes (2..41) as bases is deterministic for
+# every p below psi_13 (Sorenson and Webster, 2015); larger moduli are refused.
+# Bases 2..37 alone are proven only below psi_12 = 318665857834031151167461,
+# which is itself a strong pseudoprime to all of them.
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(p: int) -> bool:

@@ -197,6 +197,14 @@ class TestGuardsAndErrors:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == "" and not target.exists()
 
+    def test_unwritable_output_returns_2_in_process(self, tmp_path, capsys):
+        from asl_forge.cli import main
+        target = tmp_path / "missing" / "r.json"
+        assert main(["verify", "--n", "2", "--degree", "2",
+                     "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(target) in err
+
     def test_zero_pattern_requires_mask(self):
         assert run_cli("ideal", "--n", "2", "--pattern", "zero").returncode == 2
 

@@ -312,9 +312,10 @@ class TestCoefficientFields:
 
     def test_pseudoprimes_rejected(self):
         # 561 is a Carmichael number; the second is a strong pseudoprime
-        # to every base up to 23
+        # to every base up to 23, the third (psi_12) to every base up to 37
         assert 149491 * 747451 * 34233211 == 3825123056546413051
-        for bad in (561, 3825123056546413051):
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        for bad in (561, 3825123056546413051, 318665857834031151167461):
             with pytest.raises(ValueError, match="not prime"):
                 CoefficientField.prime(bad)
 
