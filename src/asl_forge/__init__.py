@@ -5,7 +5,8 @@ The layers, bottom up: poly_core (ring contexts, block monomial order,
 sparse exact arithmetic), groebner (division, Buchberger, certificates,
 initial ideals), matrix_ideal (patterned X and the generators of the
 entry ideal), poset (finite partial orders), asl (the variable poset,
-standard monomials, straightening, bounded-degree axiom checks), cli.
+standard monomials, straightening, bounded-degree axiom checks and the
+``verify`` pipeline), cli.
 """
 
 from .asl import (
@@ -16,10 +17,10 @@ from .asl import (
     chain_factors,
     count_standard_monomials,
     expected_incomparable_pairs,
-    incomparable_pairs,
     is_standard_monomial,
     monomials_of_degree,
     straighten,
+    verify,
     verify_axiom1,
     verify_axiom2,
 )
@@ -34,15 +35,11 @@ from .groebner import (
     initial_ideal,
     interreduce,
     is_groebner,
-    is_normal_monomial,
     reduce,
     s_polynomial,
 )
 from .matrix_ideal import (
     MatrixPattern,
-    SymbolicMatrix,
-    SymbolicVector,
-    build_matrices,
     matrix_product_ideal,
     product_generators,
 )
@@ -56,7 +53,6 @@ from .poly_core import (
     RingContext,
     Variable,
     ZeroPolynomialError,
-    build_order,
     polynomial_from_json,
     variable_from_name,
 )
@@ -80,23 +76,17 @@ __all__ = [
     "RingContext",
     "SPairRecord",
     "StraighteningRelation",
-    "SymbolicMatrix",
-    "SymbolicVector",
     "Variable",
     "ZeroPolynomialError",
     "buchberger",
-    "build_matrices",
-    "build_order",
     "build_poset",
     "chain_factors",
     "count_standard_monomials",
     "divide",
     "expected_incomparable_pairs",
-    "incomparable_pairs",
     "initial_ideal",
     "interreduce",
     "is_groebner",
-    "is_normal_monomial",
     "is_standard_monomial",
     "matrix_product_ideal",
     "monomials_of_degree",
@@ -106,6 +96,7 @@ __all__ = [
     "s_polynomial",
     "straighten",
     "variable_from_name",
+    "verify",
     "verify_axiom1",
     "verify_axiom2",
 ]

@@ -15,19 +15,27 @@ statements at bounded degree:
            factor sits below both x_i_i and y_i.
 
 Both checkers return plain-dict reports with a top-level "verdict",
-suitable for direct JSON serialization.
+suitable for direct JSON serialization.  ``verify`` runs the whole
+pipeline for one pattern and builds each invariant it checks once.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations, combinations_with_replacement, groupby
 from typing import Iterator
 
-from .groebner import GeneratorSet, initial_ideal, is_groebner, reduce
+from .groebner import (
+    GeneratorSet,
+    GroebnerCertificate,
+    InitialIdeal,
+    buchberger,
+    initial_ideal,
+    is_groebner,
+    reduce,
+)
 from .linalg import row_from_polynomial, staircase
 from .matrix_ideal import MatrixPattern, matrix_product_ideal
 from .poly_core import CoefficientField, Monomial, RingContext, Variable
@@ -41,6 +49,10 @@ from .poset import Poset
 POSET_NOTE = ("bridge relations read as x_(i+1)_(i+1) <= y_i and "
               "y_i <= x_(i-1)_(i-1) for 2 <= i <= n-1; chains are treated "
               "as relations and covers recomputed by transitive reduction")
+
+STRAIGHTENING_SKIP_REASON = (
+    "straightening-law verification is defined here only for the generic "
+    "pattern; Groebner checks still ran")
 
 
 class NonStandardExpansionError(ValueError):
@@ -90,13 +102,17 @@ def build_poset(n: int) -> Poset:
     return Poset(elements, relations)
 
 
-def incomparable_pairs(poset: Poset) -> list[tuple[Variable, Variable]]:
-    return poset.incomparable_pairs()
-
-
 def expected_incomparable_pairs(n: int) -> list[tuple[Variable, Variable]]:
     """The diagonal pairs (x_i_i, y_i), the only ones meant to be incomparable."""
     return [(Variable.x(i, i), Variable.y(i)) for i in range(1, n + 1)]
+
+
+def _incomparable_check(poset: Poset, n: int
+                        ) -> tuple[list[tuple[Variable, Variable]], bool]:
+    """The poset's incomparable pairs, and whether they are the diagonal ones."""
+    found = poset.incomparable_pairs()
+    expected = expected_incomparable_pairs(n)
+    return found, {frozenset(p) for p in found} == {frozenset(p) for p in expected}
 
 
 def is_standard_monomial(m: Monomial, poset: Poset) -> bool:
@@ -204,6 +220,21 @@ def count_standard_monomials(n: int, d: int) -> int:
     return total
 
 
+def axiom1_work(n: int, degree_bound: int) -> int:
+    """Closed-form size of the axiom-1 check for the generic n-by-n pattern.
+
+    Per degree d <= degree_bound, the check visits every degree-d monomial
+    and eliminates n * #(degree d-2 monomials) Macaulay rows, so in
+    N = n*n + n variables the work is
+
+        sum_d C(d + N - 1, N - 1) + n * C(d + N - 3, N - 1).
+    """
+    N = n * n + n
+    return sum(math.comb(d + N - 1, N - 1)
+               + (n * math.comb(d + N - 3, N - 1) if d >= 2 else 0)
+               for d in range(degree_bound + 1))
+
+
 def _check_degree(ctx: RingContext, gens: GeneratorSet, init, poset: Poset,
                   degree: int) -> dict:
     """Axiom-1 evidence for one degree slice.
@@ -271,75 +302,55 @@ def _check_degree(ctx: RingContext, gens: GeneratorSet, init, poset: Poset,
     }
 
 
-def verify_axiom1(n: int, degree_bound: int,
-                  field: CoefficientField | None = None,
-                  threads: int = 1) -> dict:
+def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
+                  init: InitialIdeal | None, poset: Poset,
+                  degree_bound: int) -> dict:
     """Check freeness on standard monomials, degree by degree up to a bound.
 
-    Per degree d <= degree_bound: every monomial is standard iff it is
-    normal; the number of standard monomials matches the closed form; and
-    eliminating the slice spanned by all degree-d multiples of the
-    generators yields pivot monomials exactly equal to the non-normal
-    set, so the standard residues are linearly independent and spanning.
-    Degrees may be checked in parallel; the merged report is identical
-    for any thread count.
+    ``gens`` are the generic product generators, ``certificate`` their
+    pair check, ``init`` their initial ideal (None when the check failed)
+    and ``poset`` the variable poset.  Per degree d <= degree_bound: every
+    monomial is standard iff it is normal; the number of standard
+    monomials matches the closed form; and eliminating the slice spanned
+    by all degree-d multiples of the generators yields pivot monomials
+    exactly equal to the non-normal set, so the standard residues are
+    linearly independent and spanning.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
-    ctx, gens = matrix_product_ideal(MatrixPattern.generic(n), field)
-    certificate = is_groebner(gens)
-    if not certificate.is_basis:
-        return {
-            "verdict": "fail",
-            "check": "standard monomials form a basis up to the degree bound",
-            "n": n,
-            "degree_bound": degree_bound,
-            "field": (field or CoefficientField.rationals()).name,
-            "poset_note": POSET_NOTE,
-            "groebner_verified": False,
-            "degrees": [],
-        }
-    init = initial_ideal(gens, certificate)
-    poset = build_poset(n)
-
-    degrees = list(range(degree_bound + 1))
-    if threads > 1 and len(degrees) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(degrees))) as pool:
-            per_degree = list(pool.map(
-                lambda d: _check_degree(ctx, gens, init, poset, d), degrees))
-    else:
-        per_degree = [_check_degree(ctx, gens, init, poset, d) for d in degrees]
-
+    ctx = gens.ctx
+    per_degree = []
+    if certificate.is_basis:
+        per_degree = [_check_degree(ctx, gens, init, poset, d)
+                      for d in range(degree_bound + 1)]
     ok = (certificate.is_basis
           and all(d["standard_equals_normal"] and d["count_matches"]
                   and d["basis_check"] for d in per_degree))
     return {
         "verdict": "pass" if ok else "fail",
         "check": "standard monomials form a basis up to the degree bound",
-        "n": n,
+        "n": ctx.n,
         "degree_bound": degree_bound,
-        "field": (field or CoefficientField.rationals()).name,
+        "field": ctx.field.name,
         "poset_note": POSET_NOTE,
         "groebner_verified": certificate.is_basis,
         "degrees": per_degree,
     }
 
 
-def verify_axiom2(n: int, field: CoefficientField | None = None) -> dict:
+def verify_axiom2(gens: GeneratorSet, certificate: GroebnerCertificate,
+                  poset: Poset) -> dict:
     """Check the straightening condition for every incomparable pair.
 
-    For each diagonal pair (x_i_i, y_i): the expansion terms are standard,
-    the least factor of each term lies below both x_i_i and y_i, and the
-    product minus its expansion reduces to zero, so the identity holds in
-    the quotient.
+    ``gens`` are the generic product generators, ``certificate`` their
+    pair check and ``poset`` the variable poset.  For each diagonal pair
+    (x_i_i, y_i): the expansion terms are standard, the least factor of
+    each term lies below both x_i_i and y_i, and the product minus its
+    expansion reduces to zero, so the identity holds in the quotient.
     """
-    ctx, gens = matrix_product_ideal(MatrixPattern.generic(n), field)
-    certificate = is_groebner(gens)
-    poset = build_poset(n)
-
-    found = poset.incomparable_pairs()
-    expected = expected_incomparable_pairs(n)
-    pairs_ok = {frozenset(p) for p in found} == {frozenset(p) for p in expected}
+    ctx = gens.ctx
+    n = ctx.n
+    found, pairs_ok = _incomparable_check(poset, n)
 
     entries = []
     all_ok = certificate.is_basis and pairs_ok
@@ -388,10 +399,80 @@ def verify_axiom2(n: int, field: CoefficientField | None = None) -> dict:
         "verdict": "pass" if all_ok else "fail",
         "check": "incomparable products straighten below both factors",
         "n": n,
-        "field": (field or CoefficientField.rationals()).name,
+        "field": ctx.field.name,
         "poset_note": POSET_NOTE,
         "groebner_verified": certificate.is_basis,
         "incomparable_pairs": [[a.name, b.name] for a, b in found],
         "incomparable_as_expected": pairs_ok,
         "relations": entries,
+    }
+
+
+def verify(pattern: MatrixPattern, degree: int,
+           field: CoefficientField | None = None) -> dict:
+    """The full verification report for one pattern, field and degree bound.
+
+    Each invariant is built once and passed down: the generators (for a
+    zero pattern, their Buchberger completion), one pair certificate, the
+    initial ideal and, for the generic pattern only, the variable poset
+    that the poset section and both axiom checks read.  The verdict passes
+    when every section passes or is skipped.
+    """
+    if degree < 0:
+        raise ValueError("degree bound must be >= 0")
+    ctx, gens = matrix_product_ideal(pattern, field)
+    completed = pattern.kind == "zero_pattern"
+    if completed:
+        gens = buchberger(gens)
+    certificate = is_groebner(gens)
+
+    groebner = {"status": "pass" if certificate.is_basis else "fail",
+                "checked": "completed basis" if completed else "generators"}
+    if completed:
+        groebner["basis"] = gens.to_json_list()
+    groebner["certificate"] = certificate.to_json_dict()
+    sections: dict = {"groebner": groebner}
+
+    init = None
+    if certificate.is_basis:
+        init = initial_ideal(gens, certificate)
+        section = {"status": "pass", "generators": init.to_json_list()}
+        if not completed:
+            expected = [ctx.monomial({ctx.x(i, i): 1, ctx.y(i): 1})
+                        for i in range(1, ctx.n + 1)]
+            init_ok = list(init) == sorted(expected, key=ctx.order.sort_key,
+                                           reverse=True)
+            section["status"] = "pass" if init_ok else "fail"
+            section["equals_diagonal_products"] = init_ok
+    else:
+        section = {"status": "fail",
+                   "reason": ("completion failed the pair check" if completed
+                              else "generators are not a basis")}
+    sections["initial_ideal"] = section
+
+    if pattern.kind == "generic":
+        poset = build_poset(ctx.n)
+        found, pairs_ok = _incomparable_check(poset, ctx.n)
+        sections["poset"] = {
+            "status": "pass" if pairs_ok else "fail",
+            "note": POSET_NOTE,
+            "elements": len(poset),
+            "incomparable_pairs": [[a.name, b.name] for a, b in found],
+            "only_diagonal_pairs_incomparable": pairs_ok,
+        }
+        sections["axiom1"] = verify_axiom1(gens, certificate, init, poset, degree)
+        sections["axiom2"] = verify_axiom2(gens, certificate, poset)
+    else:
+        skipped = {"status": "skipped", "reason": STRAIGHTENING_SKIP_REASON}
+        sections.update(poset=skipped, axiom1=skipped, axiom2=skipped)
+
+    ok = all(s.get("verdict", s.get("status")) in ("pass", "skipped")
+             for s in sections.values())
+    return {
+        "verdict": "pass" if ok else "fail",
+        "n": ctx.n,
+        "pattern": pattern.to_json_dict(),
+        "field": ctx.field.name,
+        "degree_bound": degree,
+        "sections": sections,
     }

@@ -7,36 +7,26 @@ JSON certificate.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage,
 malformed input or an unwritable output file.  Output is deterministic
-byte-for-byte for a fixed command line; ASL_FORGE_THREADS caps worker
-threads (default 1) without affecting output bytes.
+byte-for-byte for a fixed command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field as dataclass_field
 
-from .asl import (
-    POSET_NOTE,
-    build_poset,
-    count_standard_monomials,
-    expected_incomparable_pairs,
-    verify_axiom1,
-    verify_axiom2,
-)
-from .groebner import GeneratorSet, buchberger, initial_ideal, is_groebner
-from .matrix_ideal import MatrixPattern, build_matrices, product_generators
+from .asl import axiom1_work, build_poset, count_standard_monomials, verify
+from .groebner import buchberger, initial_ideal, is_groebner
+from .matrix_ideal import MatrixPattern, matrix_product_ideal, product_generators
 from .poly_core import CoefficientField
 
 LARGE_N = 8
 LARGE_DEGREE = 8
-
-STRAIGHTENING_SKIP_REASON = (
-    "straightening-law verification is defined here only for the generic "
-    "pattern; Groebner checks still ran")
+# bound on axiom1_work for a generic verify: (n, degree) = (8, 4) at about
+# 1.3e6 runs in seconds, (4, 8) at about 4.0e6 ran for minutes at 2.5 GiB
+LARGE_WORK = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -48,14 +38,6 @@ class RunConfig:
         default_factory=CoefficientField.rationals)
     fmt: str = "json"
     output: str | None = None
-
-    @property
-    def threads(self) -> int:
-        raw = os.environ.get("ASL_FORGE_THREADS", "")
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
 
 
 def parse_field(text: str) -> CoefficientField:
@@ -96,9 +78,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(
             f"n > {LARGE_N} or degree > {LARGE_DEGREE} needs --allow-large "
             "(enumeration sizes grow combinatorially)")
+    pattern = _pattern_from_args(args)
+    # the n and degree guard above keeps this estimate cheap to compute
+    if (args.command == "verify" and pattern.kind == "generic"
+            and not args.allow_large):
+        work = axiom1_work(args.n, degree)
+        if work > LARGE_WORK:
+            raise ValueError(
+                f"estimated axiom-1 work of {work:,} monomials and Macaulay "
+                f"rows exceeds the bound of {LARGE_WORK:,}; pass --allow-large "
+                "to run it anyway")
     return RunConfig(
         n=args.n,
-        pattern=_pattern_from_args(args),
+        pattern=pattern,
         degree=degree,
         fieldspec=parse_field(getattr(args, "field", "rationals")),
         fmt=getattr(args, "format", "json"),
@@ -118,14 +110,8 @@ def _emit_json(payload: dict, cfg: RunConfig) -> None:
     _emit(json.dumps(payload, indent=2) + "\n", cfg)
 
 
-def _ring_and_generators(cfg: RunConfig):
-    ctx = cfg.pattern.ring_context(cfg.fieldspec)
-    X, Y = build_matrices(cfg.pattern, ctx)
-    return ctx, product_generators(X, Y)
-
-
 def cmd_ideal(cfg: RunConfig) -> int:
-    ctx, gens = _ring_and_generators(cfg)
+    _, gens = product_generators(cfg.pattern, cfg.fieldspec)
     if cfg.fmt == "text":
         lines = [f"g_{k} = {g}" for k, g in enumerate(gens, start=1)]
         _emit("\n".join(lines) + "\n", cfg)
@@ -140,8 +126,8 @@ def cmd_ideal(cfg: RunConfig) -> int:
 
 
 def cmd_gb(cfg: RunConfig) -> int:
-    ctx, gens = _ring_and_generators(cfg)
-    basis = buchberger(GeneratorSet(ctx, gens))
+    _, gens = matrix_product_ideal(cfg.pattern, cfg.fieldspec)
+    basis = buchberger(gens)
     if cfg.fmt == "text":
         lines = [f"b_{k} = {g}" for k, g in enumerate(basis, start=1)]
         _emit("\n".join(lines) + "\n", cfg)
@@ -156,8 +142,8 @@ def cmd_gb(cfg: RunConfig) -> int:
 
 
 def cmd_verify_gb(cfg: RunConfig) -> int:
-    ctx, gens = _ring_and_generators(cfg)
-    certificate = is_groebner(GeneratorSet(ctx, gens))
+    _, gens = matrix_product_ideal(cfg.pattern, cfg.fieldspec)
+    certificate = is_groebner(gens)
     if cfg.fmt == "text":
         verdict = "pass" if certificate.is_basis else "fail"
         lines = [f"verdict: {verdict}"]
@@ -177,9 +163,8 @@ def cmd_verify_gb(cfg: RunConfig) -> int:
 
 
 def cmd_init_ideal(cfg: RunConfig) -> int:
-    ctx, gens = _ring_and_generators(cfg)
-    basis = buchberger(GeneratorSet(ctx, gens))
-    init = initial_ideal(basis)
+    _, gens = matrix_product_ideal(cfg.pattern, cfg.fieldspec)
+    init = initial_ideal(buchberger(gens))
     if cfg.fmt == "text":
         lines = [str(m) for m in init]
         _emit("\n".join(lines) + "\n", cfg)
@@ -223,105 +208,10 @@ def cmd_poset(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_generic(cfg: RunConfig) -> dict:
-    ctx, raw = _ring_and_generators(cfg)
-    gens = GeneratorSet(ctx, raw)
-    certificate = is_groebner(gens)
-    sections: dict = {}
-    sections["groebner"] = {
-        "status": "pass" if certificate.is_basis else "fail",
-        "checked": "generators",
-        "certificate": certificate.to_json_dict(),
-    }
-
-    if certificate.is_basis:
-        init = initial_ideal(gens, certificate)
-        expected = [ctx.monomial({ctx.x(i, i): 1, ctx.y(i): 1})
-                    for i in range(1, cfg.n + 1)]
-        init_ok = list(init) == sorted(expected, key=ctx.order.sort_key,
-                                       reverse=True)
-        sections["initial_ideal"] = {
-            "status": "pass" if init_ok else "fail",
-            "generators": init.to_json_list(),
-            "equals_diagonal_products": init_ok,
-        }
-    else:
-        sections["initial_ideal"] = {"status": "fail",
-                                     "reason": "generators are not a basis"}
-
-    if cfg.pattern.kind == "generic":
-        poset = build_poset(cfg.n)
-        found = poset.incomparable_pairs()
-        expected_pairs = expected_incomparable_pairs(cfg.n)
-        pairs_ok = ({frozenset(p) for p in found}
-                    == {frozenset(p) for p in expected_pairs})
-        sections["poset"] = {
-            "status": "pass" if pairs_ok else "fail",
-            "note": POSET_NOTE,
-            "elements": len(poset),
-            "incomparable_pairs": [[a.name, b.name] for a, b in found],
-            "only_diagonal_pairs_incomparable": pairs_ok,
-        }
-        sections["axiom1"] = verify_axiom1(cfg.n, cfg.degree, cfg.fieldspec,
-                                           threads=cfg.threads)
-        sections["axiom2"] = verify_axiom2(cfg.n, cfg.fieldspec)
-    else:
-        skipped = {"status": "skipped", "reason": STRAIGHTENING_SKIP_REASON}
-        sections["poset"] = skipped
-        sections["axiom1"] = skipped
-        sections["axiom2"] = skipped
-
-    return sections
-
-
-def _verify_zero_pattern(cfg: RunConfig) -> dict:
-    ctx, raw = _ring_and_generators(cfg)
-    basis = buchberger(GeneratorSet(ctx, raw))
-    certificate = is_groebner(basis)
-    sections: dict = {}
-    sections["groebner"] = {
-        "status": "pass" if certificate.is_basis else "fail",
-        "checked": "completed basis",
-        "basis": basis.to_json_list(),
-        "certificate": certificate.to_json_dict(),
-    }
-    if certificate.is_basis:
-        init = initial_ideal(basis, certificate)
-        sections["initial_ideal"] = {
-            "status": "pass",
-            "generators": init.to_json_list(),
-        }
-    else:
-        sections["initial_ideal"] = {"status": "fail",
-                                     "reason": "completion failed the pair check"}
-    skipped = {"status": "skipped", "reason": STRAIGHTENING_SKIP_REASON}
-    sections["poset"] = skipped
-    sections["axiom1"] = skipped
-    sections["axiom2"] = skipped
-    return sections
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.pattern.kind == "zero_pattern":
-        sections = _verify_zero_pattern(cfg)
-    else:
-        sections = _verify_generic(cfg)
-
-    def section_verdict(s: dict) -> str:
-        return s.get("verdict", s.get("status", "fail"))
-
-    ok = all(section_verdict(s) in ("pass", "skipped")
-             for s in sections.values())
-    report = {
-        "verdict": "pass" if ok else "fail",
-        "n": cfg.n,
-        "pattern": cfg.pattern.to_json_dict(),
-        "field": cfg.fieldspec.name,
-        "degree_bound": cfg.degree,
-        "sections": sections,
-    }
+    report = verify(cfg.pattern, cfg.degree, cfg.fieldspec)
     _emit_json(report, cfg)
-    return 0 if ok else 1
+    return 0 if report["verdict"] == "pass" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", help="write to this file instead of stdout")
         p.add_argument("--allow-large", action="store_true",
-                       help="permit n > 8 or degree > 8")
+                       help=f"permit n > {LARGE_N}, degree > {LARGE_DEGREE}, "
+                            f"or a verify whose estimated work exceeds "
+                            f"{LARGE_WORK:,}")
 
     handlers = {}
 

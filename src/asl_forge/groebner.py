@@ -289,7 +289,3 @@ def initial_ideal(gens: GeneratorSet,
         raise NotGroebnerError(
             "leading monomials of a non-Groebner set do not span the initial ideal")
     return InitialIdeal(gens.ctx, (f.leading_monomial() for f in gens))
-
-
-def is_normal_monomial(m: Monomial, init: InitialIdeal) -> bool:
-    return init.is_normal(m)

@@ -1,4 +1,4 @@
-"""Symbolic matrices and the ideal of entries of a matrix-vector product.
+"""Matrix patterns and the ideal of entries of a matrix-vector product.
 
 The central object is the ideal generated by the n entries of X*Y, where
 X is an n-by-n matrix of indeterminates (generic, symmetric, or with a
@@ -8,7 +8,7 @@ generator is g_i = sum_j x_i_j * y_j, a quadric linear in the y block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groebner import GeneratorSet
 from .poly_core import CoefficientField, Polynomial, RingContext
@@ -26,7 +26,7 @@ class MatrixPattern:
 
     n: int
     kind: str = "generic"
-    mask: tuple[tuple[int, ...], ...] | None = field(default=None)
+    mask: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -38,7 +38,10 @@ class MatrixPattern:
                 raise ValueError("zero_pattern requires a mask")
             if len(self.mask) != self.n or any(len(r) != self.n for r in self.mask):
                 raise ValueError("mask must be an n-by-n matrix")
-            if any(v not in (0, 1) for r in self.mask for v in r):
+            # a type check, not only a value one: 1.0 == 1, and no float
+            # or string may be coerced into a kept or zeroed entry
+            if any(type(v) is not int or v not in (0, 1)
+                   for r in self.mask for v in r):
                 raise ValueError("mask entries must be 0 or 1")
         elif self.mask is not None:
             raise ValueError(f"mask is only valid for zero_pattern, not {self.kind!r}")
@@ -53,7 +56,9 @@ class MatrixPattern:
 
     @classmethod
     def zero_pattern(cls, mask) -> "MatrixPattern":
-        rows = tuple(tuple(int(v) for v in row) for row in mask)
+        """Pattern from an n-by-n mask of booleans or the integers 0 and 1."""
+        rows = tuple(tuple(int(v) if isinstance(v, bool) else v for v in row)
+                     for row in mask)
         return cls(len(rows), "zero_pattern", rows)
 
     @classmethod
@@ -67,10 +72,10 @@ class MatrixPattern:
         if kind == "zero_pattern":
             if mask is None:
                 raise ValueError("zero_pattern requires a mask")
-            rows = tuple(tuple(int(v) for v in row) for row in mask)
-            if len(rows) != n:
+            pattern = cls.zero_pattern(mask)
+            if pattern.n != n:
                 raise ValueError("mask size disagrees with n")
-            return cls(n, kind, rows)
+            return pattern
         if mask is not None:
             raise ValueError(f"mask is only valid for zero_pattern, not {kind!r}")
         return cls(n, kind)
@@ -91,114 +96,42 @@ class MatrixPattern:
         """True when every diagonal entry of X survives the pattern."""
         return all(not self.entry_is_zero(i, i) for i in range(1, self.n + 1))
 
-    def ring_context(self, fieldspec: CoefficientField | None = None) -> RingContext:
+    def ring_context(self, field: CoefficientField | None = None) -> RingContext:
         return RingContext(self.n, symmetric=(self.kind == "symmetric"),
-                           field=fieldspec)
+                           field=field)
 
 
-class SymbolicMatrix:
-    """An n-by-n matrix of polynomials, 1-based accessors."""
+def product_generators(pattern: MatrixPattern,
+                       field: CoefficientField | None = None
+                       ) -> tuple[RingContext, list[Polynomial]]:
+    """The ring of the pattern and the entries of X*Y in row order.
 
-    __slots__ = ("ctx", "rows")
-
-    def __init__(self, ctx: RingContext, rows):
-        rows = tuple(tuple(r) for r in rows)
-        n = ctx.n
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("matrix must be n-by-n")
-        for r in rows:
-            for f in r:
-                if f.ctx != ctx:
-                    raise ValueError("entry from a different ring context")
-        self.ctx = ctx
-        self.rows = rows
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.rows[i - 1][j - 1]
-
-    def __repr__(self) -> str:
-        return f"SymbolicMatrix(n={self.ctx.n})"
-
-
-class SymbolicVector:
-    """A length-n column vector of polynomials, 1-based accessors."""
-
-    __slots__ = ("ctx", "entries")
-
-    def __init__(self, ctx: RingContext, entries):
-        entries = tuple(entries)
-        if len(entries) != ctx.n:
-            raise ValueError("vector must have length n")
-        for f in entries:
-            if f.ctx != ctx:
-                raise ValueError("entry from a different ring context")
-        self.ctx = ctx
-        self.entries = entries
-
-    def entry(self, j: int) -> Polynomial:
-        return self.entries[j - 1]
-
-    def __repr__(self) -> str:
-        return f"SymbolicVector(n={self.ctx.n})"
-
-
-def build_matrices(pattern: MatrixPattern,
-                   ctx: RingContext | None = None
-                   ) -> tuple[SymbolicMatrix, SymbolicVector]:
-    """Construct X (shaped by the pattern) and Y = (y_1, ..., y_n)^T.
-
-    For a symmetric pattern, entry (i, j) with i > j reuses the variable
-    x_min(i,j)_max(i,j): X is literally equal to its transpose.
+    g_i = sum_j x_i_j * y_j over the entries the pattern keeps; a symmetric
+    pattern reads entry (i, j) as x_min(i,j)_max(i,j).  Always returns n
+    polynomials: an all-zero row of a zero pattern gives the zero polynomial.
     """
-    if ctx is None:
-        ctx = pattern.ring_context()
-    if ctx.n != pattern.n:
-        raise ValueError("ring context size disagrees with pattern size")
-    if ctx.symmetric != (pattern.kind == "symmetric"):
-        raise ValueError("ring context symmetry flag disagrees with pattern kind")
+    ctx = pattern.ring_context(field)
     n = pattern.n
-    rows = []
+    symmetric = pattern.kind == "symmetric"
+    gens = []
     for i in range(1, n + 1):
-        row = []
+        terms = {}
         for j in range(1, n + 1):
             if pattern.entry_is_zero(i, j):
-                row.append(ctx.zero)
-            elif pattern.kind == "symmetric":
-                row.append(ctx.variable_poly(ctx.x(min(i, j), max(i, j))))
-            else:
-                row.append(ctx.variable_poly(ctx.x(i, j)))
-        rows.append(row)
-    X = SymbolicMatrix(ctx, rows)
-    Y = SymbolicVector(ctx, [ctx.variable_poly(ctx.y(j)) for j in range(1, n + 1)])
-    return X, Y
-
-
-def product_generators(X: SymbolicMatrix, Y: SymbolicVector) -> list[Polynomial]:
-    """Entries of X*Y in row order: g_i = sum_j X[i][j] * y_j.
-
-    Always returns n polynomials; an all-zero row of a zero pattern
-    contributes the zero polynomial.
-    """
-    if X.ctx != Y.ctx:
-        raise ValueError("matrix and vector from different ring contexts")
-    ctx = X.ctx
-    gens = []
-    for i in range(1, ctx.n + 1):
-        g = ctx.zero
-        for j in range(1, ctx.n + 1):
-            g = g + X.entry(i, j) * Y.entry(j)
-        gens.append(g)
-    return gens
+                continue
+            x = ctx.x(min(i, j), max(i, j)) if symmetric else ctx.x(i, j)
+            terms[ctx.monomial({x: 1, ctx.y(j): 1})] = 1
+        gens.append(ctx.polynomial(terms))
+    return ctx, gens
 
 
 def matrix_product_ideal(pattern: MatrixPattern,
-                         fieldspec: CoefficientField | None = None
+                         field: CoefficientField | None = None
                          ) -> tuple[RingContext, GeneratorSet]:
     """One-call construction: ring context plus the entry ideal of X*Y.
 
     Identically-zero entries of the product (possible for degenerate
     masks) are dropped by the GeneratorSet constructor.
     """
-    ctx = pattern.ring_context(fieldspec)
-    X, Y = build_matrices(pattern, ctx)
-    return ctx, GeneratorSet(ctx, product_generators(X, Y))
+    ctx, gens = product_generators(pattern, field)
+    return ctx, GeneratorSet(ctx, gens)

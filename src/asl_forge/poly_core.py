@@ -305,9 +305,6 @@ class RingContext:
                 and self.symmetric == other.symmetric
                 and self.field == other.field)
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return hash((self.n, self.symmetric, self.field))
 
@@ -453,11 +450,6 @@ class MonomialOrder:
         return (ka > kb) - (ka < kb)
 
 
-def build_order(ctx: RingContext) -> MonomialOrder:
-    """The canonical order of the ring context (deterministic for given n)."""
-    return ctx.order
-
-
 class Polynomial:
     """Immutable sparse polynomial; terms sorted strictly descending."""
 
@@ -485,9 +477,6 @@ class Polynomial:
             if mm == m:
                 return c
         return self.ctx.field.zero
-
-    def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(m for _, m in self.terms)
 
     def leading_term(self) -> tuple[object, Monomial]:
         if not self.terms:

@@ -20,13 +20,11 @@ from asl_forge import (
     build_poset,
     count_standard_monomials,
     expected_incomparable_pairs,
-    incomparable_pairs,
     initial_ideal,
     is_groebner,
     matrix_product_ideal,
     reduce,
-    verify_axiom1,
-    verify_axiom2,
+    verify,
 )
 from asl_forge import cli
 
@@ -75,7 +73,7 @@ def test_poset_leaves_exactly_the_diagonal_pairs_incomparable():
     ok = True
     for n in range(2, 9):
         poset = build_poset(n)  # construction rejects antisymmetry breaks
-        found = {frozenset(p) for p in incomparable_pairs(poset)}
+        found = {frozenset(p) for p in poset.incomparable_pairs()}
         expected = {frozenset(p) for p in expected_incomparable_pairs(n)}
         ok = ok and found == expected and len(found) == n
     report("only the diagonal pairs (x_i_i, y_i) are incomparable, n=2..8", ok)
@@ -85,7 +83,7 @@ def test_straightening_axiom_one_holds_at_bounded_degree():
     start = time.perf_counter()
     ok = True
     for n, bound in ((1, 4), (2, 4), (3, 3)):
-        rep = verify_axiom1(n, bound)
+        rep = verify(MatrixPattern.generic(n), bound)["sections"]["axiom1"]
         ok = ok and rep["verdict"] == "pass"
         ok = ok and all(e["count_matches"] for e in rep["degrees"])
         if n == 2:
@@ -100,7 +98,8 @@ def test_straightening_axiom_one_holds_at_bounded_degree():
 
 
 def test_straightening_axiom_two_holds():
-    ok = all(verify_axiom2(n)["verdict"] == "pass" for n in range(2, 7))
+    ok = all(verify(MatrixPattern.generic(n), 0)["sections"]["axiom2"]["verdict"]
+             == "pass" for n in range(2, 7))
     report("straightening expansions exist with strictly smaller factors, n=2..6", ok)
 
 

@@ -17,17 +17,17 @@ from asl_forge import (
     chain_factors,
     count_standard_monomials,
     expected_incomparable_pairs,
-    incomparable_pairs,
     initial_ideal,
+    is_groebner,
     is_standard_monomial,
     matrix_product_ideal,
     monomials_of_degree,
     reduce,
     straighten,
+    verify,
     verify_axiom1,
-    verify_axiom2,
 )
-from asl_forge.asl import _check_degree
+from asl_forge.asl import _check_degree, axiom1_work
 
 
 class TestBuildPoset:
@@ -47,7 +47,7 @@ class TestBuildPoset:
     def test_n1_antichain(self):
         p = build_poset(1)
         assert p.covers() == []
-        assert incomparable_pairs(p) == [(Variable.x(1, 1), Variable.y(1))]
+        assert p.incomparable_pairs() == [(Variable.x(1, 1), Variable.y(1))]
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestBuildPoset:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_only_diagonal_pairs_incomparable(self, n):
         p = build_poset(n)
-        found = {frozenset(pair) for pair in incomparable_pairs(p)}
+        found = {frozenset(pair) for pair in p.incomparable_pairs()}
         expected = {frozenset(pair) for pair in expected_incomparable_pairs(n)}
         assert found == expected
 
@@ -201,6 +201,25 @@ class TestCounting:
         total = math.comb(d + N - 1, N - 1)
         assert 0 < count_standard_monomials(n, d) <= total
 
+    @pytest.mark.parametrize("n,dmax", [(1, 5), (2, 4), (3, 3)])
+    def test_axiom1_work_counts_monomials_and_rows(self, n, dmax):
+        ctx, _ = matrix_product_ideal(MatrixPattern.generic(n))
+        for D in range(dmax + 1):
+            visited = sum(len(list(monomials_of_degree(ctx, d)))
+                          for d in range(D + 1))
+            rows = sum(n * len(list(monomials_of_degree(ctx, d - 2)))
+                       for d in range(D + 1))
+            assert axiom1_work(n, D) == visited + rows
+
+    def test_axiom1_work_pinned(self):
+        # the benchmark's two axiom-1 workloads, then the first sizes over
+        # the command line's 2,000,000 bound
+        assert axiom1_work(4, 5) == 60_214
+        assert axiom1_work(8, 3) == 68_109
+        assert axiom1_work(8, 4) == 1_304_583
+        assert axiom1_work(5, 6) == 2_179_672
+        assert axiom1_work(4, 8) == 4_029_025
+
     def test_monomials_of_degree_enumeration(self):
         import math
         ctx, _ = matrix_product_ideal(MatrixPattern.generic(2))
@@ -211,10 +230,18 @@ class TestCounting:
             assert all(m.total_degree == d for m in ms)
 
 
+def axiom1(n, d, field=None):
+    return verify(MatrixPattern.generic(n), d, field)["sections"]["axiom1"]
+
+
+def axiom2(n):
+    return verify(MatrixPattern.generic(n), 0)["sections"]["axiom2"]
+
+
 class TestAxiom1:
     @pytest.mark.parametrize("n,d", [(1, 4), (2, 4), (3, 3)])
     def test_passes(self, n, d):
-        report = verify_axiom1(n, d)
+        report = axiom1(n, d)
         assert report["verdict"] == "pass"
         assert report["degree_bound"] == d
         assert report["poset_note"] == POSET_NOTE
@@ -227,26 +254,38 @@ class TestAxiom1:
 
     def test_n2_standard_counts(self):
         # inclusion-exclusion by hand: 21-2, 56-12, 126-42+1
-        report = verify_axiom1(2, 4)
+        report = axiom1(2, 4)
         assert [e["standard"] for e in report["degrees"]] == [1, 6, 19, 44, 85]
         assert [e["monomials"] for e in report["degrees"]] == [1, 6, 21, 56, 126]
 
     def test_rank_complements_standard(self):
-        report = verify_axiom1(3, 3)
+        report = axiom1(3, 3)
         for e in report["degrees"]:
             assert e["ideal_slice_rank"] + e["standard"] == e["monomials"]
 
-    def test_thread_partition_identical(self):
-        assert verify_axiom1(2, 4, threads=4) == verify_axiom1(2, 4, threads=1)
-
     def test_over_prime_field(self):
-        report = verify_axiom1(2, 3, CoefficientField.prime(7))
+        report = axiom1(2, 3, CoefficientField.prime(7))
         assert report["verdict"] == "pass"
         assert report["field"] == "GF(7)"
 
     def test_degree_bound_validation(self):
         with pytest.raises(ValueError):
-            verify_axiom1(2, -1)
+            verify(MatrixPattern.generic(2), -1)
+        with pytest.raises(ValueError):
+            verify(MatrixPattern.zero_pattern([[1, 0], [0, 1]]), -1)
+
+    def test_failed_certificate_checks_no_degree(self):
+        # x_1_1*x_1_2 and g_1 share x_1_1, and their S-polynomial
+        # -x_1_2^2*y_2 is irreducible, so the pair check fails; axiom 1
+        # then reports failure without eliminating any slice
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
+        extra = GeneratorSet(ctx, list(gens) + [
+            ctx.polynomial({ctx.monomial({ctx.x(1, 1): 1, ctx.x(1, 2): 1}): 1})])
+        certificate = is_groebner(extra)
+        assert not certificate.is_basis
+        report = verify_axiom1(extra, certificate, None, build_poset(2), 3)
+        assert report["verdict"] == "fail"
+        assert not report["groebner_verified"] and report["degrees"] == []
 
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 3)])
     def test_extra_relation_yields_oracle_mismatches(self, n, d):
@@ -283,7 +322,7 @@ class TestAxiom1:
 class TestAxiom2:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_passes(self, n):
-        report = verify_axiom2(n)
+        report = axiom2(n)
         assert report["verdict"] == "pass"
         assert report["incomparable_as_expected"]
         assert len(report["relations"]) == n
@@ -295,13 +334,13 @@ class TestAxiom2:
             assert entry["difference_reduces_to_zero"]
 
     def test_n1_vacuous(self):
-        report = verify_axiom2(1)
+        report = axiom2(1)
         assert report["verdict"] == "pass"
         assert report["relations"][0]["expansion"] == []
 
     def test_witnesses_are_genuine(self):
         # recheck the reported minimal factors through the poset itself
-        report = verify_axiom2(3)
+        report = axiom2(3)
         p = build_poset(3)
         from asl_forge import variable_from_name
         for entry in report["relations"]:
@@ -315,4 +354,4 @@ class TestAxiom2:
                     assert p.leq(a, b)
 
     def test_note_embedded(self):
-        assert verify_axiom2(2)["poset_note"] == POSET_NOTE
+        assert axiom2(2)["poset_note"] == POSET_NOTE

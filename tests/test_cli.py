@@ -225,6 +225,55 @@ class TestGuardsAndErrors:
     def test_negative_degree(self):
         assert run_cli("verify", "--n", "2", "--degree", "-1").returncode == 2
 
+    @pytest.mark.parametrize("n,degree,work", [("4", "8", "4,029,025"),
+                                               ("5", "6", "2,179,672")])
+    def test_verify_work_bound(self, n, degree, work):
+        # both pass the n/degree guard; (4, 8) ran for minutes at 2.5 GiB
+        start = time.monotonic()
+        proc = run_cli("verify", "--n", n, "--degree", degree, timeout=10)
+        assert time.monotonic() - start < 2.0
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert work in proc.stderr and "2,000,000" in proc.stderr
+        assert "--allow-large" in proc.stderr
+
+    def test_work_bound_only_for_generic_verify(self):
+        # the estimate counts the axiom-1 slices, which only generic runs
+        for args in (("std-count", "--n", "5", "--degree", "6"),
+                     ("verify", "--n", "5", "--degree", "6",
+                      "--pattern", "symmetric")):
+            assert run_cli(*args).returncode == 0
+
+    @pytest.mark.parametrize("mask", ["[[1, 0.5], [1, 1.9]]",
+                                      '[["1", "0"], [1, 1]]',
+                                      "[[1, 2], [1, 1]]",
+                                      "[[1.0, 0], [1, 1]]"])
+    def test_mask_entries_not_truncated(self, mask):
+        proc = run_cli("ideal", "--n", "2", "--pattern", "zero", "--mask", mask)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "mask entries must be 0 or 1" in proc.stderr
+
+
+class TestSinglePipeline:
+    @pytest.mark.parametrize("argv,builds", [
+        (["verify", "--n", "3", "--degree", "3"], (1, 1, 1)),
+        (["verify", "--n", "3", "--pattern", "zero",
+          "--mask", "[[1,1,0],[0,0,1],[1,1,1]]"], (1, 1, 0)),
+    ])
+    def test_each_invariant_built_once(self, monkeypatch, capsys, argv, builds):
+        from asl_forge import GroebnerCertificate, Poset, RingContext
+        from asl_forge.cli import main
+        counts = {}
+        for cls in (RingContext, GroebnerCertificate, Poset):
+            def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+                counts[_cls] = counts.get(_cls, 0) + 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+        assert tuple(counts.get(c, 0) for c in
+                     (RingContext, GroebnerCertificate, Poset)) == builds
+
 
 class TestDeterminism:
     def test_verify_stable_across_runs_and_threads(self):

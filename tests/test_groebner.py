@@ -15,7 +15,6 @@ from asl_forge import (
     initial_ideal,
     interreduce,
     is_groebner,
-    is_normal_monomial,
     matrix_product_ideal,
     monomials_of_degree,
     reduce,
@@ -73,7 +72,7 @@ class TestReduce:
         factor2 = reduce(poly(ctx, (1, {ctx.x(2, 2): 1, ctx.y(2): 1})), gens)
         assert nf == reduce(factor1 * factor2, gens)
         init = initial_ideal(gens)
-        assert all(is_normal_monomial(m, init) for _, m in nf.terms)
+        assert all(init.is_normal(m) for _, m in nf.terms)
         assert oracles.is_member(ctx, gens, f - nf)
 
     def test_full_tail_reduction(self):
@@ -275,16 +274,15 @@ class TestNormalMonomials:
     def test_examples(self):
         ctx, gens = generic(2)
         init = initial_ideal(gens)
-        assert is_normal_monomial(ctx.monomial({ctx.x(1, 1): 1, ctx.y(2): 1}), init)
-        assert not is_normal_monomial(
-            ctx.monomial({ctx.x(1, 1): 1, ctx.y(1): 1, ctx.x(1, 2): 1}), init)
-        assert is_normal_monomial(ctx.one, init)
+        assert init.is_normal(ctx.monomial({ctx.x(1, 1): 1, ctx.y(2): 1}))
+        assert not init.is_normal(
+            ctx.monomial({ctx.x(1, 1): 1, ctx.y(1): 1, ctx.x(1, 2): 1}))
+        assert init.is_normal(ctx.one)
 
     def test_degree2_count_19(self):
         ctx, gens = generic(2)
         init = initial_ideal(gens)
-        normal = [m for m in monomials_of_degree(ctx, 2)
-                  if is_normal_monomial(m, init)]
+        normal = [m for m in monomials_of_degree(ctx, 2) if init.is_normal(m)]
         assert len(normal) == 19
 
     @pytest.mark.parametrize("n,dmax", [(1, 4), (2, 4), (3, 3)])
@@ -297,7 +295,7 @@ class TestNormalMonomials:
         for d in range(dmax + 1):
             non_normal = {oracles.to_dense(m, nv)
                           for m in monomials_of_degree(ctx, d)
-                          if not is_normal_monomial(m, init)}
+                          if not init.is_normal(m)}
             assert oracles.slice_pivots_descending(ctx, gens, d) == non_normal
 
 

@@ -4,8 +4,6 @@ import pytest
 
 from asl_forge import (
     MatrixPattern,
-    build_matrices,
-    build_order,
     matrix_product_ideal,
     polynomial_from_json,
     product_generators,
@@ -32,6 +30,21 @@ class TestMatrixPattern:
             MatrixPattern(2, "sparse")
         with pytest.raises(ValueError):
             MatrixPattern(0, "generic")
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, 1.9, "1", "0", 2, -1, None])
+    def test_mask_entries_are_bits(self, bad):
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            MatrixPattern.zero_pattern([[1, bad], [1, 1]])
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            MatrixPattern(2, "zero_pattern", ((1, bad), (1, 1)))
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            MatrixPattern.from_json_dict(
+                {"n": 2, "kind": "zero_pattern", "mask": [[1, 1], [bad, 1]]})
+
+    def test_mask_accepts_booleans_and_bits(self):
+        p = MatrixPattern.zero_pattern([[True, 0], [False, 1]])
+        assert p.mask == ((1, 0), (0, 1))
+        assert all(type(v) is int for row in p.mask for v in row)
 
     def test_json_round_trip_with_booleans(self):
         data = {"n": 2, "kind": "zero_pattern", "mask": [[True, False], [True, True]]}
@@ -60,39 +73,36 @@ class TestMatrixPattern:
         assert MatrixPattern.generic(4).keeps_diagonal()
 
 
+def x_entries(g):
+    """{j: X[i][j]} read off g_i = sum_j X[i][j] * y_j, one term per entry."""
+    out = {}
+    for c, m in g.terms:
+        x, y = (v for v, _ in m.factors())  # the ring lists x's before y's
+        assert c == 1 and x.kind == "x" and y.kind == "y"
+        out[y.j] = x
+    return out
+
+
 class TestBuildMatrices:
+    """The entries of X as product_generators reads them off the pattern."""
+
     def test_generic_entries(self):
-        p = MatrixPattern.generic(2)
-        ctx = p.ring_context()
-        X, Y = build_matrices(p, ctx)
-        for i in (1, 2):
-            for j in (1, 2):
-                assert X.entry(i, j) == ctx.variable_poly(ctx.x(i, j))
-            assert Y.entry(i) == ctx.variable_poly(ctx.y(i))
+        ctx, gens = product_generators(MatrixPattern.generic(2))
+        for i, g in enumerate(gens, start=1):
+            assert x_entries(g) == {j: ctx.x(i, j) for j in (1, 2)}
 
     def test_symmetric_reuses_upper_triangle(self):
-        p = MatrixPattern.symmetric(2)
-        X, _ = build_matrices(p)
-        assert X.entry(2, 1) == X.entry(1, 2)
-        p3 = MatrixPattern.symmetric(3)
-        X3, _ = build_matrices(p3)
-        for i in range(1, 4):
-            for j in range(1, 4):
-                assert X3.entry(i, j) == X3.entry(j, i)
+        for n in (2, 3):
+            ctx, gens = product_generators(MatrixPattern.symmetric(n))
+            X = {i: x_entries(g) for i, g in enumerate(gens, start=1)}
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    assert X[i][j] == X[j][i] == ctx.x(min(i, j), max(i, j))
 
     def test_all_zero_mask(self):
-        p = MatrixPattern.zero_pattern([[0, 0], [0, 0]])
-        X, Y = build_matrices(p)
-        gens = product_generators(X, Y)
+        _, gens = product_generators(MatrixPattern.zero_pattern([[0, 0], [0, 0]]))
         assert all(not g for g in gens)
         assert len(gens) == 2
-
-    def test_context_compatibility_checked(self):
-        p = MatrixPattern.generic(2)
-        with pytest.raises(ValueError):
-            build_matrices(p, MatrixPattern.generic(3).ring_context())
-        with pytest.raises(ValueError):
-            build_matrices(p, MatrixPattern.symmetric(2).ring_context())
 
 
 class TestProductGenerators:
@@ -138,7 +148,7 @@ class TestProductGenerators:
             for p in (MatrixPattern.generic(n), MatrixPattern.symmetric(n)):
                 ctx, gens = matrix_product_ideal(p)
                 assert len(gens) == n
-                order = build_order(ctx)
+                order = ctx.order
                 for i, g in enumerate(gens, start=1):
                     assert len(g.terms) == n
                     expected = ctx.monomial({ctx.x(i, i): 1, ctx.y(i): 1})
@@ -157,8 +167,7 @@ class TestProductGenerators:
 
     def test_zero_row_gives_zero_generator(self):
         p = MatrixPattern.zero_pattern([[0, 0], [1, 1]])
-        X, Y = build_matrices(p)
-        gens = product_generators(X, Y)
+        _, gens = product_generators(p)
         assert not gens[0] and gens[1]
         ctx, kept = matrix_product_ideal(p)
         assert len(kept) == 1

@@ -14,7 +14,6 @@ from asl_forge import (
     RingContext,
     Variable,
     ZeroPolynomialError,
-    build_order,
     polynomial_from_json,
     variable_from_name,
 )
@@ -59,7 +58,7 @@ class TestOrderConditions:
         # single-variable comparisons pinned for every n up to 8
         for n in range(1, 9):
             ctx = RingContext(n)
-            order = build_order(ctx)
+            order = ctx.order
             for i in range(1, n):
                 a = ctx.monomial({ctx.x(i, i): 1})
                 b = ctx.monomial({ctx.x(i + 1, i + 1): 1})
