@@ -57,9 +57,9 @@ def _pattern_from_args(args: argparse.Namespace) -> MatrixPattern:
             raise ValueError("--pattern zero requires --mask")
         try:
             mask = json.loads(mask_text)
-            pattern = MatrixPattern.zero_pattern(mask)
-        except (TypeError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise ValueError(f"bad mask: {exc}") from None
+        pattern = MatrixPattern.zero_pattern(mask)
         if pattern.n != args.n:
             raise ValueError(f"mask is {pattern.n}x{pattern.n} but --n is {args.n}")
         return pattern

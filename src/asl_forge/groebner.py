@@ -9,6 +9,7 @@ basis, and it is what the straightening computations downstream rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .poly_core import (
     ContextMismatchError,
@@ -35,7 +36,7 @@ class GeneratorSet:
     def __init__(self, ctx: RingContext, polys):
         kept = []
         for f in polys:
-            if f.ctx != ctx:
+            if f.ctx is not ctx and f.ctx != ctx:
                 raise ContextMismatchError("generator from a different ring context")
             if f:
                 kept.append(f)
@@ -58,6 +59,63 @@ class GeneratorSet:
         return f"GeneratorSet({len(self.polys)} polynomials, n={self.ctx.n})"
 
 
+def _check_divisors(ctx: RingContext, divisors) -> list[Polynomial]:
+    divisors = list(divisors)
+    for g in divisors:
+        if g.ctx is not ctx and g.ctx != ctx:
+            raise ContextMismatchError("divisor from a different ring context")
+        if not g:
+            raise ZeroPolynomialError("cannot divide by the zero polynomial")
+    return divisors
+
+
+def _division(f: Polynomial, divisors: list[Polynomial],
+              quotients: list[list] | None) -> Polynomial:
+    """The division loop shared by divide and reduce; returns the remainder.
+
+    The working polynomial is a dict of coefficients keyed by exponent
+    tuple plus a heap of order keys (heap division, Monagan and Pearce,
+    CASC 2007).  Each step takes the largest working term and cancels it
+    with the first divisor, in list order, whose leading monomial divides
+    it, or moves it to the remainder.  Only the terms below the cancelled
+    one are pushed; a term that cancels to zero keeps its zero entry until
+    it is popped, so each monomial enters the heap once and heap keys
+    never tie.  When ``quotients`` is a list of lists, the step's quotient
+    term is appended to the divisor's list; terms arrive descending.
+    """
+    key = f.ctx.order.heap_key
+    leads = [(g.terms[0][0], g.terms[0][1], g.terms[0][1].exps) for g in divisors]
+    work = {m.exps: c for c, m in f.terms}
+    # descending terms give ascending keys, which is already a heap
+    heap = [(key(m), m) for _, m in f.terms]
+    remainder = []
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m.exps)
+        if not c:
+            continue
+        have = dict(m.exps)  # built once for all the divisibility tests
+        for k, (lc, lm, lexps) in enumerate(leads):
+            if all(have.get(p, 0) >= e for p, e in lexps):
+                q = m.div(lm)
+                coeff = c / lc
+                if quotients is not None:
+                    quotients[k].append((coeff, q))
+                # the product's leading term is exactly c*m, which cancels
+                for tc, tm in divisors[k].mul_term(coeff, q).terms[1:]:
+                    e = tm.exps
+                    prev = work.get(e)
+                    if prev is None:
+                        work[e] = -tc
+                        heappush(heap, (key(tm), tm))
+                    else:
+                        work[e] = prev - tc
+                break
+        else:
+            remainder.append((c, m))
+    return Polynomial(f.ctx, tuple(remainder))
+
+
 def divide(f: Polynomial, divisors) -> tuple[list[Polynomial], Polynomial]:
     """Multivariate division: f = sum(q_k * divisors[k]) + r.
 
@@ -67,41 +125,20 @@ def divide(f: Polynomial, divisors) -> tuple[list[Polynomial], Polynomial]:
     deterministic.
     """
     ctx = f.ctx
-    divisors = list(divisors)
-    for g in divisors:
-        if g.ctx != ctx:
-            raise ContextMismatchError("divisor from a different ring context")
-        if not g:
-            raise ZeroPolynomialError("cannot divide by the zero polynomial")
-    leads = [(g.leading_coefficient(), g.leading_monomial()) for g in divisors]
-    quotients = [ctx.zero for _ in divisors]
-    remainder_terms: list[tuple[object, Monomial]] = []
-    work = f
-    while work:
-        c, m = work.leading_term()
-        for k, (lc, lm) in enumerate(leads):
-            if lm.divides(m):
-                q = m.div(lm)
-                coeff = c / lc
-                quotients[k] = quotients[k] + ctx.polynomial({q: coeff})
-                work = work - divisors[k].mul_term(coeff, q)
-                break
-        else:
-            remainder_terms.append((c, m))
-            work = Polynomial(ctx, work.terms[1:])
-    # work's terms stay descending, so collected remainder terms already are
-    return quotients, Polynomial(ctx, tuple(remainder_terms))
+    divisors = _check_divisors(ctx, divisors)
+    quotients = [[] for _ in divisors]
+    r = _division(f, divisors, quotients)
+    return [Polynomial(ctx, tuple(q)) for q in quotients], r
 
 
 def reduce(f: Polynomial, basis) -> Polynomial:
     """Remainder of f under full tail reduction by the given polynomials."""
-    _, r = divide(f, basis)
-    return r
+    return _division(f, _check_divisors(f.ctx, basis), None)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S(f, g) = (L/LT(f)) f - (L/LT(g)) g with L = lcm(LM(f), LM(g))."""
-    if f.ctx != g.ctx:
+    if f.ctx is not g.ctx and f.ctx != g.ctx:
         raise ContextMismatchError("polynomials from different ring contexts")
     cf, mf = f.leading_term()
     cg, mg = g.leading_term()
@@ -135,8 +172,8 @@ def interreduce(polys) -> list[Polynomial]:
     current = [f.monic() for f in current]
     if not current:
         return []
-    key = current[0].ctx.order.sort_key
-    current.sort(key=lambda f: key(f.leading_monomial()), reverse=True)
+    key = current[0].ctx.order.heap_key
+    current.sort(key=lambda f: key(f.leading_monomial()))
     return current
 
 
@@ -178,16 +215,16 @@ def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
 
     Pairs whose leading monomials are coprime are recorded with criterion
     "coprime" and no division is run; all other pairs must reduce to zero
-    against the full set.
+    against the full set.  No other criterion is applied: the records are
+    the certificate.
     """
     polys = list(gens)
+    leads = [f.leading_monomial() for f in polys]
     records: list[SPairRecord] = []
     ok = True
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):
-            la = polys[a].leading_monomial()
-            lb = polys[b].leading_monomial()
-            if la.is_coprime_with(lb):
+            if leads[a].is_coprime_with(leads[b]):
                 records.append(SPairRecord(a, b, "coprime", True))
                 continue
             r = reduce(s_polynomial(polys[a], polys[b]), polys)
@@ -197,37 +234,64 @@ def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
     return GroebnerCertificate(ok, tuple(records), tuple(polys))
 
 
+def _add_with_pairs(basis: list[Polynomial], pairs: dict, queue: list,
+                    h: Polynomial) -> None:
+    """Append h as element t and queue its S-pairs by the Gebauer-Moeller update.
+
+    ``pairs`` maps each live pair (a, b), a < b, to its lcm; ``queue`` is
+    a heap of (lcm degree, a, b) that may still hold pairs dropped since.
+    The new pairs (k, t) are taken in index order, and one is dropped when
+    its lcm is a multiple of the lcm of a new pair not yet dropped (the
+    chain criterion: of several pairs with one lcm, the last is kept).
+    Pairs with coprime leading monomials are dropped after that (the
+    product criterion), so they can still drop others first.  An old pair
+    (a, b) is dropped when LM(h) divides its lcm L and neither lcm(a, t)
+    nor lcm(b, t) equals L.  This is UPDATE from Gebauer and Moeller
+    (J. Symb. Comput. 6, 1988) as given by Becker and Weispfenning,
+    "Groebner Bases" (1993).
+    """
+    t = len(basis)
+    lh = h.leading_monomial()
+    lcms = [lh.lcm(g.leading_monomial()) for g in basis]
+    coprime = [lh.is_coprime_with(g.leading_monomial()) for g in basis]
+    undecided = list(range(t))
+    kept: list[int] = []
+    while undecided:
+        k = undecided.pop(0)
+        L = lcms[k]
+        if coprime[k] or not any(lcms[j].divides(L) for j in undecided + kept):
+            kept.append(k)
+    for (a, b), L in list(pairs.items()):
+        if lh.divides(L) and lcms[a] != L and lcms[b] != L:
+            del pairs[a, b]
+    for k in kept:
+        if not coprime[k]:
+            pairs[k, t] = lcms[k]
+            heappush(queue, (lcms[k].total_degree, k, t))
+    basis.append(h)
+
+
 def buchberger(gens: GeneratorSet) -> GeneratorSet:
     """Compute the reduced Groebner basis of the ideal the set generates.
 
-    Pairs are processed in ascending (lcm degree, i, j) order, which makes
-    the run deterministic; coprime leading monomials are skipped without
-    division.
+    Pairs are popped in ascending (lcm degree, a, b) order from a heap
+    filled by the Gebauer-Moeller update, which makes the run
+    deterministic; the criteria are sound, and the reduced basis is
+    unique, so they change the work done but not the result.
     """
-    ctx = gens.ctx
-    basis = interreduce(list(gens))
-    pending = {(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))}
-
-    def pair_rank(pair: tuple[int, int]):
-        a, b = pair
-        lcm = basis[a].leading_monomial().lcm(basis[b].leading_monomial())
-        return (lcm.total_degree, a, b)
-
-    while pending:
-        a, b = min(pending, key=pair_rank)
-        pending.discard((a, b))
-        la = basis[a].leading_monomial()
-        lb = basis[b].leading_monomial()
-        if la.is_coprime_with(lb):
+    basis: list[Polynomial] = []
+    pairs: dict[tuple[int, int], Monomial] = {}
+    queue: list[tuple[int, int, int]] = []
+    for h in interreduce(list(gens)):
+        _add_with_pairs(basis, pairs, queue, h)
+    while queue:
+        _, a, b = heappop(queue)
+        if pairs.pop((a, b), None) is None:
             continue
         r = reduce(s_polynomial(basis[a], basis[b]), basis)
-        if not r:
-            continue
-        basis.append(r.monic())
-        new = len(basis) - 1
-        pending.update((k, new) for k in range(new))
-    final = interreduce(basis)
-    return GeneratorSet(ctx, final)
+        if r:
+            _add_with_pairs(basis, pairs, queue, r.monic())
+    return GeneratorSet(gens.ctx, interreduce(basis))
 
 
 class InitialIdeal:
@@ -238,7 +302,7 @@ class InitialIdeal:
     def __init__(self, ctx: RingContext, monomials):
         mons = list(monomials)
         for m in mons:
-            if m.ctx != ctx:
+            if m.ctx is not ctx and m.ctx != ctx:
                 raise ContextMismatchError("monomial from a different ring context")
         minimal = [m for m in mons
                    if not any(o != m and o.divides(m) for o in mons)]

@@ -36,7 +36,10 @@ class MatrixPattern:
         if self.kind == "zero_pattern":
             if self.mask is None:
                 raise ValueError("zero_pattern requires a mask")
-            if len(self.mask) != self.n or any(len(r) != self.n for r in self.mask):
+            rows = self.mask if isinstance(self.mask, (tuple, list)) else ()
+            if len(rows) != self.n or any(
+                    not isinstance(r, (tuple, list)) or len(r) != self.n
+                    for r in rows):
                 raise ValueError("mask must be an n-by-n matrix")
             # a type check, not only a value one: 1.0 == 1, and no float
             # or string may be coerced into a kept or zeroed entry
@@ -57,8 +60,11 @@ class MatrixPattern:
     @classmethod
     def zero_pattern(cls, mask) -> "MatrixPattern":
         """Pattern from an n-by-n mask of booleans or the integers 0 and 1."""
-        rows = tuple(tuple(int(v) if isinstance(v, bool) else v for v in row)
-                     for row in mask)
+        try:
+            rows = tuple(tuple(int(v) if isinstance(v, bool) else v for v in row)
+                         for row in mask)
+        except TypeError:  # the mask or one of its rows is not iterable
+            raise ValueError("mask must be an n-by-n matrix") from None
         return cls(len(rows), "zero_pattern", rows)
 
     @classmethod

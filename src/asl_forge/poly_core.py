@@ -278,7 +278,7 @@ class RingContext:
     def polynomial(self, terms: Mapping["Monomial", object]) -> "Polynomial":
         acc: dict[Monomial, object] = {}
         for m, c in terms.items():
-            if m.ctx != self:
+            if m.ctx is not self and m.ctx != self:
                 raise ContextMismatchError("monomial from a different ring context")
             c = self.field.coerce(c)
             prev = acc.get(m)
@@ -287,7 +287,7 @@ class RingContext:
                 acc[m] = c
             elif prev is not None:
                 del acc[m]
-        ordered = sorted(acc, key=self.order.sort_key, reverse=True)
+        ordered = sorted(acc, key=self.order.heap_key)
         return Polynomial(self, tuple((acc[m], m) for m in ordered))
 
     def variable_poly(self, v: Variable) -> "Polynomial":
@@ -317,16 +317,20 @@ class Monomial:
     """Sparse exponent vector over a ring context.
 
     Stored as (variable position, exponent) pairs with positive exponents,
-    sorted by position; the empty tuple is the monomial 1.
+    sorted by position; the empty tuple is the monomial 1.  Products and
+    quotients pass their total degree in instead of summing it again.
     """
 
-    __slots__ = ("ctx", "exps", "total_degree", "_key")
+    __slots__ = ("ctx", "exps", "total_degree", "_key", "_hkey")
 
-    def __init__(self, ctx: RingContext, exps: tuple[tuple[int, int], ...]):
+    def __init__(self, ctx: RingContext, exps: tuple[tuple[int, int], ...],
+                 total_degree: int | None = None):
         self.ctx = ctx
         self.exps = exps
-        self.total_degree = sum(e for _, e in exps)
+        self.total_degree = (sum([e for _, e in exps]) if total_degree is None
+                             else total_degree)
         self._key = None
+        self._hkey = None
 
     @property
     def is_one(self) -> bool:
@@ -348,7 +352,7 @@ class Monomial:
         return {self.ctx.variables[p]: e for p, e in self.exps}
 
     def _require_same_ctx(self, other: "Monomial") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("monomials from different ring contexts")
 
     def mul(self, other: "Monomial") -> "Monomial":
@@ -356,7 +360,8 @@ class Monomial:
         merged = dict(self.exps)
         for p, e in other.exps:
             merged[p] = merged.get(p, 0) + e
-        return Monomial(self.ctx, tuple(sorted(merged.items())))
+        return Monomial(self.ctx, tuple(sorted(merged.items())),
+                        self.total_degree + other.total_degree)
 
     def divides(self, other: "Monomial") -> bool:
         self._require_same_ctx(other)
@@ -375,7 +380,8 @@ class Monomial:
                 merged[p] = r
             else:
                 merged.pop(p, None)
-        return Monomial(self.ctx, tuple(sorted(merged.items())))
+        return Monomial(self.ctx, tuple(sorted(merged.items())),
+                        self.total_degree - other.total_degree)
 
     def lcm(self, other: "Monomial") -> "Monomial":
         self._require_same_ctx(other)
@@ -392,7 +398,7 @@ class Monomial:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Monomial)
                 and self.exps == other.exps
-                and self.ctx == other.ctx)
+                and (self.ctx is other.ctx or self.ctx == other.ctx))
 
     def __hash__(self) -> int:
         return hash(self.exps)
@@ -418,16 +424,18 @@ class MonomialOrder:
 
     ``sort_key`` maps a monomial to a tuple that sorts ascending in the
     order, so ``max(monomials, key=order.sort_key)`` is the leading
-    monomial.  The order is total, multiplicative, and has 1 as its
-    minimum.
+    monomial.  ``heap_key`` maps it to a flat tuple that sorts the other
+    way, so a ``heapq`` of heap keys pops the largest monomial first.  The
+    order is total, multiplicative, and has 1 as its minimum.
     """
 
-    __slots__ = ("ctx", "diagonal_positions", "tail_positions")
+    __slots__ = ("ctx", "diagonal_positions", "tail_positions", "_diagonal_index")
 
     def __init__(self, ctx: RingContext):
         self.ctx = ctx
         self.diagonal_positions = tuple(
             ctx._position[Variable.x(i, i)] for i in range(1, ctx.n + 1))
+        self._diagonal_index = {p: k for k, p in enumerate(self.diagonal_positions)}
         diag = set(self.diagonal_positions)
         # ascending significance: off-diagonals row-major, then y_1..y_n
         self.tail_positions = tuple(
@@ -442,9 +450,36 @@ class MonomialOrder:
             m._key = (diag, tail_degree, tail)
         return m._key
 
+    def heap_key(self, m: Monomial) -> tuple:
+        """Flat key with heap_key(a) < heap_key(b) exactly when a > b.
+
+        It is (-diagonal exponents, -tail degree, -p1, e1, -p2, e2, ...,
+        -#variables) over the tail factors (p, e) in position order.  Read
+        sparsely, the reverse-lex tail tie-break is decided at the first
+        position where the factors differ: a lower position, or a larger
+        exponent at the same position, makes the monomial smaller.  The
+        closing -#variables stands for "no further factor".
+        """
+        if m._hkey is None:
+            index = self._diagonal_index
+            diag = [0] * len(index)
+            tail = []
+            tail_degree = 0
+            for p, e in m.exps:
+                k = index.get(p)
+                if k is None:
+                    tail += (-p, e)
+                    tail_degree += e
+                else:
+                    diag[k] = -e
+            m._hkey = (*diag, -tail_degree, *tail, -len(self.ctx.variables))
+        return m._hkey
+
     def compare(self, a: Monomial, b: Monomial) -> int:
         """Return -1, 0 or 1 as a <, =, > b in the order."""
-        if a.ctx != self.ctx or b.ctx != self.ctx:
+        ctx = self.ctx
+        if ((a.ctx is not ctx and a.ctx != ctx)
+                or (b.ctx is not ctx and b.ctx != ctx)):
             raise ContextMismatchError("monomial from a different ring context")
         ka, kb = self.sort_key(a), self.sort_key(b)
         return (ka > kb) - (ka < kb)
@@ -490,7 +525,7 @@ class Polynomial:
         return self.leading_term()[0]
 
     def _require_same_ctx(self, other: "Polynomial") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("polynomials from different ring contexts")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -503,8 +538,7 @@ class Polynomial:
                 acc[m] = s
             elif m in acc:
                 del acc[m]
-        key = self.ctx.order.sort_key
-        ordered = sorted(acc, key=key, reverse=True)
+        ordered = sorted(acc, key=self.ctx.order.heap_key)
         return Polynomial(self.ctx, tuple((acc[m], m) for m in ordered))
 
     def __neg__(self) -> "Polynomial":
@@ -525,8 +559,7 @@ class Polynomial:
                     acc[m] = s
                 elif m in acc:
                     del acc[m]
-        key = self.ctx.order.sort_key
-        ordered = sorted(acc, key=key, reverse=True)
+        ordered = sorted(acc, key=self.ctx.order.heap_key)
         return Polynomial(self.ctx, tuple((acc[m], m) for m in ordered))
 
     def scale(self, c) -> "Polynomial":
@@ -553,7 +586,7 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial)
-                and self.ctx == other.ctx
+                and (self.ctx is other.ctx or self.ctx == other.ctx)
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:

@@ -3,12 +3,14 @@
 Everything here recomputes results through a different route than the
 library: networkx for closure and transitive reduction, dense exponent
 tuples plus hand-rolled elimination for ideal membership and slice
-ranks, direct divisibility scans for standard-monomial counting, and
+ranks, a dict-and-max division loop and a completion that reduces every
+pair, direct divisibility scans for standard-monomial counting, and
 trial division for primality.  Rationals only.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import cmp_to_key
+from itertools import combinations, combinations_with_replacement
 
 import networkx as nx
 
@@ -173,6 +175,87 @@ def slice_pivots_descending(ctx, gens, degree):
                 best = col
         return best
     return set(eliminate(slice_rows(ctx, gens, degree), choose))
+
+
+# ----------------------------------------------- division and completion
+
+def dense_poly(ctx, f):
+    """{exponent tuple: Fraction} for a library polynomial."""
+    nv = len(ctx.variables)
+    return {to_dense(m, nv): Fraction(c) for c, m in f.terms}
+
+def dense_divide(ctx, f, divisors):
+    """Multivariate division of dense polynomials: (quotients, remainder).
+
+    f and the divisors are {exponent tuple: coefficient} dicts.  Each step
+    takes the largest remaining term by `max` under `dense_compare` and
+    cancels it with the first divisor, in list order, whose leading
+    exponent divides it; otherwise the term moves to the remainder.
+    """
+    key = cmp_to_key(lambda a, b: dense_compare(ctx, a, b))
+    leads = [max(g, key=key) for g in divisors]
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    work = dict(f)
+    while work:
+        m = max(work, key=key)
+        c = work[m]
+        for k, lead in enumerate(leads):
+            if divides(lead, m):
+                q = tuple(a - b for a, b in zip(m, lead))
+                coeff = c / divisors[k][lead]
+                quotients[k][q] = coeff
+                for gm, gc in divisors[k].items():
+                    t = tuple(a + b for a, b in zip(q, gm))
+                    s = work.get(t, Fraction(0)) - coeff * gc
+                    if s:
+                        work[t] = s
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    return quotients, remainder
+
+def reduced_groebner_basis(ctx, gens):
+    """Reduced Groebner basis by plain Buchberger, as a set of dense items.
+
+    Every pair is reduced, with no criterion; then leading-redundant
+    elements are dropped, the rest fully reduced by the others and made
+    monic.  Returns a frozenset of sorted (exponent tuple, coefficient)
+    tuples, one per basis element.
+    """
+    key = cmp_to_key(lambda a, b: dense_compare(ctx, a, b))
+    basis = [g for g in (dense_poly(ctx, f) for f in gens) if g]
+    pairs = list(combinations(range(len(basis)), 2))
+    while pairs:
+        a, b = pairs.pop()
+        fa, fb = basis[a], basis[b]
+        la, lb = max(fa, key=key), max(fb, key=key)
+        lcm = tuple(max(x, y) for x, y in zip(la, lb))
+        s = {}
+        for f, lead, sign in ((fa, la, 1), (fb, lb, -1)):
+            shift = tuple(x - y for x, y in zip(lcm, lead))
+            scale = sign / f[lead]
+            for m, c in f.items():
+                t = tuple(x + y for x, y in zip(shift, m))
+                s[t] = s.get(t, Fraction(0)) + scale * c
+        _, r = dense_divide(ctx, {m: c for m, c in s.items() if c}, basis)
+        if r:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+    leads = [max(g, key=key) for g in basis]
+    minimal = [g for k, g in enumerate(basis)
+               if not any(divides(leads[j], leads[k])
+                          and (leads[j] != leads[k] or j < k)
+                          for j in range(len(basis)) if j != k)]
+    out = set()
+    for k, g in enumerate(minimal):
+        _, r = dense_divide(ctx, g, minimal[:k] + minimal[k + 1:])
+        lc = r[max(r, key=key)]
+        out.add(tuple(sorted((m, c / lc) for m, c in r.items())))
+    return frozenset(out)
 
 
 # ------------------------------------------------- standard-monomial counts

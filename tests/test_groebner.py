@@ -1,15 +1,22 @@
 """Division, S-pairs, Buchberger, certificates, initial ideals."""
 
+import math
 import random
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from asl_forge import (
+    CoefficientField,
     GeneratorSet,
     MatrixPattern,
     NotGroebnerError,
+    RingContext,
     buchberger,
     divide,
     initial_ideal,
@@ -19,6 +26,7 @@ from asl_forge import (
     monomials_of_degree,
     reduce,
     s_polynomial,
+    variable_from_name,
 )
 
 
@@ -112,6 +120,54 @@ class TestReduce:
             assert reduce(f.scale(a) + g.scale(b), gens) == rf.scale(a) + rg.scale(b)
 
 
+@st.composite
+def small_polys(draw, ctx, max_terms=4, max_degree=3):
+    """A polynomial with up to max_terms terms of degree <= max_degree."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = {}
+        for _ in range(draw(st.integers(0, max_degree))):
+            v = draw(st.sampled_from(ctx.variables))
+            exps[v] = exps.get(v, 0) + 1
+        m = ctx.monomial(exps)
+        terms[m] = terms.get(m, 0) + draw(st.integers(-3, 3))
+    return ctx.polynomial(terms)
+
+
+_RING2 = RingContext(2)
+
+
+class TestDivisionAgainstOracle:
+    # divisors are arbitrary lists, almost never Groebner bases, so the
+    # first-divisor selection rule decides the quotients and the remainder
+    @settings(max_examples=150)
+    @given(small_polys(_RING2, max_terms=5),
+           st.lists(small_polys(_RING2).filter(bool), min_size=1, max_size=3))
+    def test_divide_matches_dict_and_max_loop(self, f, divisors):
+        quotients, r = divide(f, divisors)
+        want_q, want_r = oracles.dense_divide(
+            _RING2, oracles.dense_poly(_RING2, f),
+            [oracles.dense_poly(_RING2, g) for g in divisors])
+        assert [oracles.dense_poly(_RING2, q) for q in quotients] == want_q
+        assert oracles.dense_poly(_RING2, r) == want_r
+        assert reduce(f, divisors) == r
+
+    def test_divisor_order_changes_the_remainder(self):
+        # f = x^2 y + x y^2 + y^2 by [xy - 1, y^2 - 1] and by the reverse
+        # list, x = x_1_1 > y = x_2_2 (Cox, Little and O'Shea, 2.3)
+        ctx = _RING2
+        x, y = ctx.x(1, 1), ctx.x(2, 2)
+        f = poly(ctx, (1, {x: 2, y: 1}), (1, {x: 1, y: 2}), (1, {y: 2}))
+        g1 = poly(ctx, (1, {x: 1, y: 1}), (-1, {}))
+        g2 = poly(ctx, (1, {y: 2}), (-1, {}))
+        (q1, q2), r = divide(f, [g1, g2])
+        assert r == poly(ctx, (1, {x: 1}), (1, {y: 1}), (1, {}))
+        assert (q1, q2) == (poly(ctx, (1, {x: 1}), (1, {y: 1})), poly(ctx, (1, {})))
+        (q2, q1), r = divide(f, [g2, g1])
+        assert r == poly(ctx, (2, {x: 1}), (1, {}))
+        assert (q1, q2) == (poly(ctx, (1, {x: 1})), poly(ctx, (1, {x: 1}), (1, {})))
+
+
 class TestSPolynomial:
     def test_self_pair_vanishes(self):
         ctx, gens = generic(2)
@@ -187,6 +243,99 @@ class TestBuchberger:
         reduced = interreduce([f, g])
         assert reduced == [f, poly(ctx, (1, {ctx.y(1): 1}))]
         assert interreduce([ctx.zero]) == []
+
+
+FIELDS = [CoefficientField.rationals()] + [CoefficientField.prime(p)
+                                           for p in (2, 3, 32003)]
+
+
+@st.composite
+def masks(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
+    return [draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+            for _ in range(n)]
+
+
+def parse(ctx, text):
+    """A polynomial from its printed form, e.g. "2*x_2_1^2 - y_1 + 3"."""
+    terms = {}
+    for sign, body in re.findall(r"(^-?|[+-]) *([^ +-][^+-]*)", text):
+        factors = body.strip().split("*")
+        c = -1 if sign.strip() == "-" else 1
+        if factors[0].isdigit():
+            c *= int(factors.pop(0))
+        exps = {}
+        for f in factors:
+            name, _, e = f.partition("^")
+            exps[variable_from_name(name)] = int(e or 1)
+        terms[ctx.monomial(exps)] = c
+    return ctx.polynomial(terms)
+
+
+def dense_set(ctx, polys):
+    """Polynomials in the form oracles.reduced_groebner_basis returns."""
+    return frozenset(tuple(sorted(oracles.dense_poly(ctx, f).items()))
+                     for f in polys)
+
+
+class TestCompletionFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(masks(), st.sampled_from(FIELDS), st.randoms(use_true_random=False))
+    def test_completion_is_a_basis_of_the_same_ideal(self, mask, field, rng):
+        ctx, gens = matrix_product_ideal(MatrixPattern.zero_pattern(mask), field)
+        basis = buchberger(gens)
+        assert is_groebner(basis).is_basis
+        assert all(not reduce(g, basis) for g in gens)
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        assert list(buchberger(GeneratorSet(ctx, shuffled))) == list(basis)
+        if field.p is None:
+            assert all(oracles.is_member(ctx, gens, b) for b in basis)
+
+    # small enough that a completion without criteria stays fast
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_polys(_RING2, max_terms=3, max_degree=2).filter(bool),
+                    min_size=1, max_size=3))
+    def test_inhomogeneous_inputs_match_reference_completion(self, polys):
+        basis = buchberger(GeneratorSet(_RING2, polys))
+        assert dense_set(_RING2, basis) == oracles.reduced_groebner_basis(_RING2, polys)
+
+
+@pytest.mark.parametrize("texts", [
+    # dropping an old pair whose lcm equals lcm(a, t) or lcm(b, t)
+    ["2*x_2_1^2", "2*y_2^2 - 1", "-2*x_2_1*y_2 + 2*x_1_2^2 - 1"],
+    # dropping every new pair that shares an lcm instead of keeping one
+    ["-x_2_1*x_2_2 + x_2_2", "x_2_1*y_1 - 2*y_2 - x_2_1",
+     "-x_2_2*y_1 - 2*x_2_2 - y_1*y_2"],
+    # either of the two
+    ["2*x_2_1*y_1 - 2*x_1_2*y_1 - y_1", "x_1_1*y_1 - x_2_1*x_2_2",
+     "-2*x_1_1*x_2_1 - y_2^2 + 2*y_1"],
+])
+def test_pair_criteria_edge_cases(texts):
+    # inputs on which a criterion with one of the strictness conditions
+    # removed returns a wrong basis; the zero masks never reach these cases
+    polys = [parse(_RING2, t) for t in texts]
+    assert [str(f) for f in polys] == texts
+    basis = buchberger(GeneratorSet(_RING2, polys))
+    assert dense_set(_RING2, basis) == oracles.reduced_groebner_basis(_RING2, polys)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_criteria_sound_on_every_mask(n):
+    # buchberger drops pairs by the Gebauer-Moeller criteria; a reference
+    # completion that reduces every pair must reach the same reduced basis,
+    # and the certificate must still check every pair
+    for bits in product((0, 1), repeat=n * n):
+        mask = [list(bits[i * n:(i + 1) * n]) for i in range(n)]
+        ctx, gens = matrix_product_ideal(MatrixPattern.zero_pattern(mask))
+        basis = buchberger(gens)
+        assert dense_set(ctx, basis) == oracles.reduced_groebner_basis(ctx, gens), mask
+        cert = is_groebner(basis)
+        leads = [b.leading_monomial() for b in basis]
+        assert len(cert.pairs) == math.comb(len(basis), 2)
+        for rec in cert.pairs:
+            coprime = leads[rec.i].is_coprime_with(leads[rec.j])
+            assert rec.criterion == ("coprime" if coprime else "reduced")
 
 
 class TestCertificates:

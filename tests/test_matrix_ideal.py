@@ -41,6 +41,17 @@ class TestMatrixPattern:
             MatrixPattern.from_json_dict(
                 {"n": 2, "kind": "zero_pattern", "mask": [[1, 1], [bad, 1]]})
 
+    @pytest.mark.parametrize("mask", [[1, 1], [[1, 1], 1], 5, [[1, 1], None]])
+    def test_mask_rows_must_be_rows(self, mask):
+        # a row that is a number, or a mask that is one, is a shape error
+        # from every entry point, not a TypeError from iterating an int
+        with pytest.raises(ValueError, match="mask must be an n-by-n matrix"):
+            MatrixPattern.zero_pattern(mask)
+        with pytest.raises(ValueError, match="mask must be an n-by-n matrix"):
+            MatrixPattern.from_json_dict({"n": 2, "kind": "zero_pattern", "mask": mask})
+        with pytest.raises(ValueError, match="mask must be an n-by-n matrix"):
+            MatrixPattern(2, "zero_pattern", mask)
+
     def test_mask_accepts_booleans_and_bits(self):
         p = MatrixPattern.zero_pattern([[True, 0], [False, 1]])
         assert p.mask == ((1, 0), (0, 1))

@@ -115,6 +115,24 @@ class TestOrderConditions:
         assert ctx.order.compare(b, a) == -c
         assert (c == 0) == (a == b)
 
+    @settings(max_examples=200)
+    @given(ctx_with_monomials(2))
+    def test_heap_key_reverses_the_order(self, data):
+        # the heap key is built sparsely; check it against the dense scan
+        ctx, a, b = data
+        ka, kb = ctx.order.heap_key(a), ctx.order.heap_key(b)
+        assert (ka > kb) - (ka < kb) == oracles.block_compare(ctx, b, a)
+        assert ctx.order.heap_key(a) is ka  # cached
+
+    def test_equal_contexts_built_apart_are_compatible(self):
+        r1, r2 = RingContext(2), RingContext(2)
+        a = r1.monomial({Variable.x(1, 1): 1})
+        b = r2.monomial({Variable.y(1): 1})
+        assert a.mul(b) == r1.monomial({Variable.x(1, 1): 1, Variable.y(1): 1})
+        assert r1.order.compare(a, b) == 1
+        f = r1.variable_poly(Variable.x(1, 1))
+        assert f - r2.variable_poly(Variable.x(1, 1)) == r1.zero
+
     @settings(max_examples=150)
     @given(ctx_with_monomials(3))
     def test_transitivity(self, data):

@@ -1,0 +1,33 @@
+"""The package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "asl_forge"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def imported_top_levels(tree: ast.AST) -> set[str]:
+    """Top-level names of every absolute import; relative ones are the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_package_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "groebner.py", "poly_core.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_the_package(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    foreign = {name for name in imported_top_levels(tree)
+               if name != "asl_forge" and name not in sys.stdlib_module_names}
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
