@@ -36,7 +36,7 @@ from .groebner import (
     is_groebner,
     reduce,
 )
-from .linalg import row_from_polynomial, staircase
+from .linalg import staircase
 from .matrix_ideal import MatrixPattern, matrix_product_ideal
 from .poly_core import CoefficientField, Monomial, RingContext, Variable
 from .poset import Poset
@@ -279,9 +279,9 @@ def _check_degree(ctx: RingContext, gens: GeneratorSet, init, poset: Poset,
         if std != nrm:
             mismatches.append(str(_monomial_of_positions(ctx, combo)))
 
-    rows = (row_from_polynomial(g.mul_term(1, m))
+    rows = (g.mul_term(1, m)
             for m in monomials_of_degree(ctx, degree - 2) for g in gens)
-    pivots = staircase(rows, ctx.order.sort_key)
+    pivots = staircase(rows)
     # pivots are distinct degree-d monomials, so "all non-normal" plus the
     # count is set equality with the non-normal monomials
     basis_ok = (len(pivots) == total - normal
@@ -440,8 +440,7 @@ def verify(pattern: MatrixPattern, degree: int,
         if not completed:
             expected = [ctx.monomial({ctx.x(i, i): 1, ctx.y(i): 1})
                         for i in range(1, ctx.n + 1)]
-            init_ok = list(init) == sorted(expected, key=ctx.order.sort_key,
-                                           reverse=True)
+            init_ok = list(init) == sorted(expected, key=ctx.order.heap_key)
             section["status"] = "pass" if init_ok else "fail"
             section["equals_diagonal_products"] = init_ok
     else:

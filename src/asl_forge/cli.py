@@ -13,6 +13,7 @@ byte-for-byte for a fixed command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -31,7 +32,6 @@ LARGE_WORK = 2_000_000
 
 @dataclass(frozen=True)
 class RunConfig:
-    n: int
     pattern: MatrixPattern
     degree: int = 4
     fieldspec: CoefficientField = dataclass_field(
@@ -89,7 +89,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 f"rows exceeds the bound of {LARGE_WORK:,}; pass --allow-large "
                 "to run it anyway")
     return RunConfig(
-        n=args.n,
         pattern=pattern,
         degree=degree,
         fieldspec=parse_field(getattr(args, "field", "rationals")),
@@ -117,7 +116,7 @@ def cmd_ideal(cfg: RunConfig) -> int:
         _emit("\n".join(lines) + "\n", cfg)
         return 0
     _emit_json({
-        "n": cfg.n,
+        "n": cfg.pattern.n,
         "pattern": cfg.pattern.to_json_dict(),
         "field": cfg.fieldspec.name,
         "generators": [g.to_json_list() for g in gens],
@@ -133,7 +132,7 @@ def cmd_gb(cfg: RunConfig) -> int:
         _emit("\n".join(lines) + "\n", cfg)
         return 0
     _emit_json({
-        "n": cfg.n,
+        "n": cfg.pattern.n,
         "pattern": cfg.pattern.to_json_dict(),
         "field": cfg.fieldspec.name,
         "basis": basis.to_json_list(),
@@ -154,7 +153,7 @@ def cmd_verify_gb(cfg: RunConfig) -> int:
     else:
         _emit_json({
             "verdict": "pass" if certificate.is_basis else "fail",
-            "n": cfg.n,
+            "n": cfg.pattern.n,
             "pattern": cfg.pattern.to_json_dict(),
             "field": cfg.fieldspec.name,
             "certificate": certificate.to_json_dict(),
@@ -170,7 +169,7 @@ def cmd_init_ideal(cfg: RunConfig) -> int:
         _emit("\n".join(lines) + "\n", cfg)
         return 0
     _emit_json({
-        "n": cfg.n,
+        "n": cfg.pattern.n,
         "pattern": cfg.pattern.to_json_dict(),
         "field": cfg.fieldspec.name,
         "generators": init.to_json_list(),
@@ -179,14 +178,14 @@ def cmd_init_ideal(cfg: RunConfig) -> int:
 
 
 def cmd_std_count(cfg: RunConfig) -> int:
-    by_degree = [count_standard_monomials(cfg.n, d)
+    by_degree = [count_standard_monomials(cfg.pattern.n, d)
                  for d in range(cfg.degree + 1)]
     if cfg.fmt == "text":
         _emit(f"standard monomials of degree {cfg.degree}: {by_degree[-1]} "
               f"(cumulative {sum(by_degree)})\n", cfg)
         return 0
     _emit_json({
-        "n": cfg.n,
+        "n": cfg.pattern.n,
         "degree": cfg.degree,
         "count": by_degree[-1],
         "cumulative": sum(by_degree),
@@ -196,7 +195,7 @@ def cmd_std_count(cfg: RunConfig) -> int:
 
 
 def cmd_poset(cfg: RunConfig) -> int:
-    poset = build_poset(cfg.n)
+    poset = build_poset(cfg.pattern.n)
     if cfg.fmt == "dot":
         _emit(poset.to_dot("H"), cfg)
     elif cfg.fmt == "text":
@@ -214,6 +213,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report["verdict"] == "pass" else 1
 
 
+# built once per process: parsing never changes the parser, and building it
+# costs more than a small command's own work
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asl-forge",

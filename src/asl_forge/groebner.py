@@ -304,15 +304,11 @@ class InitialIdeal:
         for m in mons:
             if m.ctx is not ctx and m.ctx != ctx:
                 raise ContextMismatchError("monomial from a different ring context")
-        minimal = [m for m in mons
-                   if not any(o != m and o.divides(m) for o in mons)]
-        # drop duplicates, keep descending order
-        seen: list[Monomial] = []
-        for m in sorted(minimal, key=ctx.order.sort_key, reverse=True):
-            if m not in seen:
-                seen.append(m)
+        minimal = {m for m in mons
+                   if not any(o != m and o.divides(m) for o in mons)}
         self.ctx = ctx
-        self.generators = tuple(seen)
+        # descending order
+        self.generators = tuple(sorted(minimal, key=ctx.order.heap_key))
 
     def contains_monomial(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.generators)

@@ -321,7 +321,7 @@ class Monomial:
     quotients pass their total degree in instead of summing it again.
     """
 
-    __slots__ = ("ctx", "exps", "total_degree", "_key", "_hkey")
+    __slots__ = ("ctx", "exps", "total_degree", "_hkey")
 
     def __init__(self, ctx: RingContext, exps: tuple[tuple[int, int], ...],
                  total_degree: int | None = None):
@@ -329,7 +329,6 @@ class Monomial:
         self.exps = exps
         self.total_degree = (sum([e for _, e in exps]) if total_degree is None
                              else total_degree)
-        self._key = None
         self._hkey = None
 
     @property
@@ -422,33 +421,20 @@ class Monomial:
 class MonomialOrder:
     """Block order: lex on diagonal exponents, then grevlex on the tail.
 
-    ``sort_key`` maps a monomial to a tuple that sorts ascending in the
-    order, so ``max(monomials, key=order.sort_key)`` is the leading
-    monomial.  ``heap_key`` maps it to a flat tuple that sorts the other
-    way, so a ``heapq`` of heap keys pops the largest monomial first.  The
-    order is total, multiplicative, and has 1 as its minimum.
+    ``heap_key`` is the order's one encoding: it maps a monomial to a flat
+    tuple, cached on the monomial, that sorts in descending monomial
+    order.  Sorting by it lists terms largest first, ``min`` by it picks
+    the leading monomial, and a ``heapq`` of heap keys pops the largest
+    monomial first.  The order is total, multiplicative, and has 1 as its
+    minimum.
     """
 
-    __slots__ = ("ctx", "diagonal_positions", "tail_positions", "_diagonal_index")
+    __slots__ = ("ctx", "_diagonal_index")
 
     def __init__(self, ctx: RingContext):
         self.ctx = ctx
-        self.diagonal_positions = tuple(
-            ctx._position[Variable.x(i, i)] for i in range(1, ctx.n + 1))
-        self._diagonal_index = {p: k for k, p in enumerate(self.diagonal_positions)}
-        diag = set(self.diagonal_positions)
-        # ascending significance: off-diagonals row-major, then y_1..y_n
-        self.tail_positions = tuple(
-            p for p in range(len(ctx.variables)) if p not in diag)
-
-    def sort_key(self, m: Monomial) -> tuple:
-        if m._key is None:
-            exps = dict(m.exps)
-            diag = tuple(exps.get(p, 0) for p in self.diagonal_positions)
-            tail = tuple(-exps.get(p, 0) for p in self.tail_positions)
-            tail_degree = m.total_degree - sum(diag)
-            m._key = (diag, tail_degree, tail)
-        return m._key
+        self._diagonal_index = {ctx._position[Variable.x(i, i)]: i - 1
+                                for i in range(1, ctx.n + 1)}
 
     def heap_key(self, m: Monomial) -> tuple:
         """Flat key with heap_key(a) < heap_key(b) exactly when a > b.
@@ -481,8 +467,8 @@ class MonomialOrder:
         if ((a.ctx is not ctx and a.ctx != ctx)
                 or (b.ctx is not ctx and b.ctx != ctx)):
             raise ContextMismatchError("monomial from a different ring context")
-        ka, kb = self.sort_key(a), self.sort_key(b)
-        return (ka > kb) - (ka < kb)
+        ka, kb = self.heap_key(a), self.heap_key(b)
+        return (ka < kb) - (ka > kb)
 
 
 class Polynomial:

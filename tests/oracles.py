@@ -4,13 +4,15 @@ Everything here recomputes results through a different route than the
 library: networkx for closure and transitive reduction, dense exponent
 tuples plus hand-rolled elimination for ideal membership and slice
 ranks, a dict-and-max division loop and a completion that reduces every
-pair, direct divisibility scans for standard-monomial counting, and
+pair, direct divisibility scans for standard-monomial counting,
+inclusion-exclusion over generator lcms for Hilbert functions, and
 trial division for primality.  Rationals only.
 """
 
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import networkx as nx
 
@@ -279,6 +281,26 @@ def count_standard(n, degree):
         if not any(e[x_pos(i, i)] and e[y_pos(i)] for i in range(1, n + 1)):
             count += 1
     return count
+
+def hilbert_count(generator_exponents, nvars, d):
+    """Count degree-d monomials outside the monomial ideal of the generators.
+
+    Inclusion-exclusion over subsets S of the generators: the multiples
+    of lcm(S) in degree d number C(d - deg lcm(S) + nvars - 1, nvars - 1).
+    A subset whose lcm has degree above d contributes nothing and neither
+    does any superset, so those branches are cut.
+    """
+    gens = [tuple(g) for g in generator_exponents]
+    total = 0
+    stack = [(0, (0,) * nvars, 1)]
+    while stack:
+        start, lcm, sign = stack.pop()
+        total += sign * comb(d - sum(lcm) + nvars - 1, nvars - 1)
+        for k in range(start, len(gens)):
+            grown = tuple(max(a, b) for a, b in zip(lcm, gens[k]))
+            if sum(grown) <= d:
+                stack.append((k + 1, grown, -sign))
+    return total
 
 def standard_normal_mismatches(n, degree, relations):
     """Degree-d monomials that are standard but not normal, or vice versa.

@@ -263,6 +263,21 @@ class TestAxiom1:
         for e in report["degrees"]:
             assert e["ideal_slice_rank"] + e["standard"] == e["monomials"]
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_counts_equal_hilbert_function_of_initial_ideal(self, n):
+        # the initial ideal's Hilbert function, counted from its reported
+        # generators, against the scan count, the closed form and the rank
+        report = verify(MatrixPattern.generic(n), 4)
+        names = [f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+        names += [f"y_{j}" for j in range(1, n + 1)]
+        gens = [[g.get(name, 0) for name in names]
+                for g in report["sections"]["initial_ideal"]["generators"]]
+        for d, entry in enumerate(report["sections"]["axiom1"]["degrees"]):
+            expected = oracles.hilbert_count(gens, len(names), d)
+            assert entry["normal"] == expected
+            assert entry["count_formula"] == expected
+            assert entry["monomials"] - entry["ideal_slice_rank"] == expected
+
     def test_over_prime_field(self):
         report = axiom1(2, 3, CoefficientField.prime(7))
         assert report["verdict"] == "pass"

@@ -289,3 +289,44 @@ class TestDeterminism:
         proc = run_cli("verify", "--n", "1", "--degree", "2",
                        threads="many", check=True)
         assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+class TestParserReuse:
+    MASK = json.dumps([[True, True], [True, False]])
+    SEQUENCE = [
+        ["ideal", "--n", "2", "--format", "text"],
+        ["verify-gb", "--n", "2", "--pattern", "zero", "--mask", MASK],
+        ["poset", "--n", "2", "--format", "dot"],
+        ["verify", "--n", "2", "--degree", "-1"],
+        ["init-ideal", "--n", "2", "--pattern", "zero", "--mask", MASK],
+        ["no-such-command"],
+        ["std-count", "--n", "3", "--degree", "3"],
+        ["verify", "--n", "2", "--degree", "2"],
+        ["ideal", "--n", "2"],
+    ]
+
+    def test_parser_built_once_and_calls_independent(self, monkeypatch, capsys):
+        import argparse
+        from asl_forge.cli import main
+        builds = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+
+        results = []
+        for k, argv in enumerate(self.SEQUENCE):
+            if k == 1:
+                builds.clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            results.append((capsys.readouterr().out, code))
+        assert not builds
+        fresh = [(p.stdout, p.returncode)
+                 for p in (run_cli(*argv) for argv in self.SEQUENCE)]
+        assert results == fresh
+        assert [code for _, code in results] == [0, 1, 0, 2, 0, 2, 0, 0, 0]

@@ -448,6 +448,24 @@ class TestNormalMonomials:
             assert oracles.slice_pivots_descending(ctx, gens, d) == non_normal
 
 
+def test_completed_initial_ideal_counts_slice_ranks():
+    # dim I_d = dim in(I)_d: the Hilbert function of the completion's
+    # initial ideal, by inclusion-exclusion, against dense elimination
+    # of the original generators' slices
+    rng = random.Random(2024)
+    for _ in range(24):
+        n = rng.randint(1, 3)
+        mask = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        ctx, gens = matrix_product_ideal(MatrixPattern.zero_pattern(mask))
+        nv = len(ctx.variables)
+        init = [oracles.to_dense(m, nv)
+                for m in initial_ideal(buchberger(gens))]
+        for d in range(4):
+            rank = len(oracles.slice_pivots_descending(ctx, gens, d))
+            assert (math.comb(d + nv - 1, nv - 1)
+                    - oracles.hilbert_count(init, nv, d)) == rank
+
+
 def test_generator_set_drops_zero_polynomials():
     ctx, _ = generic(2)
     f = poly(ctx, (1, {ctx.y(1): 1}))

@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports only the standard library, and uses what it imports."""
 
 import ast
 import sys
@@ -31,3 +31,23 @@ def test_imports_are_stdlib_or_the_package(path):
     foreign = {name for name in imported_top_levels(tree)
                if name != "asl_forge" and name not in sys.stdlib_module_names}
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def imported_names(tree: ast.AST) -> set[str]:
+    """Names bound by the module's imports, `from __future__` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported_names(tree) - used
+    assert not unused, f"{path.name} imports {sorted(unused)} but never uses them"
