@@ -310,12 +310,9 @@ class InitialIdeal:
         # descending order
         self.generators = tuple(sorted(minimal, key=ctx.order.heap_key))
 
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.generators)
-
     def is_normal(self, m: Monomial) -> bool:
         """True when m avoids the ideal, i.e. m is a staircase monomial."""
-        return not self.contains_monomial(m)
+        return not any(g.divides(m) for g in self.generators)
 
     def to_json_list(self) -> list[dict[str, int]]:
         return [g.to_json_dict() for g in self.generators]

@@ -1,9 +1,11 @@
 """Matrix patterns and the ideal of entries of a matrix-vector product.
 
 The central object is the ideal generated by the n entries of X*Y, where
-X is an n-by-n matrix of indeterminates (generic, symmetric, or with a
-prescribed zero pattern) and Y is the column vector (y_1, ..., y_n).  Each
-generator is g_i = sum_j x_i_j * y_j, a quadric linear in the y block.
+X is an n-by-n matrix whose entries are indeterminates or 0 (generic,
+symmetric, or with a prescribed zero pattern) and Y is the column vector
+(y_1, ..., y_n).  Each generator is g_i = sum_j X[i][j] * y_j, a quadric
+linear in the y block.  ``MatrixPattern.entry`` names the variable at each
+position of X, and the ring carries only the variables the pattern keeps.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import GeneratorSet
-from .poly_core import CoefficientField, Polynomial, RingContext
+from .poly_core import CoefficientField, Polynomial, RingContext, Variable
 
 PATTERN_KINDS = ("generic", "symmetric", "zero_pattern")
 
@@ -67,44 +69,22 @@ class MatrixPattern:
             raise ValueError("mask must be an n-by-n matrix") from None
         return cls(len(rows), "zero_pattern", rows)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MatrixPattern":
-        try:
-            n = int(data["n"])
-            kind = data["kind"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed pattern description: {exc}") from None
-        mask = data.get("mask")
-        if kind == "zero_pattern":
-            if mask is None:
-                raise ValueError("zero_pattern requires a mask")
-            pattern = cls.zero_pattern(mask)
-            if pattern.n != n:
-                raise ValueError("mask size disagrees with n")
-            return pattern
-        if mask is not None:
-            raise ValueError(f"mask is only valid for zero_pattern, not {kind!r}")
-        return cls(n, kind)
-
     def to_json_dict(self) -> dict:
         out: dict = {"n": self.n, "kind": self.kind}
         if self.kind == "zero_pattern":
             out["mask"] = [[bool(v) for v in row] for row in self.mask]
         return out
 
-    def entry_is_zero(self, i: int, j: int) -> bool:
-        """1-based query: is X[i][j] forced to zero by the pattern?"""
-        if self.kind == "zero_pattern":
-            return self.mask[i - 1][j - 1] == 0
-        return False
+    def entry(self, i: int, j: int) -> Variable | None:
+        """1-based: the variable at X[i][j], or None where X is zero.
 
-    def keeps_diagonal(self) -> bool:
-        """True when every diagonal entry of X survives the pattern."""
-        return all(not self.entry_is_zero(i, i) for i in range(1, self.n + 1))
-
-    def ring_context(self, field: CoefficientField | None = None) -> RingContext:
-        return RingContext(self.n, symmetric=(self.kind == "symmetric"),
-                           field=field)
+        A symmetric pattern reads entry (i, j) as x_min(i,j)_max(i,j).
+        """
+        if self.kind == "symmetric":
+            return Variable.x(min(i, j), max(i, j))
+        if self.kind == "zero_pattern" and not self.mask[i - 1][j - 1]:
+            return None
+        return Variable.x(i, j)
 
 
 def product_generators(pattern: MatrixPattern,
@@ -112,21 +92,20 @@ def product_generators(pattern: MatrixPattern,
                        ) -> tuple[RingContext, list[Polynomial]]:
     """The ring of the pattern and the entries of X*Y in row order.
 
-    g_i = sum_j x_i_j * y_j over the entries the pattern keeps; a symmetric
-    pattern reads entry (i, j) as x_min(i,j)_max(i,j).  Always returns n
-    polynomials: an all-zero row of a zero pattern gives the zero polynomial.
+    The ring carries the distinct entries the pattern keeps, in row-major
+    order of first appearance, then y_1..y_n.  g_i = sum_j X[i][j] * y_j
+    over the kept entries of row i.  Always returns n polynomials: an
+    all-zero row of a zero pattern gives the zero polynomial.
     """
-    ctx = pattern.ring_context(field)
     n = pattern.n
-    symmetric = pattern.kind == "symmetric"
+    rows = [[pattern.entry(i, j) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+    kept = dict.fromkeys(x for row in rows for x in row if x is not None)
+    ctx = RingContext(n, kept, field=field)
     gens = []
-    for i in range(1, n + 1):
-        terms = {}
-        for j in range(1, n + 1):
-            if pattern.entry_is_zero(i, j):
-                continue
-            x = ctx.x(min(i, j), max(i, j)) if symmetric else ctx.x(i, j)
-            terms[ctx.monomial({x: 1, ctx.y(j): 1})] = 1
+    for row in rows:
+        terms = {ctx.monomial({x: 1, ctx.y(j): 1}): 1
+                 for j, x in enumerate(row, start=1) if x is not None}
         gens.append(ctx.polynomial(terms))
     return ctx, gens
 

@@ -1,19 +1,20 @@
 """Exact sparse polynomial kernel with a diagonal-first block monomial order.
 
-The ring has variables x_i_j (entries of an n-by-n matrix) and y_j (entries
-of a length-n column vector), with coefficients in the rationals or in a
-prime field GF(p).  Monomials compare by the exponents of the diagonal
-variables x_1_1, ..., x_n_n lexicographically first; ties fall through to a
+The ring has variables x_i_j (the entries of an n-by-n matrix that a
+pattern keeps; all n*n by default) and y_j (entries of a length-n column
+vector), with coefficients in the rationals or in a prime field GF(p).
+Monomials compare by the exponents of the diagonal variables the ring
+has, x_1_1, ..., x_n_n, lexicographically first; ties fall through to a
 graded reverse-lexicographic comparison on the remaining variables.  As
 single variables this gives
 
     x_1_1 > x_2_2 > ... > x_n_n  >  every off-diagonal x_i_j and every y_j,
 
 and more strongly, any monomial containing a diagonal variable beats any
-monomial free of them.  The tail tie-break ranks single variables as
-x_1_2 < x_1_3 < ... < x_n_(n-1) < y_1 < ... < y_n (row-major off-diagonals
-first), which pins a deterministic total order; downstream results do not
-depend on this choice.
+monomial free of them.  The tail tie-break ranks single variables in ring
+layout order, x_1_2 < x_1_3 < ... < x_n_(n-1) < y_1 < ... < y_n for the
+full ring, which pins a deterministic total order; dropping variables a
+pattern never uses keeps the relative order of the rest.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -209,32 +210,32 @@ class CoefficientField:
 
 
 class RingContext:
-    """The polynomial ring on x_i_j and y_j with its canonical monomial order.
+    """The polynomial ring on some x_i_j, then y_1..y_n, with its monomial order.
 
-    The generic ring carries all n*n + n variables.  With ``symmetric=True``
-    the sub-diagonal x_i_j (i > j) are omitted, so symmetric-matrix
-    computations happen in the ring actually generated by the matrix
-    entries.
+    ``x_variables`` are the matrix-entry variables the ring carries, in
+    layout order: by default all n*n, row-major.  A pattern passes only the
+    distinct entries it keeps, so a zeroed entry is no variable at all.
+    Contexts are equal when they carry the same variables over one field.
     """
 
-    __slots__ = ("n", "symmetric", "field", "variables", "_position", "order", "_one")
+    __slots__ = ("n", "field", "variables", "_position", "order", "_one")
 
-    def __init__(self, n: int, *, symmetric: bool = False,
+    def __init__(self, n: int, x_variables: Iterable[Variable] | None = None, *,
                  field: CoefficientField | None = None):
         if n < 1:
             raise ValueError("matrix size n must be >= 1")
+        if x_variables is None:
+            x_variables = [Variable.x(i, j) for i in range(1, n + 1)
+                           for j in range(1, n + 1)]
+        xs = tuple(x_variables)
+        if (len(set(xs)) != len(xs)
+                or any(v.kind != "x" or v.i > n or v.j > n for v in xs)):
+            raise ValueError(f"x variables must be distinct entries of an "
+                             f"{n}-by-{n} matrix")
         self.n = n
-        self.symmetric = symmetric
         self.field = field if field is not None else CoefficientField.rationals()
-        names: list[Variable] = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if symmetric and i > j:
-                    continue
-                names.append(Variable.x(i, j))
-        for j in range(1, n + 1):
-            names.append(Variable.y(j))
-        self.variables: tuple[Variable, ...] = tuple(names)
+        self.variables: tuple[Variable, ...] = xs + tuple(
+            Variable.y(j) for j in range(1, n + 1))
         self._position = {v: k for k, v in enumerate(self.variables)}
         self.order = MonomialOrder(self)
         self._one = Monomial(self, ())
@@ -290,27 +291,17 @@ class RingContext:
         ordered = sorted(acc, key=self.order.heap_key)
         return Polynomial(self, tuple((acc[m], m) for m in ordered))
 
-    def variable_poly(self, v: Variable) -> "Polynomial":
-        return Polynomial(self, ((self.field.one, self.monomial({v: 1})),))
-
-    def constant(self, c) -> "Polynomial":
-        c = self.field.coerce(c)
-        if not c:
-            return self.zero
-        return Polynomial(self, ((c, self.one),))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RingContext)
-                and self.n == other.n
-                and self.symmetric == other.symmetric
+                and self.variables == other.variables
                 and self.field == other.field)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.symmetric, self.field))
+        return hash((self.variables, self.field))
 
     def __repr__(self) -> str:
-        sym = ", symmetric" if self.symmetric else ""
-        return f"RingContext(n={self.n}, field={self.field.name}{sym})"
+        xs = ", ".join(v.name for v in self.variables[:-self.n])
+        return f"RingContext(n={self.n}, x=[{xs}], field={self.field.name})"
 
 
 class Monomial:
@@ -346,9 +337,6 @@ class Monomial:
         """Yield (variable, exponent) pairs in ring layout order."""
         for p, e in self.exps:
             yield self.ctx.variables[p], e
-
-    def exponents(self) -> dict[Variable, int]:
-        return {self.ctx.variables[p]: e for p, e in self.exps}
 
     def _require_same_ctx(self, other: "Monomial") -> None:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -433,8 +421,8 @@ class MonomialOrder:
 
     def __init__(self, ctx: RingContext):
         self.ctx = ctx
-        self._diagonal_index = {ctx._position[Variable.x(i, i)]: i - 1
-                                for i in range(1, ctx.n + 1)}
+        diagonal = [p for p, v in enumerate(ctx.variables) if v.is_diagonal]
+        self._diagonal_index = {p: k for k, p in enumerate(diagonal)}
 
     def heap_key(self, m: Monomial) -> tuple:
         """Flat key with heap_key(a) < heap_key(b) exactly when a > b.
@@ -493,12 +481,6 @@ class Polynomial:
             return -1
         return max(m.total_degree for _, m in self.terms)
 
-    def coefficient(self, m: Monomial) -> object:
-        for c, mm in self.terms:
-            if mm == m:
-                return c
-        return self.ctx.field.zero
-
     def leading_term(self) -> tuple[object, Monomial]:
         if not self.terms:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
@@ -506,9 +488,6 @@ class Polynomial:
 
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[1]
-
-    def leading_coefficient(self):
-        return self.leading_term()[0]
 
     def _require_same_ctx(self, other: "Polynomial") -> None:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -547,12 +526,6 @@ class Polynomial:
                     del acc[m]
         ordered = sorted(acc, key=self.ctx.order.heap_key)
         return Polynomial(self.ctx, tuple((acc[m], m) for m in ordered))
-
-    def scale(self, c) -> "Polynomial":
-        c = self.ctx.field.coerce(c)
-        if not c:
-            return self.ctx.zero
-        return Polynomial(self.ctx, tuple((tc * c, m) for tc, m in self.terms))
 
     def mul_term(self, c, m: Monomial) -> "Polynomial":
         """Multiply by the single term c*m; order is preserved termwise."""

@@ -82,17 +82,6 @@ class Poset:
                     out.append((a, b))
         return out
 
-    def maximal_elements(self) -> list:
-        return [e for e in self.elements if self._up[e] == frozenset({e})]
-
-    def minimal_elements(self) -> list:
-        below = {e: 0 for e in self.elements}
-        for e in self.elements:
-            for b in self._up[e]:
-                if b != e:
-                    below[b] += 1
-        return [e for e in self.elements if below[e] == 0]
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -150,11 +150,13 @@ def is_member(ctx, gens, f):
 def dense_compare(ctx, ea, eb):
     """The documented block order on raw exponent tuples.
 
-    Diagonal exponents lexicographically first; on ties, tail degree,
+    Exponents of the diagonal variables the ring has, lexicographically
+    and in layout order, first; on ties, tail degree,
     then reverse lex: more of the least differing tail variable means
     the smaller monomial.
     """
-    diag = [ctx.position(ctx.x(i, i)) for i in range(1, ctx.n + 1)]
+    diag = [p for p, v in enumerate(ctx.variables)
+            if v.kind == "x" and v.i == v.j]
     for p in diag:
         if ea[p] != eb[p]:
             return 1 if ea[p] > eb[p] else -1

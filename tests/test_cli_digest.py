@@ -1,0 +1,61 @@
+"""Byte-identity guard: one sha256 pins the CLI's output over a small grid.
+
+Every subcommand and output format runs in process over the generic and
+the symmetric n=2 patterns and all 16 n=2 zero masks, over QQ and GF(3).
+The digest covers each call's argv, exit code and stdout, so any change
+to a report, a rendering or an exit code shows up here.  A change that
+alters output on purpose must say so and record the new digest.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import time
+
+from asl_forge.cli import main
+
+GRID_SHA256 = "965f5fc9b345984defc5384aa1e649f8aa3443d6e804ce1787e508795a143fbe"
+
+PATTERN_COMMANDS = [("ideal", "json"), ("ideal", "text"), ("gb", "json"),
+                    ("gb", "text"), ("verify-gb", "json"), ("verify-gb", "text"),
+                    ("init-ideal", "json"), ("init-ideal", "text"),
+                    ("verify", None)]
+
+
+def grid():
+    patterns = [["--pattern", "generic"], ["--pattern", "symmetric"]]
+    for bits in itertools.product((0, 1), repeat=4):
+        mask = [list(bits[:2]), list(bits[2:])]
+        patterns.append(["--pattern", "zero", "--mask", json.dumps(mask)])
+    for field in ("rationals", "gf(3)"):
+        for pattern in patterns:
+            for command, fmt in PATTERN_COMMANDS:
+                argv = [command, "--n", "2", *pattern, "--field", field]
+                if fmt is not None:
+                    argv += ["--format", fmt]
+                else:
+                    argv += ["--degree", "2"]
+                yield argv
+    for fmt in ("json", "text"):
+        yield ["std-count", "--n", "2", "--degree", "3", "--format", fmt]
+    for fmt in ("json", "dot", "text"):
+        yield ["poset", "--n", "2", "--format", fmt]
+
+
+def test_cli_grid_output_is_pinned():
+    start = time.perf_counter()
+    digest = hashlib.sha256()
+    calls = 0
+    for argv in grid():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        digest.update(f"{argv}\0{code}\0{out.getvalue()}\0".encode())
+        calls += 1
+    elapsed = time.perf_counter() - start
+    assert calls == 329
+    assert digest.hexdigest() == GRID_SHA256
+    assert elapsed < 3.0, f"grid took {elapsed:.2f} s"

@@ -117,7 +117,9 @@ class TestReduce:
             rf, rg = reduce(f, gens), reduce(g, gens)
             assert reduce(rf, gens) == rf
             a, b = Fraction(3, 2), Fraction(-2)
-            assert reduce(f.scale(a) + g.scale(b), gens) == rf.scale(a) + rg.scale(b)
+            one = ctx.one
+            assert (reduce(f.mul_term(a, one) + g.mul_term(b, one), gens)
+                    == rf.mul_term(a, one) + rg.mul_term(b, one))
 
 
 @st.composite
@@ -183,9 +185,9 @@ class TestSPolynomial:
         ctx, gens = generic(3)
         pool = list(monomials_of_degree(ctx, 2))
         for _ in range(25):
-            f = poly(ctx, *(((rng.randint(1, 5)), dict(rng.choice(pool).exponents()))
+            f = poly(ctx, *(((rng.randint(1, 5)), dict(rng.choice(pool).factors()))
                             for _ in range(2)))
-            g = poly(ctx, *(((rng.randint(1, 5)), dict(rng.choice(pool).exponents()))
+            g = poly(ctx, *(((rng.randint(1, 5)), dict(rng.choice(pool).factors()))
                             for _ in range(2)))
             if not f or not g:
                 continue

@@ -1,9 +1,14 @@
 """Pattern handling and construction of the product generators."""
 
+import itertools
+
 import pytest
 
+import oracles
 from asl_forge import (
+    ContextMismatchError,
     MatrixPattern,
+    Variable,
     matrix_product_ideal,
     polynomial_from_json,
     product_generators,
@@ -15,7 +20,10 @@ class TestMatrixPattern:
         assert MatrixPattern.generic(3).kind == "generic"
         assert MatrixPattern.symmetric(2).kind == "symmetric"
         p = MatrixPattern.zero_pattern([[1, 0], [0, 1]])
-        assert p.n == 2 and p.entry_is_zero(1, 2) and not p.entry_is_zero(1, 1)
+        assert p.n == 2 and p.entry(1, 2) is None
+        assert p.entry(1, 1) == Variable.x(1, 1)
+        assert MatrixPattern.generic(2).entry(2, 1) == Variable.x(2, 1)
+        assert MatrixPattern.symmetric(3).entry(3, 1) == Variable.x(1, 3)
 
     def test_mask_validation(self):
         with pytest.raises(ValueError):
@@ -37,9 +45,6 @@ class TestMatrixPattern:
             MatrixPattern.zero_pattern([[1, bad], [1, 1]])
         with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
             MatrixPattern(2, "zero_pattern", ((1, bad), (1, 1)))
-        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
-            MatrixPattern.from_json_dict(
-                {"n": 2, "kind": "zero_pattern", "mask": [[1, 1], [bad, 1]]})
 
     @pytest.mark.parametrize("mask", [[1, 1], [[1, 1], 1], 5, [[1, 1], None]])
     def test_mask_rows_must_be_rows(self, mask):
@@ -47,8 +52,6 @@ class TestMatrixPattern:
         # from every entry point, not a TypeError from iterating an int
         with pytest.raises(ValueError, match="mask must be an n-by-n matrix"):
             MatrixPattern.zero_pattern(mask)
-        with pytest.raises(ValueError, match="mask must be an n-by-n matrix"):
-            MatrixPattern.from_json_dict({"n": 2, "kind": "zero_pattern", "mask": mask})
         with pytest.raises(ValueError, match="mask must be an n-by-n matrix"):
             MatrixPattern(2, "zero_pattern", mask)
 
@@ -59,29 +62,11 @@ class TestMatrixPattern:
 
     def test_json_round_trip_with_booleans(self):
         data = {"n": 2, "kind": "zero_pattern", "mask": [[True, False], [True, True]]}
-        p = MatrixPattern.from_json_dict(data)
+        p = MatrixPattern.zero_pattern(data["mask"])
         assert p.mask == ((1, 0), (1, 1))
         assert p.to_json_dict() == data
-        assert MatrixPattern.from_json_dict(p.to_json_dict()) == p
-        q = MatrixPattern.from_json_dict({"n": 3, "kind": "symmetric"})
-        assert q == MatrixPattern.symmetric(3)
-        assert q.to_json_dict() == {"n": 3, "kind": "symmetric"}
-
-    def test_json_malformed(self):
-        with pytest.raises(ValueError):
-            MatrixPattern.from_json_dict({"kind": "generic"})
-        with pytest.raises(ValueError):
-            MatrixPattern.from_json_dict({"n": 2, "kind": "zero_pattern"})
-        with pytest.raises(ValueError):
-            MatrixPattern.from_json_dict(
-                {"n": 3, "kind": "zero_pattern", "mask": [[True, False]]})
-        with pytest.raises(ValueError):
-            MatrixPattern.from_json_dict({"n": 2, "kind": "generic", "mask": [[1]]})
-
-    def test_keeps_diagonal(self):
-        assert MatrixPattern.zero_pattern([[1, 0], [0, 1]]).keeps_diagonal()
-        assert not MatrixPattern.zero_pattern([[1, 1], [1, 0]]).keeps_diagonal()
-        assert MatrixPattern.generic(4).keeps_diagonal()
+        assert MatrixPattern.zero_pattern(p.to_json_dict()["mask"]) == p
+        assert MatrixPattern.symmetric(3).to_json_dict() == {"n": 3, "kind": "symmetric"}
 
 
 def x_entries(g):
@@ -182,3 +167,52 @@ class TestProductGenerators:
         assert not gens[0] and gens[1]
         ctx, kept = matrix_product_ideal(p)
         assert len(kept) == 1
+
+
+def kept_ring_layout(mask):
+    """The variables a mask's ring should carry: kept x_i_j row-major, then y."""
+    n = len(mask)
+    xs = [Variable.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+          if mask[i - 1][j - 1]]
+    return xs + [Variable.y(j) for j in range(1, n + 1)]
+
+
+KILLED_DIAGONALS = [[0, 1, 1], [1, 1, 0], [1, 1, 0]]  # x_1_1 and x_3_3 zero
+
+
+class TestPatternRing:
+    """The ring holds exactly the variables the pattern keeps."""
+
+    @pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=4)))
+    def test_n2_mask_ring_holds_kept_entries(self, bits):
+        mask = [list(bits[:2]), list(bits[2:])]
+        ctx, _ = product_generators(MatrixPattern.zero_pattern(mask))
+        assert list(ctx.variables) == kept_ring_layout(mask)
+
+    def test_killed_diagonal_is_no_variable(self):
+        ctx, gens = product_generators(MatrixPattern.zero_pattern(KILLED_DIAGONALS))
+        assert list(ctx.variables) == kept_ring_layout(KILLED_DIAGONALS)
+        with pytest.raises(ValueError):
+            ctx.x(1, 1)
+        assert x_entries(gens[1]) == {1: ctx.x(2, 1), 2: ctx.x(2, 2)}
+
+    def test_rings_of_two_masks_do_not_mix(self):
+        actx, a = product_generators(MatrixPattern.zero_pattern([[1, 1], [1, 0]]))
+        bctx, b = product_generators(MatrixPattern.zero_pattern([[1, 1], [0, 1]]))
+        assert actx != bctx
+        with pytest.raises(ContextMismatchError):
+            a[0] + b[0]
+        with pytest.raises(ContextMismatchError):
+            a[0].leading_monomial().mul(b[0].leading_monomial())
+
+    def test_killed_diagonal_order_matches_oracle(self):
+        ctx, _ = product_generators(MatrixPattern.zero_pattern(KILLED_DIAGONALS))
+        assert Variable.x(3, 3) not in ctx.variables
+        nv = len(ctx.variables)
+        monomials = [ctx.monomial({ctx.variables[p]: e for p, e in enumerate(ex) if e})
+                     for ex in oracles.dense_monomials(nv, 2)]
+        key = ctx.order.heap_key
+        for a in monomials:
+            for b in monomials:
+                assert (key(b) > key(a)) - (key(b) < key(a)) \
+                    == oracles.block_compare(ctx, a, b)
