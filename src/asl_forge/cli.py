@@ -17,6 +17,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field as dataclass_field
+from json.encoder import encode_basestring_ascii
 
 from .asl import axiom1_work, build_poset, count_standard_monomials, verify
 from .groebner import buchberger, initial_ideal, is_groebner
@@ -45,7 +46,12 @@ def parse_field(text: str) -> CoefficientField:
     if t == "rationals":
         return CoefficientField.rationals()
     if t.startswith("gf(") and t.endswith(")"):
-        return CoefficientField.prime(int(t[3:-1]))
+        try:
+            p = int(t[3:-1])
+        except ValueError:
+            pass
+        else:
+            return CoefficientField.prime(p)
     raise ValueError(f"unrecognized field {text!r}: use rationals or gf(p)")
 
 
@@ -105,8 +111,65 @@ def _emit(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _json_parts(value, newline: str, out: list) -> None:
+    """Append the pieces of ``json.dumps(value, indent=2)`` to out.
+
+    ``newline`` is the line break plus the indentation of value's own
+    line.  Module level, not a closure: a recursive closure would hold
+    each report's pieces in a reference cycle until the next collection.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(k))
+            out.append(": ")
+            _json_parts(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _json_parts(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
 def _emit_json(payload: dict, cfg: RunConfig) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", cfg)
+    """Write payload as ``json.dumps(payload, indent=2)`` would, plus a newline.
+
+    The reports hold only dicts, lists, strings, ints, booleans and None,
+    and the standard encoder spends most of its time on generality
+    (floats, circularity checks, custom hooks) they never need.
+    """
+    out: list[str] = []
+    _json_parts(payload, "\n", out)
+    out.append("\n")
+    _emit("".join(out), cfg)
 
 
 def cmd_ideal(cfg: RunConfig) -> int:

@@ -59,17 +59,42 @@ class GeneratorSet:
         return f"GeneratorSet({len(self.polys)} polynomials, n={self.ctx.n})"
 
 
-def _check_divisors(ctx: RingContext, divisors) -> list[Polynomial]:
-    divisors = list(divisors)
+def _divisor_table(ctx: RingContext, divisors) -> list[tuple]:
+    """Check the divisors and return their division entries, in order.
+
+    An entry is (lc, leading exponents, leading support mask, squarefree
+    lead, lead degree, tail), where the tail holds (coefficient,
+    exponents, support mask, degree) for each term after the leading one.
+    It is cached on the polynomial, which is immutable, so a basis that
+    divides many polynomials builds each entry once.
+    """
+    table = []
     for g in divisors:
         if g.ctx is not ctx and g.ctx != ctx:
             raise ContextMismatchError("divisor from a different ring context")
         if not g:
             raise ZeroPolynomialError("cannot divide by the zero polynomial")
-    return divisors
+        entry = g._divisor
+        if entry is None:
+            lc, lm = g.terms[0]
+            tail = tuple((tc, tm.exps, _support(tm.exps), tm.total_degree)
+                         for tc, tm in g.terms[1:])
+            entry = g._divisor = (lc, lm.exps, _support(lm.exps),
+                                  len(lm.exps) == lm.total_degree,
+                                  lm.total_degree, tail)
+        table.append(entry)
+    return table
 
 
-def _division(f: Polynomial, divisors: list[Polynomial],
+def _support(exps: tuple[tuple[int, int], ...]) -> int:
+    """Bit p is set when the exponent pairs include position p."""
+    mask = 0
+    for p, _ in exps:
+        mask |= 1 << p
+    return mask
+
+
+def _division(f: Polynomial, table: list[tuple],
               quotients: list[list] | None) -> Polynomial:
     """The division loop shared by divide and reduce; returns the remainder.
 
@@ -77,43 +102,73 @@ def _division(f: Polynomial, divisors: list[Polynomial],
     tuple plus a heap of order keys (heap division, Monagan and Pearce,
     CASC 2007).  Each step takes the largest working term and cancels it
     with the first divisor, in list order, whose leading monomial divides
-    it, or moves it to the remainder.  Only the terms below the cancelled
-    one are pushed; a term that cancels to zero keeps its zero entry until
-    it is popped, so each monomial enters the heap once and heap keys
-    never tie.  When ``quotients`` is a list of lists, the step's quotient
-    term is appended to the divisor's list; terms arrive descending.
+    it, or moves it to the remainder.  A divisor is screened by support
+    bitmask first: a lead whose support is not inside the term's cannot
+    divide it, and a squarefree lead whose support is inside does.  Only
+    other leads run the exponent test.  The divisor's tail terms are
+    multiplied inline and only those below the cancelled term are pushed;
+    a term that cancels to zero keeps its zero entry until it is popped,
+    so each monomial enters the heap once and heap keys never tie.  When
+    ``quotients`` is a list of lists, the step's quotient term is appended
+    to the divisor's list; terms arrive descending.
     """
-    key = f.ctx.order.heap_key
-    leads = [(g.terms[0][0], g.terms[0][1], g.terms[0][1].exps) for g in divisors]
-    work = {m.exps: c for c, m in f.terms}
+    ctx = f.ctx
+    key = ctx.order.heap_key
+    div = ctx.field.div
+    work = {}
+    heap = []
     # descending terms give ascending keys, which is already a heap
-    heap = [(key(m), m) for _, m in f.terms]
+    for c, m in f.terms:
+        work[m.exps] = c
+        heap.append((key(m), m, _support(m.exps)))
     remainder = []
     while heap:
-        m = heappop(heap)[1]
+        _, m, mask = heappop(heap)
         c = work.pop(m.exps)
         if not c:
             continue
-        have = dict(m.exps)  # built once for all the divisibility tests
-        for k, (lc, lm, lexps) in enumerate(leads):
-            if all(have.get(p, 0) >= e for p, e in lexps):
-                q = m.div(lm)
-                coeff = c / lc
-                if quotients is not None:
-                    quotients[k].append((coeff, q))
-                # the product's leading term is exactly c*m, which cancels
-                for tc, tm in divisors[k].mul_term(coeff, q).terms[1:]:
-                    e = tm.exps
-                    prev = work.get(e)
-                    if prev is None:
-                        work[e] = -tc
-                        heappush(heap, (key(tm), tm))
+        exps = m.exps
+        for k, (lc, lexps, lmask, squarefree, ldeg, tail) in enumerate(table):
+            if lmask & ~mask:
+                continue
+            if squarefree:
+                qexps = tuple((p, e - 1) if lmask >> p & 1 else (p, e)
+                              for p, e in exps if e > 1 or not lmask >> p & 1)
+            else:
+                q = dict(exps)
+                if any(q[p] < e for p, e in lexps):
+                    continue
+                for p, e in lexps:
+                    if q[p] == e:
+                        del q[p]
                     else:
-                        work[e] = prev - tc
-                break
+                        q[p] -= e
+                qexps = tuple(q.items())
+            qmask = _support(qexps)
+            qdeg = m.total_degree - ldeg
+            coeff = div(c, lc)
+            if quotients is not None:
+                quotients[k].append((coeff, Monomial(ctx, qexps, qdeg)))
+            # the product's leading term is exactly c*m, which cancels
+            for tc, texps, tmask, tdeg in tail:
+                if tmask & qmask:
+                    merged = dict(texps)
+                    for p, e in qexps:
+                        merged[p] = merged.get(p, 0) + e
+                    e = tuple(sorted(merged.items()))
+                else:
+                    e = tuple(sorted(texps + qexps))
+                prev = work.get(e)
+                if prev is None:
+                    work[e] = -(tc * coeff)
+                    tm = Monomial(ctx, e, tdeg + qdeg)
+                    heappush(heap, (key(tm), tm, tmask | qmask))
+                else:
+                    work[e] = prev - tc * coeff
+            break
         else:
             remainder.append((c, m))
-    return Polynomial(f.ctx, tuple(remainder))
+    return Polynomial(ctx, tuple(remainder))
 
 
 def divide(f: Polynomial, divisors) -> tuple[list[Polynomial], Polynomial]:
@@ -125,15 +180,15 @@ def divide(f: Polynomial, divisors) -> tuple[list[Polynomial], Polynomial]:
     deterministic.
     """
     ctx = f.ctx
-    divisors = _check_divisors(ctx, divisors)
-    quotients = [[] for _ in divisors]
-    r = _division(f, divisors, quotients)
+    table = _divisor_table(ctx, divisors)
+    quotients = [[] for _ in table]
+    r = _division(f, table, quotients)
     return [Polynomial(ctx, tuple(q)) for q in quotients], r
 
 
 def reduce(f: Polynomial, basis) -> Polynomial:
     """Remainder of f under full tail reduction by the given polynomials."""
-    return _division(f, _check_divisors(f.ctx, basis), None)
+    return _division(f, _divisor_table(f.ctx, basis), None)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -143,8 +198,10 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     cf, mf = f.leading_term()
     cg, mg = g.leading_term()
     L = mf.lcm(mg)
-    one = f.ctx.field.one
-    return f.mul_term(one / cf, L.div(mf)) - g.mul_term(one / cg, L.div(mg))
+    field = f.ctx.field
+    one = field.one
+    return (f.mul_term(field.div(one, cf), L.div(mf))
+            - g.mul_term(field.div(one, cg), L.div(mg)))
 
 
 def interreduce(polys) -> list[Polynomial]:

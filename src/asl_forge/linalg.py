@@ -51,6 +51,7 @@ def staircase(polys) -> dict[Monomial, dict]:
             continue
         lc = row[lead]
         if lc != 1:
-            row = {m: c / lc for m, c in row.items()}
+            div = f.ctx.field.div
+            row = {m: div(c, lc) for m, c in row.items()}
         pivots[lead] = row
     return pivots

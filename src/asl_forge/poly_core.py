@@ -151,7 +151,14 @@ class FpElement:
 
 
 class CoefficientField:
-    """Coefficient domain descriptor: exact rationals, or GF(p) for prime p."""
+    """Coefficient domain descriptor: exact rationals, or GF(p) for prime p.
+
+    A rational coefficient is an ``int`` while it is integral and a
+    ``Fraction`` only when it is a true fraction: ``int`` arithmetic is
+    cheaper, and ``int`` and ``Fraction`` compare, hash and print alike
+    for integral values.  Division of coefficients goes through ``div``,
+    because ``/`` on two ``int`` would give a float.
+    """
 
     __slots__ = ("p",)
 
@@ -172,14 +179,13 @@ class CoefficientField:
     def name(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
 
-    def coerce(self, value) -> Fraction | FpElement:
+    def coerce(self, value) -> int | Fraction | FpElement:
         if self.p is None:
-            if isinstance(value, Fraction):
-                return value
-            if isinstance(value, int):
-                return Fraction(value)
-            if isinstance(value, str):
-                return Fraction(value)
+            if isinstance(value, int):  # bool included: True becomes 1
+                return int(value)
+            if isinstance(value, (Fraction, str)):
+                q = Fraction(value)
+                return q.numerator if q.denominator == 1 else q
             raise TypeError(f"cannot coerce {value!r} into QQ")
         if isinstance(value, FpElement):
             if value.p != self.p:
@@ -190,6 +196,15 @@ class CoefficientField:
         if isinstance(value, str):
             return FpElement(int(value) % self.p, self.p)
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
+
+    def div(self, a, b):
+        """The quotient a / b of two coefficients of this field."""
+        if self.p is not None:
+            return a / b
+        if b == 1:
+            return a
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     @property
     def zero(self):
@@ -462,11 +477,12 @@ class MonomialOrder:
 class Polynomial:
     """Immutable sparse polynomial; terms sorted strictly descending."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_divisor")
 
     def __init__(self, ctx: RingContext, terms: tuple):
         self.ctx = ctx
         self.terms = terms  # tuple of (coefficient, Monomial), descending
+        self._divisor = None  # groebner's division entry, built on first use
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -538,10 +554,11 @@ class Polynomial:
         if not self.terms:
             return self
         lc = self.terms[0][0]
-        one = self.ctx.field.one
-        if lc == one:
+        field = self.ctx.field
+        if lc == field.one:
             return self
-        return Polynomial(self.ctx, tuple((c / lc, m) for c, m in self.terms))
+        div = field.div
+        return Polynomial(self.ctx, tuple((div(c, lc), m) for c, m in self.terms))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial)

@@ -222,6 +222,26 @@ def dense_divide(ctx, f, divisors):
             del work[m]
     return quotients, remainder
 
+def dense_monic(ctx, f):
+    """f divided by its leading coefficient, with Fraction arithmetic."""
+    key = cmp_to_key(lambda a, b: dense_compare(ctx, a, b))
+    lc = f[max(f, key=key)]
+    return {m: Fraction(c) / lc for m, c in f.items()}
+
+def dense_s_polynomial(ctx, fa, fb):
+    """S(fa, fb) of two nonzero dense polynomials, zero terms dropped."""
+    key = cmp_to_key(lambda a, b: dense_compare(ctx, a, b))
+    la, lb = max(fa, key=key), max(fb, key=key)
+    lcm = tuple(max(x, y) for x, y in zip(la, lb))
+    s = {}
+    for f, lead, sign in ((fa, la, 1), (fb, lb, -1)):
+        shift = tuple(x - y for x, y in zip(lcm, lead))
+        scale = Fraction(sign) / f[lead]
+        for m, c in f.items():
+            t = tuple(x + y for x, y in zip(shift, m))
+            s[t] = s.get(t, Fraction(0)) + scale * c
+    return {m: c for m, c in s.items() if c}
+
 def reduced_groebner_basis(ctx, gens):
     """Reduced Groebner basis by plain Buchberger, as a set of dense items.
 
@@ -235,17 +255,8 @@ def reduced_groebner_basis(ctx, gens):
     pairs = list(combinations(range(len(basis)), 2))
     while pairs:
         a, b = pairs.pop()
-        fa, fb = basis[a], basis[b]
-        la, lb = max(fa, key=key), max(fb, key=key)
-        lcm = tuple(max(x, y) for x, y in zip(la, lb))
-        s = {}
-        for f, lead, sign in ((fa, la, 1), (fb, lb, -1)):
-            shift = tuple(x - y for x, y in zip(lcm, lead))
-            scale = sign / f[lead]
-            for m, c in f.items():
-                t = tuple(x + y for x, y in zip(shift, m))
-                s[t] = s.get(t, Fraction(0)) + scale * c
-        _, r = dense_divide(ctx, {m: c for m, c in s.items() if c}, basis)
+        _, r = dense_divide(ctx, dense_s_polynomial(ctx, basis[a], basis[b]),
+                            basis)
         if r:
             pairs.extend((k, len(basis)) for k in range(len(basis)))
             basis.append(r)

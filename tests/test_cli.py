@@ -1,5 +1,8 @@
 """End-to-end runs of the command line interface."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -7,6 +10,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*args, threads=None, check=False, timeout=None):
@@ -180,6 +185,13 @@ class TestGuardsAndErrors:
         assert proc.returncode == 2
         assert "prime" in proc.stderr
 
+    @pytest.mark.parametrize("spec", ["gf(x)", "gf()", "GF(1.5)"])
+    def test_non_integer_prime_field(self, spec):
+        proc = run_cli("gb", "--n", "2", "--field", spec)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: unrecognized field {spec!r}: "
+                               "use rationals or gf(p)\n")
+
     def test_huge_prime_field_refused_quickly(self):
         start = time.monotonic()
         proc = run_cli("verify", "--n", "2", "--degree", "2",
@@ -330,3 +342,52 @@ class TestParserReuse:
                  for p in (run_cli(*argv) for argv in self.SEQUENCE)]
         assert results == fresh
         assert [code for _, code in results] == [0, 1, 0, 2, 0, 2, 0, 0, 0]
+
+
+def _json_trees():
+    text = st.text(max_size=8)
+    leaves = (st.none() | st.booleans() | text
+              | st.integers(-2**70, 2**70) | st.sampled_from([0, -1, 10**300]))
+    return st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(text, inner, max_size=4)),
+        max_leaves=20)
+
+
+def _emitted(payload):
+    from asl_forge.cli import RunConfig, _emit_json
+    from asl_forge.matrix_ideal import MatrixPattern
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(payload, RunConfig(pattern=MatrixPattern.generic(1)))
+    return out.getvalue()
+
+
+class TestJsonEmitter:
+    @settings(max_examples=300)
+    @given(_json_trees())
+    def test_matches_json_dumps(self, payload):
+        assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+    def test_escapes_match_json_dumps(self):
+        payload = {"\u00e9\"\\\n\x00\x1f\u2028\U0001f600": ["\t", "", {}, [],
+                                                               [[]], {"": None}]}
+        assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [1.5, {"a": [0.0]}, {1: "int key"},
+                                         {"t": (1, 2)}])
+    def test_other_types_raise_type_error(self, payload):
+        with pytest.raises(TypeError):
+            _emitted(payload)
+
+    def test_encoding_leaves_no_reference_cycle(self):
+        from asl_forge import MatrixPattern, verify
+        report = verify(MatrixPattern.zero_pattern([[0, 1, 1], [1, 0, 1], [1, 1, 1]]), 2)
+        gc.collect()
+        gc.disable()
+        try:
+            _emitted(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,10 +1,13 @@
-"""Byte-identity guard: one sha256 pins the CLI's output over a small grid.
+"""Byte-identity guards: sha256 digests pin the CLI's output over two grids.
 
-Every subcommand and output format runs in process over the generic and
-the symmetric n=2 patterns and all 16 n=2 zero masks, over QQ and GF(3).
-The digest covers each call's argv, exit code and stdout, so any change
-to a report, a rendering or an exit code shows up here.  A change that
-alters output on purpose must say so and record the new digest.
+In the first grid every subcommand and output format runs in process over
+the generic and the symmetric n=2 patterns and all 16 n=2 zero masks,
+over QQ and GF(3).  The second runs `verify` on all 512 n=3 zero masks
+over QQ and GF(3), whose completions are large enough to exercise the
+division and S-pair kernels.  Each digest covers every call's argv, exit
+code and stdout, so any change to a report, a rendering or an exit code
+shows up here.  A change that alters output on purpose must say so and
+record the new digest.
 """
 
 import contextlib
@@ -17,6 +20,7 @@ import time
 from asl_forge.cli import main
 
 GRID_SHA256 = "965f5fc9b345984defc5384aa1e649f8aa3443d6e804ce1787e508795a143fbe"
+N3_MASKS_SHA256 = "6233fbb45012f1c47281e9775a49f521b5761bcc79f886c1685188c4210144e6"
 
 PATTERN_COMMANDS = [("ideal", "json"), ("ideal", "text"), ("gb", "json"),
                     ("gb", "text"), ("verify-gb", "json"), ("verify-gb", "text"),
@@ -44,18 +48,38 @@ def grid():
         yield ["poset", "--n", "2", "--format", fmt]
 
 
-def test_cli_grid_output_is_pinned():
+def n3_masks_grid():
+    for field in ("rationals", "gf(3)"):
+        for bits in itertools.product((0, 1), repeat=9):
+            mask = [list(bits[k:k + 3]) for k in (0, 3, 6)]
+            yield ["verify", "--n", "3", "--pattern", "zero", "--mask",
+                   json.dumps(mask), "--field", field, "--degree", "2"]
+
+
+def run_grid(argvs):
+    """(sha256 hex digest over the calls, number of calls, seconds)."""
     start = time.perf_counter()
     digest = hashlib.sha256()
     calls = 0
-    for argv in grid():
+    for argv in argvs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         digest.update(f"{argv}\0{code}\0{out.getvalue()}\0".encode())
         calls += 1
-    elapsed = time.perf_counter() - start
+    return digest.hexdigest(), calls, time.perf_counter() - start
+
+
+def test_cli_grid_output_is_pinned():
+    digest, calls, elapsed = run_grid(grid())
     assert calls == 329
-    assert digest.hexdigest() == GRID_SHA256
+    assert digest == GRID_SHA256
+    assert elapsed < 3.0, f"grid took {elapsed:.2f} s"
+
+
+def test_n3_mask_completions_are_pinned():
+    digest, calls, elapsed = run_grid(n3_masks_grid())
+    assert calls == 1024
+    assert digest == N3_MASKS_SHA256
     assert elapsed < 3.0, f"grid took {elapsed:.2f} s"

@@ -123,7 +123,8 @@ class TestReduce:
 
 
 @st.composite
-def small_polys(draw, ctx, max_terms=4, max_degree=3):
+def small_polys(draw, ctx, max_terms=4, max_degree=3,
+                coefficients=st.integers(-3, 3)):
     """A polynomial with up to max_terms terms of degree <= max_degree."""
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
@@ -132,20 +133,29 @@ def small_polys(draw, ctx, max_terms=4, max_degree=3):
             v = draw(st.sampled_from(ctx.variables))
             exps[v] = exps.get(v, 0) + 1
         m = ctx.monomial(exps)
-        terms[m] = terms.get(m, 0) + draw(st.integers(-3, 3))
+        terms[m] = terms.get(m, 0) + draw(coefficients)
     return ctx.polynomial(terms)
 
 
 _RING2 = RingContext(2)
 
+# ints and true fractions; a leading coefficient other than +-1 makes
+# every division step divide coefficients
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+_NONUNIT_LEAD = small_polys(_RING2, coefficients=_RATIONALS).filter(
+    lambda f: f and abs(f.terms[0][0]) != 1)
+
+
+def exact_coefficients(*polys):
+    """True when every coefficient is an int or a Fraction, never a float or bool."""
+    return all(type(c) in (int, Fraction) for f in polys for c, _ in f.terms)
+
 
 class TestDivisionAgainstOracle:
     # divisors are arbitrary lists, almost never Groebner bases, so the
     # first-divisor selection rule decides the quotients and the remainder
-    @settings(max_examples=150)
-    @given(small_polys(_RING2, max_terms=5),
-           st.lists(small_polys(_RING2).filter(bool), min_size=1, max_size=3))
-    def test_divide_matches_dict_and_max_loop(self, f, divisors):
+    @staticmethod
+    def check(f, divisors):
         quotients, r = divide(f, divisors)
         want_q, want_r = oracles.dense_divide(
             _RING2, oracles.dense_poly(_RING2, f),
@@ -153,6 +163,19 @@ class TestDivisionAgainstOracle:
         assert [oracles.dense_poly(_RING2, q) for q in quotients] == want_q
         assert oracles.dense_poly(_RING2, r) == want_r
         assert reduce(f, divisors) == r
+        assert exact_coefficients(*quotients, r)
+
+    @settings(max_examples=150)
+    @given(small_polys(_RING2, max_terms=5),
+           st.lists(small_polys(_RING2).filter(bool), min_size=1, max_size=3))
+    def test_divide_matches_dict_and_max_loop(self, f, divisors):
+        self.check(f, divisors)
+
+    @settings(max_examples=150)
+    @given(small_polys(_RING2, max_terms=5, coefficients=_RATIONALS),
+           st.lists(_NONUNIT_LEAD, min_size=1, max_size=3))
+    def test_rational_division_matches_fraction_oracle(self, f, divisors):
+        self.check(f, divisors)
 
     def test_divisor_order_changes_the_remainder(self):
         # f = x^2 y + x y^2 + y^2 by [xy - 1, y^2 - 1] and by the reverse
@@ -171,6 +194,14 @@ class TestDivisionAgainstOracle:
 
 
 class TestSPolynomial:
+    @settings(max_examples=150)
+    @given(_NONUNIT_LEAD, _NONUNIT_LEAD)
+    def test_matches_fraction_oracle(self, f, g):
+        s = s_polynomial(f, g)
+        assert oracles.dense_poly(_RING2, s) == oracles.dense_s_polynomial(
+            _RING2, oracles.dense_poly(_RING2, f), oracles.dense_poly(_RING2, g))
+        assert exact_coefficients(s)
+
     def test_self_pair_vanishes(self):
         ctx, gens = generic(2)
         assert not s_polynomial(gens[0], gens[0])

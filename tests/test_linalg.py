@@ -1,5 +1,7 @@
 """Row echelon elimination of ideal slices, against the dense oracle."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,3 +48,29 @@ _PIVOTS = set(staircase(_ROWS))
 @given(st.permutations(_ROWS))
 def test_pivot_set_independent_of_row_order(rows):
     assert set(staircase(rows)) == _PIVOTS
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_ROWS),
+                          st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                                    st.sampled_from([1, 2, 3]))),
+                max_size=12))
+def test_scaled_rows_match_fraction_oracle(scaled):
+    # rows with leading coefficients other than 1, both ints and true
+    # fractions, so that normalizing a pivot row divides coefficients
+    rows = [row.mul_term(c, _CTX.one) for row, c in scaled]
+    nv = len(_CTX.variables)
+
+    def largest(row):
+        best = None
+        for col in row:
+            if best is None or oracles.dense_compare(_CTX, col, best) > 0:
+                best = col
+        return best
+    want = oracles.eliminate([oracles.dense_poly(_CTX, f) for f in rows], largest)
+    got = staircase(rows)
+    assert {oracles.to_dense(lead, nv): {oracles.to_dense(m, nv): c
+                                         for m, c in row.items()}
+            for lead, row in got.items()} == want
+    assert all(type(c) in (int, Fraction)
+               for row in got.values() for c in row.values())

@@ -260,6 +260,19 @@ class TestPolynomialArithmetic:
                             ctx.one: -3})
         assert f.monic().terms == ((1, f.leading_monomial()), (-2, ctx.one))
 
+    @settings(max_examples=100)
+    @given(ctx_with_polys(1))
+    def test_monic_matches_fraction_oracle(self, data):
+        # the generated coefficients mix ints and true fractions, so the
+        # leading coefficient is rarely 1
+        ctx, f = data
+        if not f:
+            return
+        g = f.monic()
+        assert oracles.dense_poly(ctx, g) == oracles.dense_monic(
+            ctx, oracles.dense_poly(ctx, f))
+        assert {type(c) for c, _ in g.terms} <= {int, Fraction}
+
     def test_str_rendering(self):
         ctx = RingContext(2)
         f = ctx.polynomial({
@@ -310,6 +323,26 @@ class TestCoefficientFields:
         with pytest.raises(TypeError):
             field.coerce(1.5)
 
+    def test_rationals_stay_integers_until_a_true_fraction(self):
+        field = CoefficientField.rationals()
+        for value, want in ((True, 1), (False, 0), ("4/2", 2), (Fraction(6, 3), 2),
+                            (-7, -7), ("-0", 0)):
+            c = field.coerce(value)
+            assert type(c) is int and c == want
+        assert field.coerce("3/6") == Fraction(1, 2)
+        assert field.div(5, 1) == 5 and type(field.div(5, 1)) is int
+        assert type(field.div(4, -2)) is int and field.div(4, -2) == -2
+        assert field.div(3, 2) == Fraction(3, 2)
+        assert type(field.div(Fraction(3, 2), Fraction(1, 2))) is int
+        with pytest.raises(ZeroDivisionError):
+            field.div(1, 0)
+        ctx = RingContext(1)
+        m = ctx.monomial({ctx.x(1, 1): 1})
+        f = ctx.polynomial({m: Fraction(3, 2), ctx.one: True})
+        assert [type(c) for c, _ in f.terms] == [Fraction, int]
+        assert str(f) == "3/2*x_1_1 + 1"
+        assert f.to_json_list()[1]["c"] == "1"
+
     def test_prime_field(self):
         field = CoefficientField.prime(7)
         assert field.name == "GF(7)"
@@ -317,6 +350,7 @@ class TestCoefficientFields:
         assert a == FpElement(3, 7)
         assert a + field.coerce(4) == field.zero
         assert (a / field.coerce(5)) * field.coerce(5) == a
+        assert field.div(a, field.coerce(5)) == a / field.coerce(5)
         assert -field.coerce(1) == field.coerce(6)
         with pytest.raises(ZeroDivisionError):
             a / field.zero
