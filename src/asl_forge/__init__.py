@@ -31,12 +31,10 @@ from .groebner import (
     NotGroebnerError,
     SPairRecord,
     buchberger,
-    divide,
     initial_ideal,
     interreduce,
     is_groebner,
     reduce,
-    s_polynomial,
 )
 from .matrix_ideal import (
     MatrixPattern,
@@ -53,8 +51,6 @@ from .poly_core import (
     RingContext,
     Variable,
     ZeroPolynomialError,
-    polynomial_from_json,
-    variable_from_name,
 )
 from .poset import Poset
 
@@ -82,7 +78,6 @@ __all__ = [
     "build_poset",
     "chain_factors",
     "count_standard_monomials",
-    "divide",
     "expected_incomparable_pairs",
     "initial_ideal",
     "interreduce",
@@ -90,12 +85,9 @@ __all__ = [
     "is_standard_monomial",
     "matrix_product_ideal",
     "monomials_of_degree",
-    "polynomial_from_json",
     "product_generators",
     "reduce",
-    "s_polynomial",
     "straighten",
-    "variable_from_name",
     "verify",
     "verify_axiom1",
     "verify_axiom2",

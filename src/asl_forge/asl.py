@@ -22,6 +22,7 @@ pipeline for one pattern and builds each invariant it checks once.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations, combinations_with_replacement, groupby
@@ -373,12 +374,8 @@ def verify_axiom2(gens: GeneratorSet, certificate: GroebnerCertificate,
         below_beta = all(poset.leq(v, beta) for v in minima)
 
         # rebuild the expansion as a polynomial and confirm membership
-        expansion_poly = ctx.zero
-        for c, chain in rel.expansion:
-            mono = ctx.one
-            for v in chain:
-                mono = mono.mul(ctx.monomial({v: 1}))
-            expansion_poly = expansion_poly + ctx.polynomial({mono: c})
+        expansion_poly = ctx.polynomial({ctx.monomial(Counter(chain)): c
+                                         for c, chain in rel.expansion})
         product = ctx.polynomial({ctx.monomial({alpha: 1, beta: 1}): 1})
         residual = reduce(product - expansion_poly, gens)
 

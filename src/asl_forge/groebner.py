@@ -59,31 +59,28 @@ class GeneratorSet:
         return f"GeneratorSet({len(self.polys)} polynomials, n={self.ctx.n})"
 
 
-def _divisor_table(ctx: RingContext, divisors) -> list[tuple]:
-    """Check the divisors and return their division entries, in order.
+def _divisor_entry(ctx: RingContext, g: Polynomial) -> tuple:
+    """Check a divisor and return its division entry.
 
-    An entry is (lc, leading exponents, leading support mask, squarefree
+    The entry is (lc, leading exponents, leading support mask, squarefree
     lead, lead degree, tail), where the tail holds (coefficient,
     exponents, support mask, degree) for each term after the leading one.
     It is cached on the polynomial, which is immutable, so a basis that
     divides many polynomials builds each entry once.
     """
-    table = []
-    for g in divisors:
-        if g.ctx is not ctx and g.ctx != ctx:
-            raise ContextMismatchError("divisor from a different ring context")
-        if not g:
-            raise ZeroPolynomialError("cannot divide by the zero polynomial")
-        entry = g._divisor
-        if entry is None:
-            lc, lm = g.terms[0]
-            tail = tuple((tc, tm.exps, _support(tm.exps), tm.total_degree)
-                         for tc, tm in g.terms[1:])
-            entry = g._divisor = (lc, lm.exps, _support(lm.exps),
-                                  len(lm.exps) == lm.total_degree,
-                                  lm.total_degree, tail)
-        table.append(entry)
-    return table
+    if g.ctx is not ctx and g.ctx != ctx:
+        raise ContextMismatchError("divisor from a different ring context")
+    if not g:
+        raise ZeroPolynomialError("cannot divide by the zero polynomial")
+    entry = g._divisor
+    if entry is None:
+        lc, lm = g.terms[0]
+        tail = tuple((tc, tm.exps, _support(tm.exps), tm.total_degree)
+                     for tc, tm in g.terms[1:])
+        entry = g._divisor = (lc, lm.exps, _support(lm.exps),
+                              len(lm.exps) == lm.total_degree,
+                              lm.total_degree, tail)
+    return entry
 
 
 def _support(exps: tuple[tuple[int, int], ...]) -> int:
@@ -94,33 +91,65 @@ def _support(exps: tuple[tuple[int, int], ...]) -> int:
     return mask
 
 
-def _division(f: Polynomial, table: list[tuple],
-              quotients: list[list] | None) -> Polynomial:
-    """The division loop shared by divide and reduce; returns the remainder.
+def _quotient(exps: tuple[tuple[int, int], ...],
+              lexps: tuple[tuple[int, int], ...]) -> tuple | None:
+    """Exponent pairs of the monomial quotient, or None if it is inexact."""
+    q = dict(exps)
+    for p, e in lexps:
+        r = q.get(p, 0) - e
+        if r < 0:
+            return None
+        if r:
+            q[p] = r
+        else:
+            del q[p]
+    return tuple(q.items())
+
+
+def _subtract_tail(ctx: RingContext, work: dict, heap: list, tail: tuple,
+                   coeff, qexps: tuple[tuple[int, int], ...], qdeg: int) -> None:
+    """work -= coeff * q * tail, for the monomial q with exponents qexps.
+
+    A product monomial new to ``work`` is pushed on the heap; one already
+    there only has its coefficient changed, even to zero, so each
+    monomial enters the heap once and heap keys never tie.
+    """
+    key = ctx.order.heap_key
+    qmask = _support(qexps)
+    for tc, texps, tmask, tdeg in tail:
+        if tmask & qmask:
+            merged = dict(texps)
+            for p, e in qexps:
+                merged[p] = merged.get(p, 0) + e
+            e = tuple(sorted(merged.items()))
+        else:
+            e = tuple(sorted(texps + qexps))
+        prev = work.get(e)
+        if prev is None:
+            work[e] = -(tc * coeff)
+            tm = Monomial(ctx, e, tdeg + qdeg)
+            heappush(heap, (key(tm), tm, tmask | qmask))
+        else:
+            work[e] = prev - tc * coeff
+
+
+def _division(ctx: RingContext, table: list[tuple], work: dict,
+              heap: list) -> Polynomial:
+    """Divide the working polynomial by the table's divisors; return the remainder.
 
     The working polynomial is a dict of coefficients keyed by exponent
-    tuple plus a heap of order keys (heap division, Monagan and Pearce,
-    CASC 2007).  Each step takes the largest working term and cancels it
-    with the first divisor, in list order, whose leading monomial divides
-    it, or moves it to the remainder.  A divisor is screened by support
-    bitmask first: a lead whose support is not inside the term's cannot
-    divide it, and a squarefree lead whose support is inside does.  Only
-    other leads run the exponent test.  The divisor's tail terms are
-    multiplied inline and only those below the cancelled term are pushed;
-    a term that cancels to zero keeps its zero entry until it is popped,
-    so each monomial enters the heap once and heap keys never tie.  When
-    ``quotients`` is a list of lists, the step's quotient term is appended
-    to the divisor's list; terms arrive descending.
+    tuple plus a heap of (order key, monomial, support mask) entries
+    (heap division, Monagan and Pearce, CASC 2007).  Each step takes the
+    largest working term and cancels it with the first divisor, in list
+    order, whose leading monomial divides it, or moves it to the
+    remainder.  A divisor is screened by support bitmask first: a lead
+    whose support is not inside the term's cannot divide it, and a
+    squarefree lead whose support is inside does.  Only other leads run
+    the exponent test.  The quotient term times the divisor's lead is
+    exactly the popped term, so only the tail is subtracted, and every
+    tail product lies below the popped term.
     """
-    ctx = f.ctx
-    key = ctx.order.heap_key
     div = ctx.field.div
-    work = {}
-    heap = []
-    # descending terms give ascending keys, which is already a heap
-    for c, m in f.terms:
-        work[m.exps] = c
-        heap.append((key(m), m, _support(m.exps)))
     remainder = []
     while heap:
         _, m, mask = heappop(heap)
@@ -128,80 +157,56 @@ def _division(f: Polynomial, table: list[tuple],
         if not c:
             continue
         exps = m.exps
-        for k, (lc, lexps, lmask, squarefree, ldeg, tail) in enumerate(table):
+        for lc, lexps, lmask, squarefree, ldeg, tail in table:
             if lmask & ~mask:
                 continue
             if squarefree:
                 qexps = tuple((p, e - 1) if lmask >> p & 1 else (p, e)
                               for p, e in exps if e > 1 or not lmask >> p & 1)
             else:
-                q = dict(exps)
-                if any(q[p] < e for p, e in lexps):
+                qexps = _quotient(exps, lexps)
+                if qexps is None:
                     continue
-                for p, e in lexps:
-                    if q[p] == e:
-                        del q[p]
-                    else:
-                        q[p] -= e
-                qexps = tuple(q.items())
-            qmask = _support(qexps)
-            qdeg = m.total_degree - ldeg
-            coeff = div(c, lc)
-            if quotients is not None:
-                quotients[k].append((coeff, Monomial(ctx, qexps, qdeg)))
-            # the product's leading term is exactly c*m, which cancels
-            for tc, texps, tmask, tdeg in tail:
-                if tmask & qmask:
-                    merged = dict(texps)
-                    for p, e in qexps:
-                        merged[p] = merged.get(p, 0) + e
-                    e = tuple(sorted(merged.items()))
-                else:
-                    e = tuple(sorted(texps + qexps))
-                prev = work.get(e)
-                if prev is None:
-                    work[e] = -(tc * coeff)
-                    tm = Monomial(ctx, e, tdeg + qdeg)
-                    heappush(heap, (key(tm), tm, tmask | qmask))
-                else:
-                    work[e] = prev - tc * coeff
+            _subtract_tail(ctx, work, heap, tail, div(c, lc), qexps,
+                           m.total_degree - ldeg)
             break
         else:
             remainder.append((c, m))
     return Polynomial(ctx, tuple(remainder))
 
 
-def divide(f: Polynomial, divisors) -> tuple[list[Polynomial], Polynomial]:
-    """Multivariate division: f = sum(q_k * divisors[k]) + r.
+def reduce(f: Polynomial, basis) -> Polynomial:
+    """Remainder of f under full tail reduction by the given polynomials.
 
-    No monomial of r is divisible by any divisor's leading monomial.  At
-    each step the first divisor (in list order) whose leading monomial
-    divides the current working monomial is used, which makes the quotients
-    deterministic.
+    At each step the first divisor, in list order, whose leading monomial
+    divides the current term is used, so the remainder is deterministic.
     """
     ctx = f.ctx
-    table = _divisor_table(ctx, divisors)
-    quotients = [[] for _ in table]
-    r = _division(f, table, quotients)
-    return [Polynomial(ctx, tuple(q)) for q in quotients], r
+    table = [_divisor_entry(ctx, g) for g in basis]
+    key = ctx.order.heap_key
+    # descending terms give ascending keys, which is already a heap
+    heap = [(key(m), m, _support(m.exps)) for _, m in f.terms]
+    return _division(ctx, table, {m.exps: c for c, m in f.terms}, heap)
 
 
-def reduce(f: Polynomial, basis) -> Polynomial:
-    """Remainder of f under full tail reduction by the given polynomials."""
-    return _division(f, _divisor_table(f.ctx, basis), None)
+def _pair_remainder(table: list[tuple], a: int, b: int,
+                    lcm: Monomial) -> Polynomial:
+    """Remainder of the S-polynomial of divisors a and b by the whole table.
 
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S(f, g) = (L/LT(f)) f - (L/LT(g)) g with L = lcm(LM(f), LM(g))."""
-    if f.ctx is not g.ctx and f.ctx != g.ctx:
-        raise ContextMismatchError("polynomials from different ring contexts")
-    cf, mf = f.leading_term()
-    cg, mg = g.leading_term()
-    L = mf.lcm(mg)
-    field = f.ctx.field
-    one = field.one
-    return (f.mul_term(field.div(one, cf), L.div(mf))
-            - g.mul_term(field.div(one, cg), L.div(mg)))
+    ``lcm`` is the lcm of their leading monomials.  With u = lcm/LM, the
+    S-polynomial (u_a*g_a)/lc_a - (u_b*g_b)/lc_b is seeded into the
+    division loop as (u_a*tail_a)/lc_a - (u_b*tail_b)/lc_b: the leading
+    terms cancel by construction and are never built.
+    """
+    ctx = lcm.ctx
+    field = ctx.field
+    work: dict = {}
+    heap: list = []
+    for k, sign in ((a, -field.one), (b, field.one)):
+        lc, lexps, _, _, ldeg, tail = table[k]
+        _subtract_tail(ctx, work, heap, tail, field.div(sign, lc),
+                       _quotient(lcm.exps, lexps), lcm.total_degree - ldeg)
+    return _division(ctx, table, work, heap)
 
 
 def interreduce(polys) -> list[Polynomial]:
@@ -276,6 +281,7 @@ def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
     the certificate.
     """
     polys = list(gens)
+    table = [_divisor_entry(gens.ctx, f) for f in polys]
     leads = [f.leading_monomial() for f in polys]
     records: list[SPairRecord] = []
     ok = True
@@ -284,8 +290,7 @@ def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
             if leads[a].is_coprime_with(leads[b]):
                 records.append(SPairRecord(a, b, "coprime", True))
                 continue
-            r = reduce(s_polynomial(polys[a], polys[b]), polys)
-            zero = not r
+            zero = not _pair_remainder(table, a, b, leads[a].lcm(leads[b]))
             ok = ok and zero
             records.append(SPairRecord(a, b, "reduced", zero))
     return GroebnerCertificate(ok, tuple(records), tuple(polys))
@@ -336,19 +341,24 @@ def buchberger(gens: GeneratorSet) -> GeneratorSet:
     deterministic; the criteria are sound, and the reduced basis is
     unique, so they change the work done but not the result.
     """
+    ctx = gens.ctx
     basis: list[Polynomial] = []
     pairs: dict[tuple[int, int], Monomial] = {}
     queue: list[tuple[int, int, int]] = []
     for h in interreduce(list(gens)):
         _add_with_pairs(basis, pairs, queue, h)
+    table = [_divisor_entry(ctx, g) for g in basis]
     while queue:
         _, a, b = heappop(queue)
-        if pairs.pop((a, b), None) is None:
+        lcm = pairs.pop((a, b), None)
+        if lcm is None:
             continue
-        r = reduce(s_polynomial(basis[a], basis[b]), basis)
+        r = _pair_remainder(table, a, b, lcm)
         if r:
-            _add_with_pairs(basis, pairs, queue, r.monic())
-    return GeneratorSet(gens.ctx, interreduce(basis))
+            h = r.monic()
+            _add_with_pairs(basis, pairs, queue, h)
+            table.append(_divisor_entry(ctx, h))
+    return GeneratorSet(ctx, interreduce(basis))
 
 
 class InitialIdeal:

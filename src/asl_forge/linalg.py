@@ -50,8 +50,9 @@ def staircase(polys) -> dict[Monomial, dict]:
         if not row:
             continue
         lc = row[lead]
-        if lc != 1:
-            div = f.ctx.field.div
+        field = f.ctx.field
+        if lc != field.one:
+            div = field.div
             row = {m: div(c, lc) for m, c in row.items()}
         pivots[lead] = row
     return pivots

@@ -323,8 +323,8 @@ class Monomial:
     """Sparse exponent vector over a ring context.
 
     Stored as (variable position, exponent) pairs with positive exponents,
-    sorted by position; the empty tuple is the monomial 1.  Products and
-    quotients pass their total degree in instead of summing it again.
+    sorted by position; the empty tuple is the monomial 1.  Products pass
+    their total degree in instead of summing it again.
     """
 
     __slots__ = ("ctx", "exps", "total_degree", "_hkey")
@@ -340,13 +340,6 @@ class Monomial:
     @property
     def is_one(self) -> bool:
         return not self.exps
-
-    def exponent(self, v: Variable) -> int:
-        pos = self.ctx.position(v)
-        for p, e in self.exps:
-            if p == pos:
-                return e
-        return 0
 
     def factors(self) -> Iterator[tuple[Variable, int]]:
         """Yield (variable, exponent) pairs in ring layout order."""
@@ -369,21 +362,6 @@ class Monomial:
         self._require_same_ctx(other)
         d = dict(other.exps)
         return all(d.get(p, 0) >= e for p, e in self.exps)
-
-    def div(self, other: "Monomial") -> "Monomial":
-        """Exact quotient self / other; raises if other does not divide self."""
-        self._require_same_ctx(other)
-        merged = dict(self.exps)
-        for p, e in other.exps:
-            r = merged.get(p, 0) - e
-            if r < 0:
-                raise ValueError("inexact monomial division")
-            if r:
-                merged[p] = r
-            else:
-                merged.pop(p, None)
-        return Monomial(self.ctx, tuple(sorted(merged.items())),
-                        self.total_degree - other.total_degree)
 
     def lcm(self, other: "Monomial") -> "Monomial":
         self._require_same_ctx(other)
@@ -528,21 +506,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._require_same_ctx(other)
-        acc: dict[Monomial, object] = {}
-        for c1, m1 in self.terms:
-            for c2, m2 in other.terms:
-                m = m1.mul(m2)
-                s = acc.get(m)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    acc[m] = s
-                elif m in acc:
-                    del acc[m]
-        ordered = sorted(acc, key=self.ctx.order.heap_key)
-        return Polynomial(self.ctx, tuple((acc[m], m) for m in ordered))
-
     def mul_term(self, c, m: Monomial) -> "Polynomial":
         """Multiply by the single term c*m; order is preserved termwise."""
         c = self.ctx.field.coerce(c)
@@ -594,24 +557,3 @@ class Polynomial:
     def __repr__(self) -> str:
         return str(self)
 
-
-def variable_from_name(name: str) -> Variable:
-    """Parse "x_2_3" or "y_1" back into a Variable."""
-    parts = name.split("_")
-    if parts[0] == "x" and len(parts) == 3:
-        return Variable.x(int(parts[1]), int(parts[2]))
-    if parts[0] == "y" and len(parts) == 2:
-        return Variable.y(int(parts[1]))
-    raise ValueError(f"unrecognized variable name {name!r}")
-
-
-def polynomial_from_json(ctx: RingContext, data: Iterable[Mapping]) -> Polynomial:
-    """Inverse of Polynomial.to_json_list for a known ring context."""
-    terms: dict[Monomial, object] = {}
-    for entry in data:
-        exps = {variable_from_name(name): e for name, e in entry["m"].items()}
-        m = ctx.monomial(exps)
-        c = ctx.field.coerce(entry["c"])
-        prev = terms.get(m)
-        terms[m] = c if prev is None else prev + c
-    return ctx.polynomial(terms)

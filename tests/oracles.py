@@ -5,8 +5,9 @@ library: networkx for closure and transitive reduction, dense exponent
 tuples plus hand-rolled elimination for ideal membership and slice
 ranks, a dict-and-max division loop and a completion that reduces every
 pair, direct divisibility scans for standard-monomial counting,
-inclusion-exclusion over generator lcms for Hilbert functions, and
-trial division for primality.  Rationals only.
+inclusion-exclusion over generator lcms for Hilbert functions, trial
+division for primality, and a reader of the JSON polynomial form by
+variable name.  Rationals only.
 """
 
 from fractions import Fraction
@@ -221,6 +222,13 @@ def dense_divide(ctx, f, divisors):
             remainder[m] = c
             del work[m]
     return quotients, remainder
+
+def polynomial_from_json(ctx, data):
+    """The library polynomial that a to_json_list() list describes."""
+    by_name = {v.name: v for v in ctx.variables}
+    return ctx.polynomial({
+        ctx.monomial({by_name[name]: e for name, e in term["m"].items()}): term["c"]
+        for term in data})
 
 def dense_monic(ctx, f):
     """f divided by its leading coefficient, with Fraction arithmetic."""

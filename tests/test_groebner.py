@@ -18,16 +18,14 @@ from asl_forge import (
     NotGroebnerError,
     RingContext,
     buchberger,
-    divide,
     initial_ideal,
     interreduce,
     is_groebner,
     matrix_product_ideal,
     monomials_of_degree,
     reduce,
-    s_polynomial,
-    variable_from_name,
 )
+from asl_forge.groebner import _divisor_entry, _pair_remainder
 
 
 def generic(n):
@@ -44,18 +42,31 @@ def poly(ctx, *terms):
 
 
 def random_combination(ctx, gens, rng, max_mult_terms=3):
-    """A visibly-in-the-ideal element: sum of random multiples of gens."""
+    """A visibly-in-the-ideal element: sum of random term multiples of gens."""
     f = ctx.zero
     for g in gens:
-        h = ctx.zero
         for _ in range(rng.randint(0, max_mult_terms)):
             exps = {}
             for _ in range(rng.randint(0, 2)):
                 v = rng.choice(ctx.variables)
                 exps[v] = exps.get(v, 0) + 1
-            h = h + poly(ctx, (Fraction(rng.randint(-4, 4)), exps))
-        f = f + h * g
+            f = f + g.mul_term(Fraction(rng.randint(-4, 4)), ctx.monomial(exps))
     return f
+
+
+def times(f, g):
+    """f * g as a sum of term multiples of g."""
+    total = f.ctx.zero
+    for c, m in f.terms:
+        total = total + g.mul_term(c, m)
+    return total
+
+
+def pair_remainder(polys, a, b):
+    """The kernel's remainder of S(polys[a], polys[b]) by all of polys."""
+    table = [_divisor_entry(polys[0].ctx, f) for f in polys]
+    lcm = polys[a].leading_monomial().lcm(polys[b].leading_monomial())
+    return _pair_remainder(table, a, b, lcm)
 
 
 class TestReduce:
@@ -78,7 +89,7 @@ class TestReduce:
         nf = reduce(f, gens)
         factor1 = reduce(poly(ctx, (1, {ctx.x(1, 1): 1, ctx.y(1): 1})), gens)
         factor2 = reduce(poly(ctx, (1, {ctx.x(2, 2): 1, ctx.y(2): 1})), gens)
-        assert nf == reduce(factor1 * factor2, gens)
+        assert nf == reduce(times(factor1, factor2), gens)
         init = initial_ideal(gens)
         assert all(init.is_normal(m) for _, m in nf.terms)
         assert oracles.is_member(ctx, gens, f - nf)
@@ -99,12 +110,9 @@ class TestReduce:
         ctx, gens = generic(2)
         for _ in range(25):
             f = random_combination(ctx, gens, rng)
-            quotients, r = divide(f, gens)
-            rebuilt = ctx.zero
-            for q, g in zip(quotients, gens):
-                rebuilt = rebuilt + q * g
-            assert rebuilt + r == f
-            assert not r  # membership: representation found by division
+            # the generators are a Groebner basis, so members divide exactly
+            assert not reduce(f, gens)
+            assert oracles.is_member(ctx, gens, f)
 
     def test_reduce_idempotent_and_linear(self):
         rng = random.Random(5)
@@ -153,17 +161,15 @@ def exact_coefficients(*polys):
 
 class TestDivisionAgainstOracle:
     # divisors are arbitrary lists, almost never Groebner bases, so the
-    # first-divisor selection rule decides the quotients and the remainder
+    # first-divisor selection rule decides the remainder
     @staticmethod
     def check(f, divisors):
-        quotients, r = divide(f, divisors)
-        want_q, want_r = oracles.dense_divide(
+        r = reduce(f, divisors)
+        _, want_r = oracles.dense_divide(
             _RING2, oracles.dense_poly(_RING2, f),
             [oracles.dense_poly(_RING2, g) for g in divisors])
-        assert [oracles.dense_poly(_RING2, q) for q in quotients] == want_q
         assert oracles.dense_poly(_RING2, r) == want_r
-        assert reduce(f, divisors) == r
-        assert exact_coefficients(*quotients, r)
+        assert exact_coefficients(r)
 
     @settings(max_examples=150)
     @given(small_polys(_RING2, max_terms=5),
@@ -185,33 +191,45 @@ class TestDivisionAgainstOracle:
         f = poly(ctx, (1, {x: 2, y: 1}), (1, {x: 1, y: 2}), (1, {y: 2}))
         g1 = poly(ctx, (1, {x: 1, y: 1}), (-1, {}))
         g2 = poly(ctx, (1, {y: 2}), (-1, {}))
-        (q1, q2), r = divide(f, [g1, g2])
-        assert r == poly(ctx, (1, {x: 1}), (1, {y: 1}), (1, {}))
-        assert (q1, q2) == (poly(ctx, (1, {x: 1}), (1, {y: 1})), poly(ctx, (1, {})))
-        (q2, q1), r = divide(f, [g2, g1])
-        assert r == poly(ctx, (2, {x: 1}), (1, {}))
-        assert (q1, q2) == (poly(ctx, (1, {x: 1})), poly(ctx, (1, {x: 1}), (1, {})))
+        assert reduce(f, [g1, g2]) == poly(ctx, (1, {x: 1}), (1, {y: 1}), (1, {}))
+        assert reduce(f, [g2, g1]) == poly(ctx, (2, {x: 1}), (1, {}))
 
 
 class TestSPolynomial:
+    # S-polynomials are never built: each pair is seeded into the division
+    # loop, so the kernel's pair remainders are what these tests check
     @settings(max_examples=150)
-    @given(_NONUNIT_LEAD, _NONUNIT_LEAD)
-    def test_matches_fraction_oracle(self, f, g):
-        s = s_polynomial(f, g)
-        assert oracles.dense_poly(_RING2, s) == oracles.dense_s_polynomial(
-            _RING2, oracles.dense_poly(_RING2, f), oracles.dense_poly(_RING2, g))
-        assert exact_coefficients(s)
+    @given(st.lists(_NONUNIT_LEAD, min_size=2, max_size=4))
+    def test_matches_fraction_oracle(self, polys):
+        dense = [oracles.dense_poly(_RING2, f) for f in polys]
+        zero = {}
+        for a in range(len(polys)):
+            for b in range(a + 1, len(polys)):
+                r = pair_remainder(polys, a, b)
+                _, want = oracles.dense_divide(
+                    _RING2, oracles.dense_s_polynomial(_RING2, dense[a], dense[b]),
+                    dense)
+                assert oracles.dense_poly(_RING2, r) == want
+                assert exact_coefficients(r)
+                zero[a, b] = not want
+        for rec in is_groebner(GeneratorSet(_RING2, polys)).pairs:
+            if rec.criterion == "reduced":
+                assert rec.remainder_zero == zero[rec.i, rec.j]
 
     def test_self_pair_vanishes(self):
         ctx, gens = generic(2)
-        assert not s_polynomial(gens[0], gens[0])
+        lopsided = poly(ctx, (3, {ctx.x(1, 1): 2}), (2, {ctx.y(1): 2}))
+        polys = list(gens) + [lopsided]
+        for k in range(len(polys)):
+            assert not pair_remainder(polys, k, k)
 
     def test_generic_pair_reduces_to_zero(self):
         ctx, gens = generic(2)
-        s = s_polynomial(gens[0], gens[1])
-        assert not reduce(s, gens)
+        assert not pair_remainder(list(gens), 0, 1)
 
     def test_cancellation_drops_below_lcm(self):
+        # the leading terms cancel, so the remainder of S(f, g) by
+        # [f, g] lies strictly below lcm(LM(f), LM(g))
         rng = random.Random(7)
         ctx, gens = generic(3)
         pool = list(monomials_of_degree(ctx, 2))
@@ -222,11 +240,9 @@ class TestSPolynomial:
                             for _ in range(2)))
             if not f or not g:
                 continue
-            s = s_polynomial(f, g)
-            if not s:
-                continue
             lcm = f.leading_monomial().lcm(g.leading_monomial())
-            assert ctx.order.compare(s.leading_monomial(), lcm) == -1
+            for _, m in pair_remainder([f, g], 0, 1).terms:
+                assert ctx.order.compare(m, lcm) == -1
 
 
 class TestBuchberger:
@@ -291,6 +307,7 @@ def masks(draw, max_n=3):
 
 def parse(ctx, text):
     """A polynomial from its printed form, e.g. "2*x_2_1^2 - y_1 + 3"."""
+    by_name = {v.name: v for v in ctx.variables}
     terms = {}
     for sign, body in re.findall(r"(^-?|[+-]) *([^ +-][^+-]*)", text):
         factors = body.strip().split("*")
@@ -300,7 +317,7 @@ def parse(ctx, text):
         exps = {}
         for f in factors:
             name, _, e = f.partition("^")
-            exps[variable_from_name(name)] = int(e or 1)
+            exps[by_name[name]] = int(e or 1)
         terms[ctx.monomial(exps)] = c
     return ctx.polynomial(terms)
 
@@ -517,4 +534,4 @@ def test_coprime_criterion_is_sound():
             for b in range(a + 1, len(polys)):
                 assert polys[a].leading_monomial().is_coprime_with(
                     polys[b].leading_monomial())
-                assert not reduce(s_polynomial(polys[a], polys[b]), polys)
+                assert not pair_remainder(polys, a, b)

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from asl_forge import MatrixPattern, matrix_product_ideal, monomials_of_degree
+from asl_forge import (
+    CoefficientField,
+    MatrixPattern,
+    matrix_product_ideal,
+    monomials_of_degree,
+)
 from asl_forge.linalg import staircase
 
 
@@ -25,6 +30,39 @@ def test_pivots_match_dense_oracle(n, dmax):
         pivots = staircase(macaulay_rows(ctx, gens, d))
         assert ({oracles.to_dense(m, nv) for m in pivots}
                 == oracles.slice_pivots_descending(ctx, gens, d))
+
+
+@pytest.mark.parametrize("n,dmax", [(1, 4), (2, 4), (3, 4)])
+def test_prime_field_pivots_match_dense_oracle(n, dmax):
+    # the oracle eliminates over QQ only; the generators have coefficients
+    # 1, so these slices pivot on the same monomials over GF(32003)
+    ctx, gens = matrix_product_ideal(MatrixPattern.generic(n),
+                                     CoefficientField.prime(32003))
+    qctx, qgens = matrix_product_ideal(MatrixPattern.generic(n))
+    nv = len(ctx.variables)
+    for d in range(dmax + 1):
+        pivots = staircase(macaulay_rows(ctx, gens, d))
+        assert ({oracles.to_dense(m, nv) for m in pivots}
+                == oracles.slice_pivots_descending(qctx, qgens, d))
+
+
+def test_prime_field_unit_pivot_is_not_divided(monkeypatch):
+    # a GF(p) coefficient is an FpElement, which never equals the int 1
+    field = CoefficientField.prime(7)
+    ctx, gens = matrix_product_ideal(MatrixPattern.generic(2), field)
+    divisors = []
+    real_div = CoefficientField.div
+
+    def spy(self, a, b):
+        divisors.append(b)
+        return real_div(self, a, b)
+    monkeypatch.setattr(CoefficientField, "div", spy)
+    g = gens[0]
+    assert staircase([g]) == {g.leading_monomial(): {m: c for c, m in g.terms}}
+    assert divisors == []
+    scaled = g.mul_term(3, ctx.one)
+    assert staircase([scaled]) == staircase([g])
+    assert divisors and all(b == field.coerce(3) for b in divisors)
 
 
 def test_pivot_rows_are_normalized_and_led_by_their_pivot():

@@ -16,9 +16,7 @@ from asl_forge import (
     RingContext,
     Variable,
     ZeroPolynomialError,
-    polynomial_from_json,
     product_generators,
-    variable_from_name,
 )
 from asl_forge.poly_core import PRIME_BOUND, _is_prime
 
@@ -177,12 +175,11 @@ class TestMonomialAlgebra:
         b = ctx.monomial({ctx.x(1, 1): 1, ctx.y(2): 3})
         lcm = a.lcm(b)
         assert a.divides(lcm) and b.divides(lcm)
-        assert lcm.div(a).mul(a) == lcm
+        assert lcm == ctx.monomial({ctx.x(1, 1): 2, ctx.y(1): 1, ctx.y(2): 3})
+        assert not a.divides(b)
         assert not a.is_coprime_with(b)
         assert ctx.monomial({ctx.y(1): 1}).is_coprime_with(
             ctx.monomial({ctx.y(2): 1}))
-        with pytest.raises(ValueError):
-            a.div(b)
 
     def test_context_mismatch_rejected(self):
         a = RingContext(2).monomial({Variable.x(1, 1): 1})
@@ -196,8 +193,17 @@ class TestMonomialAlgebra:
         ctx, a, b = data
         prod = a.mul(b)
         assert prod.total_degree == a.total_degree + b.total_degree
+        ea, eb, ep = dict(a.factors()), dict(b.factors()), dict(prod.factors())
         for v in ctx.variables:
-            assert prod.exponent(v) == a.exponent(v) + b.exponent(v)
+            assert ep.get(v, 0) == ea.get(v, 0) + eb.get(v, 0)
+
+
+def times(f, g):
+    """f * g as a sum of term multiples of g."""
+    total = f.ctx.zero
+    for c, m in f.terms:
+        total = total + g.mul_term(c, m)
+    return total
 
 
 class TestPolynomialArithmetic:
@@ -207,8 +213,8 @@ class TestPolynomialArithmetic:
         ctx, f, g, h = data
         assert (f + g) + h == f + (g + h)
         assert f + g == g + f
-        assert f * g == g * f
-        assert f * (g + h) == f * g + f * h
+        assert times(f, g) == times(g, f)
+        assert times(f, g + h) == times(f, g) + times(f, h)
         assert f + ctx.zero == f
         assert not (f - f)
 
@@ -229,8 +235,8 @@ class TestPolynomialArithmetic:
             return
         cf, mf = f.leading_term()
         cg, mg = g.leading_term()
-        assert (f * g).leading_monomial() == mf.mul(mg)
-        assert (f * g).leading_term()[0] == cf * cg
+        assert times(f, g).leading_monomial() == mf.mul(mg)
+        assert times(f, g).leading_term()[0] == cf * cg
 
     def test_leading_term_examples(self):
         ctx = RingContext(2)
@@ -244,7 +250,7 @@ class TestPolynomialArithmetic:
             ctx.monomial({ctx.x(2, 1): 1, ctx.y(1): 1}): 1,
             ctx.monomial({ctx.x(2, 2): 1, ctx.y(2): 1}): 1,
         })
-        prod = g1 * g2
+        prod = times(g1, g2)
         assert prod.leading_monomial() == ctx.monomial(
             {ctx.x(1, 1): 1, ctx.x(2, 2): 1, ctx.y(1): 1, ctx.y(2): 1})
 
@@ -286,10 +292,6 @@ class TestSerialization:
     def test_variable_names(self):
         assert Variable.x(1, 2).name == "x_1_2"
         assert Variable.y(3).name == "y_3"
-        assert variable_from_name("x_2_3") == Variable.x(2, 3)
-        assert variable_from_name("y_1") == Variable.y(1)
-        with pytest.raises(ValueError):
-            variable_from_name("z_1")
 
     def test_generator_shape(self):
         ctx = RingContext(2)
@@ -311,7 +313,7 @@ class TestSerialization:
     @given(ctx_with_polys(1))
     def test_json_round_trip(self, data):
         ctx, f = data
-        assert polynomial_from_json(ctx, f.to_json_list()) == f
+        assert oracles.polynomial_from_json(ctx, f.to_json_list()) == f
 
 
 class TestCoefficientFields:

@@ -51,3 +51,48 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported_names(tree) - used
     assert not unused, f"{path.name} imports {sorted(unused)} but never uses them"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Module-level `_name` functions, classes and constants, by name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node
+    return found
+
+
+def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read as a bare name or an attribute, outside the `skip` subtree."""
+    skipped = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    # a helper that lost its last caller is dead code, even if a test calls it
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    others = set()
+    for p, tree in trees.items():
+        if p != path:
+            others |= referenced_names(tree)
+    unused = [name for name, node in private_definitions(trees[path]).items()
+              if name not in others | referenced_names(trees[path], skip=node)]
+    assert not unused, f"{path.name} defines {unused} but nothing in src uses them"
