@@ -351,8 +351,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handlers[args.command](cfg)
-    except OSError as exc:
-        # an unwritable --output file is a usage error (2), not a failed check (1)
+    except (OSError, ValueError) as exc:
+        # unwritable --output, or a degree past the order's bound: 2, not 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ from heapq import heappop, heappush
 from .poly_core import (
     ContextMismatchError,
     Monomial,
+    MonomialOrder,
     Polynomial,
     RingContext,
     ZeroPolynomialError,
@@ -62,11 +63,10 @@ class GeneratorSet:
 def _divisor_entry(ctx: RingContext, g: Polynomial) -> tuple:
     """Check a divisor and return its division entry.
 
-    The entry is (lc, leading exponents, leading support mask, squarefree
-    lead, lead degree, tail), where the tail holds (coefficient,
-    exponents, support mask, degree) for each term after the leading one.
-    It is cached on the polynomial, which is immutable, so a basis that
-    divides many polynomials builds each entry once.
+    The entry is (lc, leading heap key, leading packed exponents, tail),
+    where the tail holds (coefficient, heap key) for each term after the
+    leading one.  It is cached on the polynomial, which is immutable, so
+    a basis that divides many polynomials builds each entry once.
     """
     if g.ctx is not ctx and g.ctx != ctx:
         raise ContextMismatchError("divisor from a different ring context")
@@ -74,104 +74,64 @@ def _divisor_entry(ctx: RingContext, g: Polynomial) -> tuple:
         raise ZeroPolynomialError("cannot divide by the zero polynomial")
     entry = g._divisor
     if entry is None:
+        key = ctx.order.heap_key
         lc, lm = g.terms[0]
-        tail = tuple((tc, tm.exps, _support(tm.exps), tm.total_degree)
-                     for tc, tm in g.terms[1:])
-        entry = g._divisor = (lc, lm.exps, _support(lm.exps),
-                              len(lm.exps) == lm.total_degree,
-                              lm.total_degree, tail)
+        lkey = key(lm)
+        entry = g._divisor = (lc, lkey, ctx.order.packed(lkey),
+                              tuple((tc, key(tm)) for tc, tm in g.terms[1:]))
     return entry
 
 
-def _support(exps: tuple[tuple[int, int], ...]) -> int:
-    """Bit p is set when the exponent pairs include position p."""
-    mask = 0
-    for p, _ in exps:
-        mask |= 1 << p
-    return mask
+def _subtract_tail(work: dict, heap: list, tail: tuple, coeff, qkey: int) -> None:
+    """work -= coeff * q * tail, for the monomial q with heap key qkey.
 
-
-def _quotient(exps: tuple[tuple[int, int], ...],
-              lexps: tuple[tuple[int, int], ...]) -> tuple | None:
-    """Exponent pairs of the monomial quotient, or None if it is inexact."""
-    q = dict(exps)
-    for p, e in lexps:
-        r = q.get(p, 0) - e
-        if r < 0:
-            return None
-        if r:
-            q[p] = r
-        else:
-            del q[p]
-    return tuple(q.items())
-
-
-def _subtract_tail(ctx: RingContext, work: dict, heap: list, tail: tuple,
-                   coeff, qexps: tuple[tuple[int, int], ...], qdeg: int) -> None:
-    """work -= coeff * q * tail, for the monomial q with exponents qexps.
-
-    A product monomial new to ``work`` is pushed on the heap; one already
-    there only has its coefficient changed, even to zero, so each
-    monomial enters the heap once and heap keys never tie.
+    Heap keys add under multiplication.  A product new to ``work`` is
+    pushed on the heap; one already there only has its coefficient
+    changed, even to zero, so each monomial enters the heap once.
     """
-    key = ctx.order.heap_key
-    qmask = _support(qexps)
-    for tc, texps, tmask, tdeg in tail:
-        if tmask & qmask:
-            merged = dict(texps)
-            for p, e in qexps:
-                merged[p] = merged.get(p, 0) + e
-            e = tuple(sorted(merged.items()))
-        else:
-            e = tuple(sorted(texps + qexps))
-        prev = work.get(e)
+    for tc, tkey in tail:
+        k = tkey + qkey
+        prev = work.get(k)
         if prev is None:
-            work[e] = -(tc * coeff)
-            tm = Monomial(ctx, e, tdeg + qdeg)
-            heappush(heap, (key(tm), tm, tmask | qmask))
+            work[k] = -(tc * coeff)
+            heappush(heap, k)
         else:
-            work[e] = prev - tc * coeff
+            work[k] = prev - tc * coeff
 
 
-def _division(ctx: RingContext, table: list[tuple], work: dict,
-              heap: list) -> Polynomial:
+def _division(ctx: RingContext, table: list[tuple], work: dict, heap: list,
+              known: dict) -> Polynomial:
     """Divide the working polynomial by the table's divisors; return the remainder.
 
-    The working polynomial is a dict of coefficients keyed by exponent
-    tuple plus a heap of (order key, monomial, support mask) entries
-    (heap division, Monagan and Pearce, CASC 2007).  Each step takes the
-    largest working term and cancels it with the first divisor, in list
-    order, whose leading monomial divides it, or moves it to the
-    remainder.  A divisor is screened by support bitmask first: a lead
-    whose support is not inside the term's cannot divide it, and a
-    squarefree lead whose support is inside does.  Only other leads run
-    the exponent test.  The quotient term times the divisor's lead is
-    exactly the popped term, so only the tail is subtracted, and every
-    tail product lies below the popped term.
+    The working polynomial is a dict of coefficients keyed by heap key
+    plus a heap of those keys (heap division, Monagan and Pearce, CASC
+    2007).  Each step takes the largest working term and cancels the
+    tail of the first divisor, in list order, whose leading monomial
+    divides it (guard-bit test on packed exponents), or moves it to the
+    remainder as the Monomial in ``known`` under its key, or else decoded.
+    A product whose degree reaches the order's bound raises ValueError.
     """
+    order = ctx.order
     div = ctx.field.div
+    guard = order.guard
+    s = order.tail_bits
     remainder = []
     while heap:
-        _, m, mask = heappop(heap)
-        c = work.pop(m.exps)
+        k = heappop(heap)
+        c = work.pop(k)
+        e = k - ((k >> s) << (s + 1))  # order.packed(k), inlined
+        if e & guard:
+            order.check_degree(order.degree(e))
         if not c:
             continue
-        exps = m.exps
-        for lc, lexps, lmask, squarefree, ldeg, tail in table:
-            if lmask & ~mask:
-                continue
-            if squarefree:
-                qexps = tuple((p, e - 1) if lmask >> p & 1 else (p, e)
-                              for p, e in exps if e > 1 or not lmask >> p & 1)
-            else:
-                qexps = _quotient(exps, lexps)
-                if qexps is None:
-                    continue
-            _subtract_tail(ctx, work, heap, tail, div(c, lc), qexps,
-                           m.total_degree - ldeg)
-            break
+        e |= guard
+        for lc, lkey, lexp, tail in table:
+            if (e - lexp) & guard == guard:
+                _subtract_tail(work, heap, tail, div(c, lc), k - lkey)
+                break
         else:
-            remainder.append((c, m))
+            m = known.get(k)
+            remainder.append((c, order.monomial(k) if m is None else m))
     return Polynomial(ctx, tuple(remainder))
 
 
@@ -184,29 +144,29 @@ def reduce(f: Polynomial, basis) -> Polynomial:
     ctx = f.ctx
     table = [_divisor_entry(ctx, g) for g in basis]
     key = ctx.order.heap_key
+    known = {key(m): m for _, m in f.terms}
     # descending terms give ascending keys, which is already a heap
-    heap = [(key(m), m, _support(m.exps)) for _, m in f.terms]
-    return _division(ctx, table, {m.exps: c for c, m in f.terms}, heap)
+    heap = list(known)
+    return _division(ctx, table, dict(zip(heap, [c for c, _ in f.terms])), heap,
+                     known)
 
 
-def _pair_remainder(table: list[tuple], a: int, b: int,
-                    lcm: Monomial) -> Polynomial:
+def _pair_remainder(ctx: RingContext, table: list[tuple], a: int, b: int,
+                    lcm: int) -> Polynomial:
     """Remainder of the S-polynomial of divisors a and b by the whole table.
 
-    ``lcm`` is the lcm of their leading monomials.  With u = lcm/LM, the
-    S-polynomial (u_a*g_a)/lc_a - (u_b*g_b)/lc_b is seeded into the
-    division loop as (u_a*tail_a)/lc_a - (u_b*tail_b)/lc_b: the leading
-    terms cancel by construction and are never built.
+    ``lcm`` is the packed lcm of their leading monomials.  With
+    u = lcm/LM, the S-polynomial (u_a*g_a)/lc_a - (u_b*g_b)/lc_b is
+    seeded into the division loop as (u_a*tail_a)/lc_a - (u_b*tail_b)/lc_b:
+    the leading terms cancel by construction and are never built.
     """
-    ctx = lcm.ctx
     field = ctx.field
-    work: dict = {}
-    heap: list = []
+    lcm_key = ctx.order.packed(lcm)  # packed is its own inverse
+    work, heap = {}, []
     for k, sign in ((a, -field.one), (b, field.one)):
-        lc, lexps, _, _, ldeg, tail = table[k]
-        _subtract_tail(ctx, work, heap, tail, field.div(sign, lc),
-                       _quotient(lcm.exps, lexps), lcm.total_degree - ldeg)
-    return _division(ctx, table, work, heap)
+        lc, lkey, _, tail = table[k]
+        _subtract_tail(work, heap, tail, field.div(sign, lc), lcm_key - lkey)
+    return _division(ctx, table, work, heap, {})
 
 
 def interreduce(polys) -> list[Polynomial]:
@@ -281,56 +241,63 @@ def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
     the certificate.
     """
     polys = list(gens)
-    table = [_divisor_entry(gens.ctx, f) for f in polys]
-    leads = [f.leading_monomial() for f in polys]
+    ctx = gens.ctx
+    order = ctx.order
+    table = [_divisor_entry(ctx, f) for f in polys]
+    leads = [entry[2] for entry in table]
+    supports = [order.support(e) for e in leads]
     records: list[SPairRecord] = []
     ok = True
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):
-            if leads[a].is_coprime_with(leads[b]):
+            if not supports[a] & supports[b]:
                 records.append(SPairRecord(a, b, "coprime", True))
                 continue
-            zero = not _pair_remainder(table, a, b, leads[a].lcm(leads[b]))
+            lcm = order.lcm(leads[a], leads[b])
+            zero = not _pair_remainder(ctx, table, a, b, lcm)
             ok = ok and zero
             records.append(SPairRecord(a, b, "reduced", zero))
     return GroebnerCertificate(ok, tuple(records), tuple(polys))
 
 
-def _add_with_pairs(basis: list[Polynomial], pairs: dict, queue: list,
-                    h: Polynomial) -> None:
-    """Append h as element t and queue its S-pairs by the Gebauer-Moeller update.
+def _add_with_pairs(order: MonomialOrder, table: list[tuple], pairs: dict,
+                    queue: list, entry: tuple) -> None:
+    """Append entry as element t; queue its S-pairs by the Gebauer-Moeller update.
 
-    ``pairs`` maps each live pair (a, b), a < b, to its lcm; ``queue`` is
-    a heap of (lcm degree, a, b) that may still hold pairs dropped since.
-    The new pairs (k, t) are taken in index order, and one is dropped when
-    its lcm is a multiple of the lcm of a new pair not yet dropped (the
-    chain criterion: of several pairs with one lcm, the last is kept).
-    Pairs with coprime leading monomials are dropped after that (the
-    product criterion), so they can still drop others first.  An old pair
-    (a, b) is dropped when LM(h) divides its lcm L and neither lcm(a, t)
-    nor lcm(b, t) equals L.  This is UPDATE from Gebauer and Moeller
-    (J. Symb. Comput. 6, 1988) as given by Becker and Weispfenning,
+    ``pairs`` maps each live pair (a, b), a < b, to its packed lcm;
+    ``queue`` is a heap of (lcm degree, a, b) that may still hold pairs
+    dropped since.  The new pairs (k, t) are taken in index order, and one
+    is dropped when its lcm is a multiple of the lcm of a new pair not yet
+    dropped (the chain criterion: of several pairs with one lcm, the last
+    is kept).  Pairs with coprime leading monomials are dropped after that
+    (the product criterion), so they can still drop others first.  An old
+    pair (a, b) is dropped when LM(h) divides its lcm L and neither
+    lcm(a, t) nor lcm(b, t) equals L.  This is UPDATE from Gebauer and
+    Moeller (J. Symb. Comput. 6, 1988) as given by Becker and Weispfenning,
     "Groebner Bases" (1993).
     """
-    t = len(basis)
-    lh = h.leading_monomial()
-    lcms = [lh.lcm(g.leading_monomial()) for g in basis]
-    coprime = [lh.is_coprime_with(g.leading_monomial()) for g in basis]
+    t = len(table)
+    guard = order.guard
+    lh = entry[2]
+    support = order.support(lh)
+    lcms = [order.lcm(lh, g[2]) for g in table]
+    coprime = [not support & order.support(g[2]) for g in table]
     undecided = list(range(t))
     kept: list[int] = []
     while undecided:
         k = undecided.pop(0)
-        L = lcms[k]
-        if coprime[k] or not any(lcms[j].divides(L) for j in undecided + kept):
+        multiple = lcms[k] | guard
+        if coprime[k] or not any((multiple - lcms[j]) & guard == guard
+                                 for j in undecided + kept):
             kept.append(k)
     for (a, b), L in list(pairs.items()):
-        if lh.divides(L) and lcms[a] != L and lcms[b] != L:
+        if ((L | guard) - lh) & guard == guard and lcms[a] != L and lcms[b] != L:
             del pairs[a, b]
     for k in kept:
         if not coprime[k]:
             pairs[k, t] = lcms[k]
-            heappush(queue, (lcms[k].total_degree, k, t))
-    basis.append(h)
+            heappush(queue, (order.degree(lcms[k]), k, t))
+    table.append(entry)
 
 
 def buchberger(gens: GeneratorSet) -> GeneratorSet:
@@ -342,44 +309,51 @@ def buchberger(gens: GeneratorSet) -> GeneratorSet:
     unique, so they change the work done but not the result.
     """
     ctx = gens.ctx
-    basis: list[Polynomial] = []
-    pairs: dict[tuple[int, int], Monomial] = {}
+    basis = interreduce(list(gens))
+    table: list[tuple] = []
+    pairs: dict[tuple[int, int], int] = {}
     queue: list[tuple[int, int, int]] = []
-    for h in interreduce(list(gens)):
-        _add_with_pairs(basis, pairs, queue, h)
-    table = [_divisor_entry(ctx, g) for g in basis]
+    for h in basis:
+        _add_with_pairs(ctx.order, table, pairs, queue, _divisor_entry(ctx, h))
     while queue:
         _, a, b = heappop(queue)
         lcm = pairs.pop((a, b), None)
         if lcm is None:
             continue
-        r = _pair_remainder(table, a, b, lcm)
+        r = _pair_remainder(ctx, table, a, b, lcm)
         if r:
             h = r.monic()
-            _add_with_pairs(basis, pairs, queue, h)
-            table.append(_divisor_entry(ctx, h))
+            basis.append(h)
+            _add_with_pairs(ctx.order, table, pairs, queue, _divisor_entry(ctx, h))
     return GeneratorSet(ctx, interreduce(basis))
 
 
 class InitialIdeal:
     """Monomial ideal of leading monomials, kept by minimal generators."""
 
-    __slots__ = ("ctx", "generators")
+    __slots__ = ("ctx", "generators", "_packed")
 
     def __init__(self, ctx: RingContext, monomials):
-        mons = list(monomials)
-        for m in mons:
-            if m.ctx is not ctx and m.ctx != ctx:
-                raise ContextMismatchError("monomial from a different ring context")
-        minimal = {m for m in mons
-                   if not any(o != m and o.divides(m) for o in mons)}
         self.ctx = ctx
-        # descending order
-        self.generators = tuple(sorted(minimal, key=ctx.order.heap_key))
+        order = ctx.order
+        self._packed: list[int] = []
+        minimal = []
+        # a proper divisor has a lower degree, so each monomial is tested
+        # against the minimal generators found before it
+        for m in sorted(set(monomials), key=lambda m: m.total_degree):
+            if self.is_normal(m):
+                minimal.append(m)
+                self._packed.append(order.packed(order.heap_key(m)))
+        self.generators = tuple(sorted(minimal, key=order.heap_key))  # descending
 
     def is_normal(self, m: Monomial) -> bool:
         """True when m avoids the ideal, i.e. m is a staircase monomial."""
-        return not any(g.divides(m) for g in self.generators)
+        if m.ctx is not self.ctx and m.ctx != self.ctx:
+            raise ContextMismatchError("monomial from a different ring context")
+        order = self.ctx.order
+        guard = order.guard
+        e = order.packed(order.heap_key(m)) | guard
+        return not any((e - d) & guard == guard for d in self._packed)
 
     def to_json_list(self) -> list[dict[str, int]]:
         return [g.to_json_dict() for g in self.generators]

@@ -346,34 +346,14 @@ class Monomial:
         for p, e in self.exps:
             yield self.ctx.variables[p], e
 
-    def _require_same_ctx(self, other: "Monomial") -> None:
+    def mul(self, other: "Monomial") -> "Monomial":
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("monomials from different ring contexts")
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        self._require_same_ctx(other)
         merged = dict(self.exps)
         for p, e in other.exps:
             merged[p] = merged.get(p, 0) + e
         return Monomial(self.ctx, tuple(sorted(merged.items())),
                         self.total_degree + other.total_degree)
-
-    def divides(self, other: "Monomial") -> bool:
-        self._require_same_ctx(other)
-        d = dict(other.exps)
-        return all(d.get(p, 0) >= e for p, e in self.exps)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._require_same_ctx(other)
-        merged = dict(self.exps)
-        for p, e in other.exps:
-            merged[p] = max(merged.get(p, 0), e)
-        return Monomial(self.ctx, tuple(sorted(merged.items())))
-
-    def is_coprime_with(self, other: "Monomial") -> bool:
-        self._require_same_ctx(other)
-        mine = {p for p, _ in self.exps}
-        return all(p not in mine for p, _ in other.exps)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Monomial)
@@ -399,48 +379,101 @@ class Monomial:
         return str(self)
 
 
+# Width in bits of one field of the order key and the packed exponent
+# vector.  Each field's top bit is a guard bit, so the order encodes only
+# monomials of total degree below 2**(EXPONENT_BITS - 1).
+EXPONENT_BITS = 16
+
+
 class MonomialOrder:
     """Block order: lex on diagonal exponents, then grevlex on the tail.
 
-    ``heap_key`` is the order's one encoding: it maps a monomial to a flat
-    tuple, cached on the monomial, that sorts in descending monomial
-    order.  Sorting by it lists terms largest first, ``min`` by it picks
-    the leading monomial, and a ``heapq`` of heap keys pops the largest
-    monomial first.  The order is total, multiplicative, and has 1 as its
-    minimum.
+    ``heap_key`` is the order's one encoding: an int, cached on the
+    monomial, that sorts in descending monomial order (a ``heapq`` of keys
+    pops the largest monomial first).  It is linear in the exponents, so
+    key(a*b) = key(a) + key(b).  Its EXPONENT_BITS-bit fields, most
+    significant first, are (-diagonal exponents, -total degree, tail
+    exponents by ascending position): with equal diagonal exponents the
+    total degree ranks like the tail degree, and more of the lowest
+    differing tail variable makes a smaller monomial.  ``packed`` gives
+    the same fields, all positive.  Packed a divides packed b exactly when
+    ((b | guard) - a) & guard == guard, and b - a is then the quotient.
     """
 
-    __slots__ = ("ctx", "_diagonal_index")
+    __slots__ = ("ctx", "guard", "tail_bits", "_bits", "_weight", "_position",
+                 "_ones", "_low")
 
     def __init__(self, ctx: RingContext):
         self.ctx = ctx
+        w = self._bits = EXPONENT_BITS
+        nv = len(ctx.variables)
         diagonal = [p for p, v in enumerate(ctx.variables) if v.is_diagonal]
-        self._diagonal_index = {p: k for k, p in enumerate(diagonal)}
+        tail = [p for p in range(nv) if p not in diagonal]
+        s = self.tail_bits = w * len(tail)
+        # diagonal fields above the degree field at bit s, tail fields below
+        shift = {p: w * (nv - k) for k, p in enumerate(diagonal)}
+        shift.update((p, s - w * (k + 1)) for k, p in enumerate(tail))
+        self._weight = [(-1 if p in diagonal else 1) * (1 << shift[p]) - (1 << s)
+                        for p in range(nv)]
+        self._position = {f + w: p for p, f in shift.items()}  # by guard bit
+        self._ones = sum(1 << (w * k) for k in range(nv + 1))
+        self.guard = self._ones << (w - 1)
+        self._low = (self.guard - self._ones) & ~(((1 << w) - 1) << s)
 
-    def heap_key(self, m: Monomial) -> tuple:
-        """Flat key with heap_key(a) < heap_key(b) exactly when a > b.
+    def check_degree(self, degree: int) -> None:
+        """Raise ValueError if the order cannot encode this total degree."""
+        if degree >> (self._bits - 1):
+            raise ValueError(f"monomial of total degree {degree} exceeds the "
+                             f"order's bound of {(1 << (self._bits - 1)) - 1}")
 
-        It is (-diagonal exponents, -tail degree, -p1, e1, -p2, e2, ...,
-        -#variables) over the tail factors (p, e) in position order.  Read
-        sparsely, the reverse-lex tail tie-break is decided at the first
-        position where the factors differ: a lower position, or a larger
-        exponent at the same position, makes the monomial smaller.  The
-        closing -#variables stands for "no further factor".
-        """
-        if m._hkey is None:
-            index = self._diagonal_index
-            diag = [0] * len(index)
-            tail = []
-            tail_degree = 0
-            for p, e in m.exps:
-                k = index.get(p)
-                if k is None:
-                    tail += (-p, e)
-                    tail_degree += e
-                else:
-                    diag[k] = -e
-            m._hkey = (*diag, -tail_degree, *tail, -len(self.ctx.variables))
-        return m._hkey
+    def heap_key(self, m: Monomial) -> int:
+        """Int key with heap_key(a) < heap_key(b) exactly when a > b."""
+        key = m._hkey
+        if key is None:
+            self.check_degree(m.total_degree)
+            weight = self._weight
+            key = m._hkey = sum([e * weight[p] for p, e in m.exps])
+        return key
+
+    def packed(self, key: int) -> int:
+        """Heap key to packed exponent vector, and back by the same map."""
+        s = self.tail_bits
+        return key - ((key >> s) << (s + 1))
+
+    def degree(self, e: int) -> int:
+        """Total degree of a packed exponent vector."""
+        return e >> self.tail_bits & ((1 << self._bits) - 1)
+
+    def support(self, e: int) -> int:
+        """Guard bits of the nonzero exponent fields of a packed vector."""
+        return (e + self._low) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """Packed lcm of packed vectors: field-wise max, degree re-summed."""
+        w, s, guard = self._bits, self.tail_bits, self.guard
+        ge = ((a | guard) - b) & guard  # guard bits of the fields where a >= b
+        ge -= ge >> (w - 1)  # ... widened to those fields' value bits
+        mask = (1 << w) - 1
+        e = (a & ge | b & ~ge) & ~(mask << s)
+        # field nv of e * ones sums all fields: the degree, below 2**w
+        degree = e * self._ones >> (w * len(self._weight)) & mask
+        self.check_degree(degree)
+        return e | degree << s
+
+    def monomial(self, key: int) -> Monomial:
+        """The monomial with this heap key."""
+        e = self.packed(key)
+        w = self._bits
+        exps = []
+        support = self.support(e)
+        while support:
+            top = support.bit_length()
+            exps.append((self._position[top], e >> (top - w) & ((1 << w) - 1)))
+            support ^= 1 << (top - 1)
+        exps.sort()
+        m = Monomial(self.ctx, tuple(exps), self.degree(e))
+        m._hkey = key
+        return m
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         """Return -1, 0 or 1 as a <, =, > b in the order."""
@@ -467,13 +500,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    @property
-    def total_degree(self) -> int:
-        """Max term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m.total_degree for _, m in self.terms)
 
     def leading_term(self) -> tuple[object, Monomial]:
         if not self.terms:

@@ -62,6 +62,22 @@ def to_dense(monomial, nvars):
 def divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
+def monomial_divides(a, b):
+    """Divisibility of two library monomials, read off dense exponents."""
+    nv = len(a.ctx.variables)
+    return divides(to_dense(a, nv), to_dense(b, nv))
+
+def monomial_lcm(a, b):
+    """The library monomial with the field-wise max of a's and b's exponents."""
+    ctx, nv = a.ctx, len(a.ctx.variables)
+    return ctx.monomial({ctx.variables[p]: max(x, y) for p, (x, y)
+                         in enumerate(zip(to_dense(a, nv), to_dense(b, nv)))})
+
+def coprime(a, b):
+    """No variable occurs in both library monomials: the field-wise min is 0."""
+    nv = len(a.ctx.variables)
+    return not any(min(x, y) for x, y in zip(to_dense(a, nv), to_dense(b, nv)))
+
 
 # --------------------------------------------------- block order, again
 

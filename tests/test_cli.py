@@ -217,6 +217,17 @@ class TestGuardsAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(target) in err
 
+    def test_degree_past_the_order_bound_returns_2(self, monkeypatch, capsys):
+        # with 4-bit fields the order encodes total degree at most 7
+        from asl_forge import poly_core
+        from asl_forge.cli import main
+        monkeypatch.setattr(poly_core, "EXPONENT_BITS", 4)
+        assert main(["verify", "--n", "1", "--degree", "7"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--n", "1", "--degree", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "total degree 8" in err
+
     def test_zero_pattern_requires_mask(self):
         assert run_cli("ideal", "--n", "2", "--pattern", "zero").returncode == 2
 

@@ -4,7 +4,9 @@ In the first grid every subcommand and output format runs in process over
 the generic and the symmetric n=2 patterns and all 16 n=2 zero masks,
 over QQ and GF(3).  The second runs `verify` on all 512 n=3 zero masks
 over QQ and GF(3), whose completions are large enough to exercise the
-division and S-pair kernels.  Each digest covers every call's argv, exit
+division and S-pair kernels.  The third runs `verify` on 32 seeded n=4
+zero masks over QQ and GF(3), whose S-pair reductions pass through
+non-squarefree intermediate terms.  Each digest covers every call's argv, exit
 code and stdout, so any change to a report, a rendering or an exit code
 shows up here.  A change that alters output on purpose must say so and
 record the new digest.
@@ -15,12 +17,14 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import time
 
 from asl_forge.cli import main
 
 GRID_SHA256 = "965f5fc9b345984defc5384aa1e649f8aa3443d6e804ce1787e508795a143fbe"
 N3_MASKS_SHA256 = "6233fbb45012f1c47281e9775a49f521b5761bcc79f886c1685188c4210144e6"
+N4_MASKS_SHA256 = "1cd181663b63898f20e4441c154eef192b6aff8c75779b9f8b787eda92854b24"
 
 PATTERN_COMMANDS = [("ideal", "json"), ("ideal", "text"), ("gb", "json"),
                     ("gb", "text"), ("verify-gb", "json"), ("verify-gb", "text"),
@@ -56,6 +60,16 @@ def n3_masks_grid():
                    json.dumps(mask), "--field", field, "--degree", "2"]
 
 
+def n4_masks_grid():
+    rng = random.Random(4)
+    masks = [[[rng.randint(0, 1) for _ in range(4)] for _ in range(4)]
+             for _ in range(32)]
+    for field in ("rationals", "gf(3)"):
+        for mask in masks:
+            yield ["verify", "--n", "4", "--pattern", "zero", "--mask",
+                   json.dumps(mask), "--field", field, "--degree", "2"]
+
+
 def run_grid(argvs):
     """(sha256 hex digest over the calls, number of calls, seconds)."""
     start = time.perf_counter()
@@ -82,4 +96,11 @@ def test_n3_mask_completions_are_pinned():
     digest, calls, elapsed = run_grid(n3_masks_grid())
     assert calls == 1024
     assert digest == N3_MASKS_SHA256
+    assert elapsed < 3.0, f"grid took {elapsed:.2f} s"
+
+
+def test_n4_mask_completions_are_pinned():
+    digest, calls, elapsed = run_grid(n4_masks_grid())
+    assert calls == 64
+    assert digest == N4_MASKS_SHA256
     assert elapsed < 3.0, f"grid took {elapsed:.2f} s"

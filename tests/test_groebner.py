@@ -16,6 +16,7 @@ from asl_forge import (
     GeneratorSet,
     MatrixPattern,
     NotGroebnerError,
+    Polynomial,
     RingContext,
     buchberger,
     initial_ideal,
@@ -26,6 +27,10 @@ from asl_forge import (
     reduce,
 )
 from asl_forge.groebner import _divisor_entry, _pair_remainder
+from asl_forge.poly_core import EXPONENT_BITS
+
+# the order encodes monomials of total degree below this bound
+BOUND = 1 << (EXPONENT_BITS - 1)
 
 
 def generic(n):
@@ -63,10 +68,17 @@ def times(f, g):
 
 
 def pair_remainder(polys, a, b):
-    """The kernel's remainder of S(polys[a], polys[b]) by all of polys."""
-    table = [_divisor_entry(polys[0].ctx, f) for f in polys]
-    lcm = polys[a].leading_monomial().lcm(polys[b].leading_monomial())
-    return _pair_remainder(table, a, b, lcm)
+    """The kernel's remainder of S(polys[a], polys[b]) by all of polys.
+
+    The lcm of the leads comes from the oracle, not from the order's
+    packed lcm, and is passed packed as the kernel takes it.
+    """
+    ctx = polys[0].ctx
+    table = [_divisor_entry(ctx, f) for f in polys]
+    lcm = oracles.monomial_lcm(polys[a].leading_monomial(),
+                               polys[b].leading_monomial())
+    return _pair_remainder(ctx, table, a, b,
+                           ctx.order.packed(ctx.order.heap_key(lcm)))
 
 
 class TestReduce:
@@ -103,7 +115,7 @@ class TestReduce:
         r = reduce(f, gens)
         leads = [g.leading_monomial() for g in gens]
         for _, m in r.terms:
-            assert not any(lm.divides(m) for lm in leads)
+            assert not any(oracles.monomial_divides(lm, m) for lm in leads)
 
     def test_division_contract_on_random_ideal_elements(self):
         rng = random.Random(11)
@@ -240,9 +252,45 @@ class TestSPolynomial:
                             for _ in range(2)))
             if not f or not g:
                 continue
-            lcm = f.leading_monomial().lcm(g.leading_monomial())
+            lcm = oracles.monomial_lcm(f.leading_monomial(), g.leading_monomial())
             for _, m in pair_remainder([f, g], 0, 1).terms:
                 assert ctx.order.compare(m, lcm) == -1
+
+
+class TestExponentBound:
+    # past the bound a key would misorder silently, so it must raise instead
+    def test_monomial_at_the_bound_is_refused(self):
+        ctx, gens = generic(2)
+        x = ctx.x(1, 1)
+        below = ctx.monomial({x: BOUND - 1})
+        assert ctx.order.heap_key(below) < ctx.order.heap_key(ctx.one)
+        assert reduce(Polynomial(ctx, ((1, below),)), gens) == poly(
+            ctx, (1, {x: BOUND - 1}))
+        for exps in ({x: BOUND}, {x: 2 ** EXPONENT_BITS},
+                     {x: BOUND - 1, ctx.y(2): 1}):
+            m = ctx.monomial(exps)
+            with pytest.raises(ValueError, match="total degree"):
+                ctx.order.heap_key(m)
+            with pytest.raises(ValueError, match="total degree"):
+                reduce(Polynomial(ctx, ((1, m),)), gens)
+
+    def test_division_product_past_the_bound_is_refused(self):
+        # x_1_1 leads x_1_1 - y_1^2, so each division step raises the degree
+        ctx = RingContext(1)
+        x, y = ctx.x(1, 1), ctx.y(1)
+        g = poly(ctx, (1, {x: 1}), (-1, {y: 2}))
+        assert reduce(poly(ctx, (1, {x: 3})), [g]) == poly(ctx, (1, {y: 6}))
+        with pytest.raises(ValueError, match="total degree"):
+            reduce(poly(ctx, (1, {x: BOUND // 2 + 1})), [g])
+
+    def test_lcm_past_the_bound_is_refused(self):
+        ctx = RingContext(1)
+        x, y = ctx.x(1, 1), ctx.y(1)
+        gens = GeneratorSet(ctx, [poly(ctx, (1, {x: 1, y: BOUND - 2})),
+                                  poly(ctx, (1, {x: 2}))])
+        for check in (is_groebner, buchberger):
+            with pytest.raises(ValueError, match="total degree"):
+                check(gens)
 
 
 class TestBuchberger:
@@ -384,7 +432,7 @@ def test_pair_criteria_sound_on_every_mask(n):
         leads = [b.leading_monomial() for b in basis]
         assert len(cert.pairs) == math.comb(len(basis), 2)
         for rec in cert.pairs:
-            coprime = leads[rec.i].is_coprime_with(leads[rec.j])
+            coprime = oracles.coprime(leads[rec.i], leads[rec.j])
             assert rec.criterion == ("coprime" if coprime else "reduced")
 
 
@@ -451,7 +499,7 @@ class TestInitialIdeal:
         gens_list = list(init)
         for a in gens_list:
             for b in gens_list:
-                assert a == b or not a.divides(b)
+                assert a == b or not oracles.monomial_divides(a, b)
         # each initial generator is witnessed by an actual ideal element
         for b in basis:
             assert oracles.is_member(ctx, gens, b)
@@ -532,6 +580,6 @@ def test_coprime_criterion_is_sound():
         polys = list(gens)
         for a in range(len(polys)):
             for b in range(a + 1, len(polys)):
-                assert polys[a].leading_monomial().is_coprime_with(
-                    polys[b].leading_monomial())
+                assert oracles.coprime(polys[a].leading_monomial(),
+                                       polys[b].leading_monomial())
                 assert not pair_remainder(polys, a, b)

@@ -18,7 +18,7 @@ from asl_forge import (
     ZeroPolynomialError,
     product_generators,
 )
-from asl_forge.poly_core import PRIME_BOUND, _is_prime
+from asl_forge.poly_core import EXPONENT_BITS, PRIME_BOUND, _is_prime
 
 CONTEXTS = [RingContext(n) for n in range(1, 5)]
 
@@ -168,18 +168,92 @@ class TestOrderConditions:
         assert ctx.order.compare(a, b) == oracles.block_compare(ctx, a, b)
 
 
+def packed(m):
+    return m.ctx.order.packed(m.ctx.order.heap_key(m))
+
+
+def packed_divides(order, a, b):
+    """The documented guard-bit divisibility test on packed vectors."""
+    return ((b | order.guard) - a) & order.guard == order.guard
+
+
+@st.composite
+def mask_ring_exponents(draw, count):
+    """A ring of a random n <= 4 mask and `count` dense exponent vectors.
+
+    Rings include n=1, and masks without diagonal entries; exponents are
+    small or up to a cap that keeps an lcm below the degree bound.
+    """
+    n = draw(st.integers(1, 4))
+    kept = [Variable.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+            if draw(st.booleans())]
+    ctx = RingContext(n, kept)
+    nv = len(ctx.variables)
+    cap = (1 << (EXPONENT_BITS - 1)) // (2 * nv) - 1
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, cap))
+    return ctx, [tuple(draw(st.lists(exponent, min_size=nv, max_size=nv)))
+                 for _ in range(count)]
+
+
+def dense_monomial(ctx, e):
+    return ctx.monomial({ctx.variables[p]: x for p, x in enumerate(e)})
+
+
 class TestMonomialAlgebra:
     def test_div_lcm_coprime(self):
         ctx = RingContext(2)
-        a = ctx.monomial({ctx.x(1, 1): 2, ctx.y(1): 1})
-        b = ctx.monomial({ctx.x(1, 1): 1, ctx.y(2): 3})
-        lcm = a.lcm(b)
-        assert a.divides(lcm) and b.divides(lcm)
-        assert lcm == ctx.monomial({ctx.x(1, 1): 2, ctx.y(1): 1, ctx.y(2): 3})
-        assert not a.divides(b)
-        assert not a.is_coprime_with(b)
-        assert ctx.monomial({ctx.y(1): 1}).is_coprime_with(
-            ctx.monomial({ctx.y(2): 1}))
+        order = ctx.order
+        a = packed(ctx.monomial({ctx.x(1, 1): 2, ctx.y(1): 1}))
+        b = packed(ctx.monomial({ctx.x(1, 1): 1, ctx.y(2): 3}))
+        lcm = order.lcm(a, b)
+        assert packed_divides(order, a, lcm) and packed_divides(order, b, lcm)
+        assert lcm == packed(ctx.monomial({ctx.x(1, 1): 2, ctx.y(1): 1,
+                                           ctx.y(2): 3}))
+        assert order.degree(lcm) == 6
+        assert not packed_divides(order, a, b)
+        assert order.support(a) & order.support(b)
+        assert not (order.support(packed(ctx.monomial({ctx.y(1): 1})))
+                    & order.support(packed(ctx.monomial({ctx.y(2): 1}))))
+
+    @settings(max_examples=300)
+    @given(mask_ring_exponents(2))
+    def test_int_key_matches_dense_order(self, data):
+        ctx, (ea, eb) = data
+        a, b = dense_monomial(ctx, ea), dense_monomial(ctx, eb)
+        ka, kb = ctx.order.heap_key(a), ctx.order.heap_key(b)
+        assert type(ka) is int
+        assert (kb > ka) - (kb < ka) == oracles.dense_compare(ctx, ea, eb)
+        assert ctx.order.heap_key(a.mul(b)) == ka + kb
+        assert ctx.order.monomial(ka) == a
+
+    @settings(max_examples=300)
+    @given(mask_ring_exponents(2))
+    def test_packed_operations_match_dense(self, data):
+        ctx, (ea, eb) = data
+        order = ctx.order
+        a, b = packed(dense_monomial(ctx, ea)), packed(dense_monomial(ctx, eb))
+        divisible = oracles.divides(ea, eb)
+        assert packed_divides(order, a, b) == divisible
+        if divisible:
+            assert b - a == packed(dense_monomial(
+                ctx, tuple(y - x for x, y in zip(ea, eb))))
+        assert order.lcm(a, b) == packed(dense_monomial(
+            ctx, tuple(max(x, y) for x, y in zip(ea, eb))))
+        assert (not order.support(a) & order.support(b)) == (
+            not any(min(x, y) for x, y in zip(ea, eb)))
+        assert order.degree(a) == sum(ea)
+
+    @pytest.mark.parametrize("ctx", [
+        RingContext(1, []), RingContext(1),
+        RingContext(2, [Variable.x(1, 2), Variable.x(2, 1)])])
+    def test_small_rings_sort_like_the_dense_order(self, ctx):
+        # n=1 without and with its diagonal, and a ring with no diagonal:
+        # every monomial of degree <= 3, sorted by key and by the oracle
+        ms = [m for d in range(4)
+              for m in (dense_monomial(ctx, e)
+                        for e in oracles.dense_monomials(len(ctx.variables), d))]
+        by_key = sorted(ms, key=ctx.order.heap_key)
+        assert by_key == sorted(ms, key=oracle_key(ctx), reverse=True)
 
     def test_context_mismatch_rejected(self):
         a = RingContext(2).monomial({Variable.x(1, 1): 1})
