@@ -14,6 +14,7 @@ import oracles
 from asl_forge import (
     CoefficientField,
     GeneratorSet,
+    InitialIdeal,
     MatrixPattern,
     NotGroebnerError,
     Polynomial,
@@ -508,6 +509,25 @@ class TestInitialIdeal:
         ctx, gens = matrix_product_ideal(MatrixPattern.zero_pattern([[1, 1], [1, 0]]))
         with pytest.raises(NotGroebnerError):
             initial_ideal(gens)
+
+    @settings(max_examples=150)
+    @given(st.lists(small_polys(_RING2, max_terms=1, max_degree=4).filter(bool),
+                    max_size=6))
+    def test_minimal_generators_match_dense_scan(self, polys):
+        # degree-screened minimality and the packed is_normal test against
+        # an all-pairs scan of dense exponents, duplicates included
+        ms = [f.leading_monomial() for f in polys] * 2
+        init = InitialIdeal(_RING2, ms)
+        nv = len(_RING2.variables)
+        dense = {oracles.to_dense(m, nv) for m in ms}
+        minimal = {e for e in dense
+                   if not any(d != e and oracles.divides(d, e) for d in dense)}
+        assert {oracles.to_dense(g, nv) for g in init} == minimal
+        for d in range(4):
+            for m in monomials_of_degree(_RING2, d):
+                e = oracles.to_dense(m, nv)
+                assert init.is_normal(m) == (
+                    not any(oracles.divides(g, e) for g in minimal))
 
     def test_minimality_drops_redundant(self):
         ctx, _ = generic(2)
