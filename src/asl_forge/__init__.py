@@ -18,7 +18,6 @@ from .asl import (
     count_standard_monomials,
     expected_incomparable_pairs,
     is_standard_monomial,
-    monomials_of_degree,
     straighten,
     verify,
     verify_axiom1,
@@ -84,7 +83,6 @@ __all__ = [
     "is_groebner",
     "is_standard_monomial",
     "matrix_product_ideal",
-    "monomials_of_degree",
     "product_generators",
     "reduce",
     "straighten",

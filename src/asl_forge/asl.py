@@ -25,8 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations, combinations_with_replacement, groupby
-from typing import Iterator
+from itertools import combinations, combinations_with_replacement
 
 from .groebner import (
     GeneratorSet,
@@ -188,19 +187,6 @@ def straighten(i: int, ctx: RingContext, basis: GeneratorSet,
     return StraighteningRelation(alpha, beta, expansion)
 
 
-def monomials_of_degree(ctx: RingContext, d: int) -> Iterator[Monomial]:
-    """All degree-d monomials of the ring, in a fixed deterministic order."""
-    if d < 0:
-        return
-    for combo in combinations_with_replacement(range(len(ctx.variables)), d):
-        yield _monomial_of_positions(ctx, combo)
-
-
-def _monomial_of_positions(ctx: RingContext, combo: tuple[int, ...]) -> Monomial:
-    """The product of the variables at the given sorted positions."""
-    return Monomial(ctx, tuple((p, len(list(run))) for p, run in groupby(combo)))
-
-
 def count_standard_monomials(n: int, d: int) -> int:
     """Number of standard monomials of exact degree d, by inclusion-exclusion.
 
@@ -236,8 +222,15 @@ def axiom1_work(n: int, degree_bound: int) -> int:
                for d in range(degree_bound + 1))
 
 
-def _check_degree(ctx: RingContext, gens: GeneratorSet, init, poset: Poset,
-                  degree: int) -> dict:
+def _comparable_masks(ctx: RingContext, poset: Poset) -> list[int]:
+    """Bitmask, per variable position, of the positions comparable with it."""
+    variables = ctx.variables
+    return [sum(1 << q for q, b in enumerate(variables) if poset.comparable(a, b))
+            for a in variables]
+
+
+def _check_degree(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
+                  comparable: list[int], degree: int) -> dict:
     """Axiom-1 evidence for one degree slice.
 
     Standard must match normal monomial-by-monomial, the standard count
@@ -247,21 +240,23 @@ def _check_degree(ctx: RingContext, gens: GeneratorSet, init, poset: Poset,
     say the standard monomials are a basis of the slice of the quotient.
 
     The degree-d monomials are visited once, as sorted tuples of variable
-    positions.  "Standard" is read off per-position comparability bitmasks
-    built from ``poset``, and "normal" off (support bitmask, exponents)
-    pairs built from the generators of ``init``.
+    positions.  "Standard" is read off ``comparable``, the bitmasks of
+    ``_comparable_masks``, and "normal" off (support bitmask, exponents)
+    pairs built from the generators of ``init``.  Monomials and Macaulay
+    rows are heap keys, each the sum of its variables' keys: a row is a
+    quadric generator's term keys shifted by the key of a degree d-2
+    multiplier.
     """
-    variables = ctx.variables
-    # comparable[p]: bitmask of the positions comparable with position p
-    comparable = [sum(1 << q for q, b in enumerate(variables)
-                      if poset.comparable(a, b))
-                  for a in variables]
+    order = ctx.order
+    order.check_degree(degree)
+    weights = order.weights
     divisors = [(sum(1 << p for p, _ in g.exps), g.exps)
                 for g in init.generators]
 
-    total = standard = normal = 0
+    total = standard = 0
+    non_normal = set()
     mismatches = []
-    for combo in combinations_with_replacement(range(len(variables)), degree):
+    for combo in combinations_with_replacement(range(len(weights)), degree):
         support = 0
         allowed = -1
         for p in combo:
@@ -276,30 +271,31 @@ def _check_degree(ctx: RingContext, gens: GeneratorSet, init, poset: Poset,
                 break
         total += 1
         standard += std
-        normal += nrm
+        if not nrm:
+            non_normal.add(sum([weights[p] for p in combo]))
         if std != nrm:
-            mismatches.append(str(_monomial_of_positions(ctx, combo)))
+            mismatches.append(str(order.monomial(sum([weights[p] for p in combo]))))
 
-    rows = (g.mul_term(1, m)
-            for m in monomials_of_degree(ctx, degree - 2) for g in gens)
-    pivots = staircase(rows)
-    # pivots are distinct degree-d monomials, so "all non-normal" plus the
-    # count is set equality with the non-normal monomials
-    basis_ok = (len(pivots) == total - normal
-                and not any(init.is_normal(m) for m in pivots))
+    rows = ()
+    if degree >= 2:
+        gen_terms = [[(order.heap_key(m), c) for c, m in g.terms] for g in gens]
+        rows = ({t + q: c for t, c in terms}
+                for q in map(sum, combinations_with_replacement(weights, degree - 2))
+                for terms in gen_terms)
+    pivots = staircase(rows, ctx.field)
 
     expected = count_standard_monomials(ctx.n, degree)
     return {
         "degree": degree,
         "monomials": total,
         "standard": standard,
-        "normal": normal,
+        "normal": total - len(non_normal),
         "standard_equals_normal": not mismatches,
         "mismatches": sorted(mismatches),
         "count_formula": expected,
         "count_matches": standard == expected,
         "ideal_slice_rank": len(pivots),
-        "basis_check": basis_ok,
+        "basis_check": pivots.keys() == non_normal,
     }
 
 
@@ -322,7 +318,8 @@ def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
     ctx = gens.ctx
     per_degree = []
     if certificate.is_basis:
-        per_degree = [_check_degree(ctx, gens, init, poset, d)
+        comparable = _comparable_masks(ctx, poset)
+        per_degree = [_check_degree(ctx, gens, init, comparable, d)
                       for d in range(degree_bound + 1)]
     ok = (certificate.is_basis
           and all(d["standard_equals_normal"] and d["count_matches"]

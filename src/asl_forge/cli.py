@@ -63,7 +63,8 @@ def _pattern_from_args(args: argparse.Namespace) -> MatrixPattern:
             raise ValueError("--pattern zero requires --mask")
         try:
             mask = json.loads(mask_text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # a deeply nested mask exhausts the decoder's recursion limit
             raise ValueError(f"bad mask: {exc}") from None
         pattern = MatrixPattern.zero_pattern(mask)
         if pattern.n != args.n:

@@ -160,12 +160,14 @@ class CoefficientField:
     because ``/`` on two ``int`` would give a float.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        self.zero = self.coerce(0)
+        self.one = self.coerce(1)
 
     @classmethod
     def rationals(cls) -> "CoefficientField":
@@ -205,14 +207,6 @@ class CoefficientField:
             return a
         q = Fraction(a, b)
         return q.numerator if q.denominator == 1 else q
-
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoefficientField) and self.p == other.p
@@ -323,8 +317,8 @@ class Monomial:
     """Sparse exponent vector over a ring context.
 
     Stored as (variable position, exponent) pairs with positive exponents,
-    sorted by position; the empty tuple is the monomial 1.  Products pass
-    their total degree in instead of summing it again.
+    sorted by position; the empty tuple is the monomial 1.  A decoder that
+    already knows the total degree passes it in instead of summing it again.
     """
 
     __slots__ = ("ctx", "exps", "total_degree", "_hkey")
@@ -345,15 +339,6 @@ class Monomial:
         """Yield (variable, exponent) pairs in ring layout order."""
         for p, e in self.exps:
             yield self.ctx.variables[p], e
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatchError("monomials from different ring contexts")
-        merged = dict(self.exps)
-        for p, e in other.exps:
-            merged[p] = merged.get(p, 0) + e
-        return Monomial(self.ctx, tuple(sorted(merged.items())),
-                        self.total_degree + other.total_degree)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Monomial)
@@ -391,16 +376,19 @@ class MonomialOrder:
     ``heap_key`` is the order's one encoding: an int, cached on the
     monomial, that sorts in descending monomial order (a ``heapq`` of keys
     pops the largest monomial first).  It is linear in the exponents, so
-    key(a*b) = key(a) + key(b).  Its EXPONENT_BITS-bit fields, most
-    significant first, are (-diagonal exponents, -total degree, tail
-    exponents by ascending position): with equal diagonal exponents the
-    total degree ranks like the tail degree, and more of the lowest
-    differing tail variable makes a smaller monomial.  ``packed`` gives
-    the same fields, all positive.  Packed a divides packed b exactly when
-    ((b | guard) - a) & guard == guard, and b - a is then the quotient.
+    key(a*b) = key(a) + key(b), and ``weights[p]`` is the key of the
+    variable at position p.  A sum of keys skips the degree bound that
+    ``heap_key`` checks; its caller runs ``check_degree``.  The key's
+    EXPONENT_BITS-bit fields, most significant first, are (-diagonal
+    exponents, -total degree, tail exponents by ascending position): with
+    equal diagonal exponents the total degree ranks like the tail degree,
+    and more of the lowest differing tail variable makes a smaller
+    monomial.  ``packed`` gives the same fields, all positive.  Packed a
+    divides packed b exactly when ((b | guard) - a) & guard == guard, and
+    b - a is then the quotient.
     """
 
-    __slots__ = ("ctx", "guard", "tail_bits", "_bits", "_weight", "_position",
+    __slots__ = ("ctx", "guard", "tail_bits", "_bits", "weights", "_position",
                  "_ones", "_low")
 
     def __init__(self, ctx: RingContext):
@@ -413,8 +401,8 @@ class MonomialOrder:
         # diagonal fields above the degree field at bit s, tail fields below
         shift = {p: w * (nv - k) for k, p in enumerate(diagonal)}
         shift.update((p, s - w * (k + 1)) for k, p in enumerate(tail))
-        self._weight = [(-1 if p in diagonal else 1) * (1 << shift[p]) - (1 << s)
-                        for p in range(nv)]
+        self.weights = tuple((-1 if p in diagonal else 1) * (1 << shift[p])
+                             - (1 << s) for p in range(nv))
         self._position = {f + w: p for p, f in shift.items()}  # by guard bit
         self._ones = sum(1 << (w * k) for k in range(nv + 1))
         self.guard = self._ones << (w - 1)
@@ -431,7 +419,7 @@ class MonomialOrder:
         key = m._hkey
         if key is None:
             self.check_degree(m.total_degree)
-            weight = self._weight
+            weight = self.weights
             key = m._hkey = sum([e * weight[p] for p, e in m.exps])
         return key
 
@@ -456,7 +444,7 @@ class MonomialOrder:
         mask = (1 << w) - 1
         e = (a & ge | b & ~ge) & ~(mask << s)
         # field nv of e * ones sums all fields: the degree, below 2**w
-        degree = e * self._ones >> (w * len(self._weight)) & mask
+        degree = e * self._ones >> (w * len(self.weights)) & mask
         self.check_degree(degree)
         return e | degree << s
 
@@ -531,13 +519,6 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
-
-    def mul_term(self, c, m: Monomial) -> "Polynomial":
-        """Multiply by the single term c*m; order is preserved termwise."""
-        c = self.ctx.field.coerce(c)
-        if not c:
-            return self.ctx.zero
-        return Polynomial(self.ctx, tuple((tc * c, tm.mul(m)) for tc, tm in self.terms))
 
     def monic(self) -> "Polynomial":
         if not self.terms:

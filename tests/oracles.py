@@ -53,6 +53,12 @@ def dense_monomials(nvars, degree):
             e[p] += 1
         yield tuple(e)
 
+def monomials_of_degree(ctx, d):
+    """All degree-d library monomials of the ring, in enumeration order."""
+    variables = ctx.variables
+    for e in dense_monomials(len(variables), d):
+        yield ctx.monomial({variables[p]: k for p, k in enumerate(e) if k})
+
 def to_dense(monomial, nvars):
     e = [0] * nvars
     for p, k in monomial.exps:
@@ -72,6 +78,19 @@ def monomial_lcm(a, b):
     ctx, nv = a.ctx, len(a.ctx.variables)
     return ctx.monomial({ctx.variables[p]: max(x, y) for p, (x, y)
                          in enumerate(zip(to_dense(a, nv), to_dense(b, nv)))})
+
+def monomial_mul(a, b):
+    """The library monomial with the summed exponents of a and b (one ring)."""
+    ctx, nv = a.ctx, len(a.ctx.variables)
+    assert b.ctx == ctx
+    return ctx.monomial({ctx.variables[p]: x + y for p, (x, y)
+                         in enumerate(zip(to_dense(a, nv), to_dense(b, nv)))})
+
+def term_multiple(f, c, m):
+    """The library polynomial c*m*f, assembled term by term from dense sums."""
+    ctx = f.ctx
+    c = ctx.field.coerce(c)
+    return ctx.polynomial({monomial_mul(tm, m): tc * c for tc, tm in f.terms})
 
 def coprime(a, b):
     """No variable occurs in both library monomials: the field-wise min is 0."""

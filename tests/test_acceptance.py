@@ -144,7 +144,8 @@ def test_zero_patterns_complete_and_reduce_members_to_zero(tmp_path):
                     v: rng.randint(0, 2)
                     for v in rng.sample(ctx.variables, 2)
                 }
-                member = member + g.mul_term(coeff, ctx.monomial(exps))
+                member = member + oracles.term_multiple(g, coeff,
+                                                        ctx.monomial(exps))
             if member:
                 ok = ok and not reduce(member, basis)
                 checked_members += 1

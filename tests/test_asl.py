@@ -1,5 +1,7 @@
 """Variable poset, standard monomials, straightening, axiom reports."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,9 @@ import oracles
 from asl_forge import (
     CoefficientField,
     GeneratorSet,
+    InitialIdeal,
     MatrixPattern,
+    Monomial,
     NonStandardExpansionError,
     POSET_NOTE,
     Poset,
@@ -21,13 +25,12 @@ from asl_forge import (
     is_groebner,
     is_standard_monomial,
     matrix_product_ideal,
-    monomials_of_degree,
     reduce,
     straighten,
     verify,
     verify_axiom1,
 )
-from asl_forge.asl import _check_degree, axiom1_work
+from asl_forge.asl import _check_degree, _comparable_masks, axiom1_work
 
 
 class TestBuildPoset:
@@ -104,7 +107,7 @@ class TestStandardMonomials:
         p = build_poset(n)
         diag = [(ctx.x(i, i), ctx.y(i)) for i in range(1, n + 1)]
         for d in range(dmax + 1):
-            for m in monomials_of_degree(ctx, d):
+            for m in oracles.monomials_of_degree(ctx, d):
                 exps = dict(m.factors())
                 divisible = any(a in exps and b in exps for a, b in diag)
                 assert is_standard_monomial(m, p) == (not divisible)
@@ -165,7 +168,7 @@ class TestStraighten:
             for c, chain in rel.expansion:
                 m = ctx.one
                 for v in chain:
-                    m = m.mul(ctx.monomial({v: 1}))
+                    m = oracles.monomial_mul(m, ctx.monomial({v: 1}))
                 rebuilt = rebuilt + ctx.polynomial({m: c})
             product = ctx.polynomial(
                 {ctx.monomial({ctx.x(i, i): 1, ctx.y(i): 1}): 1})
@@ -206,9 +209,9 @@ class TestCounting:
     def test_axiom1_work_counts_monomials_and_rows(self, n, dmax):
         ctx, _ = matrix_product_ideal(MatrixPattern.generic(n))
         for D in range(dmax + 1):
-            visited = sum(len(list(monomials_of_degree(ctx, d)))
+            visited = sum(len(list(oracles.monomials_of_degree(ctx, d)))
                           for d in range(D + 1))
-            rows = sum(n * len(list(monomials_of_degree(ctx, d - 2)))
+            rows = sum(n * len(list(oracles.monomials_of_degree(ctx, d - 2)))
                        for d in range(D + 1))
             assert axiom1_work(n, D) == visited + rows
 
@@ -225,7 +228,7 @@ class TestCounting:
         import math
         ctx, _ = matrix_product_ideal(MatrixPattern.generic(2))
         for d in range(4):
-            ms = list(monomials_of_degree(ctx, d))
+            ms = list(oracles.monomials_of_degree(ctx, d))
             assert len(ms) == math.comb(d + 5, 5)
             assert len(set(ms)) == len(ms)
             assert all(m.total_degree == d for m in ms)
@@ -309,7 +312,8 @@ class TestAxiom1:
         base = build_poset(n)
         relations = base.covers() + [(Variable.x(1, 1), Variable.y(1))]
         poset = Poset(base.elements, relations)
-        entry = _check_degree(ctx, gens, initial_ideal(gens), poset, d)
+        entry = _check_degree(ctx, gens, initial_ideal(gens),
+                              _comparable_masks(ctx, poset), d)
         expected = oracles.standard_normal_mismatches(
             n, d, [(a.name, b.name) for a, b in relations])
         assert expected
@@ -320,7 +324,8 @@ class TestAxiom1:
     def test_dropped_generator_fails_basis_check(self, d):
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
         entry = _check_degree(ctx, GeneratorSet(ctx, list(gens)[:-1]),
-                              initial_ideal(gens), build_poset(3), d)
+                              initial_ideal(gens),
+                              _comparable_masks(ctx, build_poset(3)), d)
         assert entry["standard_equals_normal"] and entry["count_matches"]
         assert entry["ideal_slice_rank"] < entry["monomials"] - entry["normal"]
         assert not entry["basis_check"]
@@ -330,9 +335,60 @@ class TestAxiom1:
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
         swapped = ctx.polynomial({ctx.monomial({ctx.x(3, 1): 1, ctx.y(1): 1}): 1})
         entry = _check_degree(ctx, GeneratorSet(ctx, list(gens)[:-1] + [swapped]),
-                              initial_ideal(gens), build_poset(3), 2)
+                              initial_ideal(gens),
+                              _comparable_masks(ctx, build_poset(3)), 2)
         assert entry["ideal_slice_rank"] == entry["monomials"] - entry["normal"]
         assert not entry["basis_check"]
+
+    def test_comparability_built_once_and_no_monomial_per_row(self, monkeypatch):
+        # n = 3 has N = 12 variables: the comparability bitmasks cost N**2
+        # Poset.comparable calls per run, whatever the degree bound, and
+        # monomials and Macaulay rows are heap keys, so the Monomials built
+        # do not grow with the rows eliminated (234 more at degree 4)
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
+        certificate = is_groebner(gens)
+        init, poset = initial_ideal(gens, certificate), build_poset(3)
+        counts = Counter()
+        real_comparable, real_init = Poset.comparable, Monomial.__init__
+
+        def comparable(self, a, b):
+            counts["comparable"] += 1
+            return real_comparable(self, a, b)
+
+        def monomial_init(self, *args):
+            counts["monomial"] += 1
+            real_init(self, *args)
+        monkeypatch.setattr(Poset, "comparable", comparable)
+        monkeypatch.setattr(Monomial, "__init__", monomial_init)
+        seen = {}
+        for bound in (3, 4):
+            counts.clear()
+            report = verify_axiom1(gens, certificate, init, poset, bound)
+            assert report["verdict"] == "pass"
+            seen[bound] = (counts["comparable"], counts["monomial"])
+        assert seen[3] == seen[4]
+        assert seen[4][0] == 12 * 12
+
+    def test_row_shift_past_the_order_bound_raises(self, monkeypatch):
+        # with 4-bit fields the order encodes total degree at most 7.  At
+        # degree 8 a generator term (degree 2) and a multiplier (degree 6)
+        # each have a key in range, but their sum, a Macaulay row term,
+        # does not; with no initial-ideal generator and every pair
+        # comparable, no monomial of the slice needs a key, so only the
+        # rows reach the bound
+        from asl_forge import poly_core
+        monkeypatch.setattr(poly_core, "EXPONENT_BITS", 4)
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
+        everything = [-1] * len(ctx.variables)
+        entry = _check_degree(ctx, gens, InitialIdeal(ctx, []), everything, 7)
+        assert entry["ideal_slice_rank"] == 6  # x_1_1*y_1 times 6 monomials
+        with pytest.raises(ValueError, match="total degree 8"):
+            _check_degree(ctx, gens, InitialIdeal(ctx, []), everything, 8)
+        certificate = is_groebner(gens)
+        init, poset = initial_ideal(gens, certificate), build_poset(1)
+        assert verify_axiom1(gens, certificate, init, poset, 7)["verdict"] == "pass"
+        with pytest.raises(ValueError, match="total degree 8"):
+            verify_axiom1(gens, certificate, init, poset, 8)
 
 
 class TestAxiom2:

@@ -240,6 +240,16 @@ class TestGuardsAndErrors:
         proc = run_cli("ideal", "--n", "2", "--pattern", "zero", "--mask", "[1,")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("mask", ["[" * 100_000,
+                                      "[" * 100_000 + "]" * 100_000],
+                             ids=["unclosed", "closed"])
+    def test_deeply_nested_mask_returns_2_in_process(self, mask, capsys):
+        from asl_forge.cli import main
+        assert main(["verify", "--n", "1", "--pattern", "zero",
+                     "--mask", mask]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: bad mask:") and out.out == ""
+
     def test_mask_rejected_for_generic(self):
         mask = json.dumps([[True, True], [True, True]])
         proc = run_cli("ideal", "--n", "2", "--mask", mask)

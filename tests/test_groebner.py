@@ -24,7 +24,6 @@ from asl_forge import (
     interreduce,
     is_groebner,
     matrix_product_ideal,
-    monomials_of_degree,
     reduce,
 )
 from asl_forge.groebner import _divisor_entry, _pair_remainder
@@ -56,7 +55,8 @@ def random_combination(ctx, gens, rng, max_mult_terms=3):
             for _ in range(rng.randint(0, 2)):
                 v = rng.choice(ctx.variables)
                 exps[v] = exps.get(v, 0) + 1
-            f = f + g.mul_term(Fraction(rng.randint(-4, 4)), ctx.monomial(exps))
+            f = f + oracles.term_multiple(g, Fraction(rng.randint(-4, 4)),
+                                          ctx.monomial(exps))
     return f
 
 
@@ -64,7 +64,7 @@ def times(f, g):
     """f * g as a sum of term multiples of g."""
     total = f.ctx.zero
     for c, m in f.terms:
-        total = total + g.mul_term(c, m)
+        total = total + oracles.term_multiple(g, c, m)
     return total
 
 
@@ -138,9 +138,9 @@ class TestReduce:
             rf, rg = reduce(f, gens), reduce(g, gens)
             assert reduce(rf, gens) == rf
             a, b = Fraction(3, 2), Fraction(-2)
-            one = ctx.one
-            assert (reduce(f.mul_term(a, one) + g.mul_term(b, one), gens)
-                    == rf.mul_term(a, one) + rg.mul_term(b, one))
+            one, scale = ctx.one, oracles.term_multiple
+            assert (reduce(scale(f, a, one) + scale(g, b, one), gens)
+                    == scale(rf, a, one) + scale(rg, b, one))
 
 
 @st.composite
@@ -245,7 +245,7 @@ class TestSPolynomial:
         # [f, g] lies strictly below lcm(LM(f), LM(g))
         rng = random.Random(7)
         ctx, gens = generic(3)
-        pool = list(monomials_of_degree(ctx, 2))
+        pool = list(oracles.monomials_of_degree(ctx, 2))
         for _ in range(25):
             f = poly(ctx, *(((rng.randint(1, 5)), dict(rng.choice(pool).factors()))
                             for _ in range(2)))
@@ -524,7 +524,7 @@ class TestInitialIdeal:
                    if not any(d != e and oracles.divides(d, e) for d in dense)}
         assert {oracles.to_dense(g, nv) for g in init} == minimal
         for d in range(4):
-            for m in monomials_of_degree(_RING2, d):
+            for m in oracles.monomials_of_degree(_RING2, d):
                 e = oracles.to_dense(m, nv)
                 assert init.is_normal(m) == (
                     not any(oracles.divides(g, e) for g in minimal))
@@ -549,7 +549,8 @@ class TestNormalMonomials:
     def test_degree2_count_19(self):
         ctx, gens = generic(2)
         init = initial_ideal(gens)
-        normal = [m for m in monomials_of_degree(ctx, 2) if init.is_normal(m)]
+        normal = [m for m in oracles.monomials_of_degree(ctx, 2)
+                  if init.is_normal(m)]
         assert len(normal) == 19
 
     @pytest.mark.parametrize("n,dmax", [(1, 4), (2, 4), (3, 3)])
@@ -561,7 +562,7 @@ class TestNormalMonomials:
         nv = len(ctx.variables)
         for d in range(dmax + 1):
             non_normal = {oracles.to_dense(m, nv)
-                          for m in monomials_of_degree(ctx, d)
+                          for m in oracles.monomials_of_degree(ctx, d)
                           if not init.is_normal(m)}
             assert oracles.slice_pivots_descending(ctx, gens, d) == non_normal
 
