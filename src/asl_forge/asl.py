@@ -410,7 +410,8 @@ def verify(pattern: MatrixPattern, degree: int,
     zero pattern, their Buchberger completion), one pair certificate, the
     initial ideal and, for the generic pattern only, the variable poset
     that the poset section and both axiom checks read.  The verdict passes
-    when every section passes or is skipped.
+    when every section passes or is skipped.  Bases, pairs and initial-ideal
+    generators are Polynomial, SPairRecord and Monomial objects, not dicts.
     """
     if degree < 0:
         raise ValueError("degree bound must be >= 0")
@@ -423,14 +424,16 @@ def verify(pattern: MatrixPattern, degree: int,
     groebner = {"status": "pass" if certificate.is_basis else "fail",
                 "checked": "completed basis" if completed else "generators"}
     if completed:
-        groebner["basis"] = gens.to_json_list()
-    groebner["certificate"] = certificate.to_json_dict()
+        groebner["basis"] = list(gens)
+    groebner["certificate"] = {"is_basis": certificate.is_basis,
+                               "pairs": list(certificate.pairs),
+                               "basis": list(certificate.basis)}
     sections: dict = {"groebner": groebner}
 
     init = None
     if certificate.is_basis:
         init = initial_ideal(gens, certificate)
-        section = {"status": "pass", "generators": init.to_json_list()}
+        section = {"status": "pass", "generators": list(init)}
         if not completed:
             expected = [ctx.monomial({ctx.x(i, i): 1, ctx.y(i): 1})
                         for i in range(1, ctx.n + 1)]

@@ -2,8 +2,8 @@
 
 Subcommands map onto the library layers: ideal / gb / verify-gb /
 init-ideal expose the Groebner side, poset and std-count the
-combinatorial side, and verify chains everything into one self-describing
-JSON certificate.
+combinatorial side, and verify emits the library's whole report.  The
+emitter writes polynomials, monomials and pair records straight to JSON.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage,
 malformed input or an unwritable output file.  Output is deterministic
@@ -20,14 +20,14 @@ from dataclasses import dataclass, field as dataclass_field
 from json.encoder import encode_basestring_ascii
 
 from .asl import axiom1_work, build_poset, count_standard_monomials, verify
-from .groebner import buchberger, initial_ideal, is_groebner
+from .groebner import SPairRecord, buchberger, initial_ideal, is_groebner
 from .matrix_ideal import MatrixPattern, matrix_product_ideal, product_generators
-from .poly_core import CoefficientField
+from .poly_core import CoefficientField, Monomial, Polynomial
 
 LARGE_N = 8
 LARGE_DEGREE = 8
 # bound on axiom1_work for a generic verify: (n, degree) = (8, 4) at about
-# 1.3e6 runs in seconds, (4, 8) at about 4.0e6 ran for minutes at 2.5 GiB
+# 1.3e6 runs in 2.6 s, (4, 8) at about 4.0e6 in 14.2 s at 471 MiB peak RSS
 LARGE_WORK = 2_000_000
 
 
@@ -112,14 +112,48 @@ def _emit(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _monomial_json(m: Monomial, newline: str) -> str:
+    """m's text; the ring's names are JSON-encoded once, cached on the ring."""
+    ctx = m.ctx
+    if ctx._json_names is None:
+        ctx._json_names = tuple([encode_basestring_ascii(v.name)
+                                 for v in ctx.variables])
+    inner, names = newline + "  ", ctx._json_names
+    body = ",".join([f"{inner}{names[p]}: {e}" for p, e in m.exps])
+    return "{" + body + newline + "}" if body else "{}"
+
+
+def _polynomial_json(f: Polynomial) -> str:
+    """f's text at depth 0, cached on f, which is immutable."""
+    if f._json is None:
+        nl = "\n    "  # the line break and indentation of a term's "m"
+        terms = [f'\n  {{{nl}"c": {encode_basestring_ascii(str(c))},{nl}"m": '
+                 f'{_monomial_json(m, nl)}\n  }}' for c, m in f.terms]
+        f._json = "[" + ",".join(terms) + "\n]" if terms else "[]"
+    return f._json
+
+
 def _json_parts(value, newline: str, out: list) -> None:
     """Append the pieces of ``json.dumps(value, indent=2)`` to out.
 
     ``newline`` is the line break plus the indentation of value's own
-    line.  Module level, not a closure: a recursive closure would hold
-    each report's pieces in a reference cycle until the next collection.
+    line.  A Polynomial is written as ``[{"c": "<coefficient>", "m":
+    <monomial>}, ...]``, a Monomial as ``{"<variable>": <exponent>, ...}``
+    and an SPairRecord as the dict of its fields.  Module level, not a
+    closure: a recursive closure would hold each report's pieces in a
+    reference cycle until the next collection.
     """
-    if isinstance(value, str):
+    if isinstance(value, SPairRecord):
+        inner = newline + "  "
+        out.append(f'{{{inner}"i": {value.i},{inner}"j": {value.j},{inner}'
+                   f'"criterion": {encode_basestring_ascii(value.criterion)},'
+                   f'{inner}"remainder_zero": '
+                   f'{"true" if value.remainder_zero else "false"}{newline}}}')
+    elif isinstance(value, Polynomial):
+        out.append(_polynomial_json(value).replace("\n", newline))
+    elif isinstance(value, Monomial):
+        out.append(_monomial_json(value, newline))
+    elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
         out.append("null")
@@ -163,9 +197,10 @@ def _json_parts(value, newline: str, out: list) -> None:
 def _emit_json(payload: dict, cfg: RunConfig) -> None:
     """Write payload as ``json.dumps(payload, indent=2)`` would, plus a newline.
 
-    The reports hold only dicts, lists, strings, ints, booleans and None,
-    and the standard encoder spends most of its time on generality
-    (floats, circularity checks, custom hooks) they never need.
+    The reports hold only dicts, lists, strings, ints, booleans, None and
+    the library objects above, and the standard encoder spends most of its
+    time on generality (floats, circularity checks, custom hooks) they
+    never need.
     """
     out: list[str] = []
     _json_parts(payload, "\n", out)
@@ -183,7 +218,7 @@ def cmd_ideal(cfg: RunConfig) -> int:
         "n": cfg.pattern.n,
         "pattern": cfg.pattern.to_json_dict(),
         "field": cfg.fieldspec.name,
-        "generators": [g.to_json_list() for g in gens],
+        "generators": gens,
     }, cfg)
     return 0
 
@@ -199,7 +234,7 @@ def cmd_gb(cfg: RunConfig) -> int:
         "n": cfg.pattern.n,
         "pattern": cfg.pattern.to_json_dict(),
         "field": cfg.fieldspec.name,
-        "basis": basis.to_json_list(),
+        "basis": list(basis),
     }, cfg)
     return 0
 
@@ -220,7 +255,9 @@ def cmd_verify_gb(cfg: RunConfig) -> int:
             "n": cfg.pattern.n,
             "pattern": cfg.pattern.to_json_dict(),
             "field": cfg.fieldspec.name,
-            "certificate": certificate.to_json_dict(),
+            "certificate": {"is_basis": certificate.is_basis,
+                            "pairs": list(certificate.pairs),
+                            "basis": list(certificate.basis)},
         }, cfg)
     return 0 if certificate.is_basis else 1
 
@@ -236,7 +273,7 @@ def cmd_init_ideal(cfg: RunConfig) -> int:
         "n": cfg.pattern.n,
         "pattern": cfg.pattern.to_json_dict(),
         "field": cfg.fieldspec.name,
-        "generators": init.to_json_list(),
+        "generators": list(init),
     }, cfg)
     return 0
 

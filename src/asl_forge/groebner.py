@@ -53,9 +53,6 @@ class GeneratorSet:
     def __getitem__(self, k: int) -> Polynomial:
         return self.polys[k]
 
-    def to_json_list(self) -> list[list[dict]]:
-        return [f.to_json_list() for f in self.polys]
-
     def __repr__(self) -> str:
         return f"GeneratorSet({len(self.polys)} polynomials, n={self.ctx.n})"
 
@@ -208,10 +205,6 @@ class SPairRecord:
     criterion: str  # "coprime" or "reduced"
     remainder_zero: bool
 
-    def to_json_dict(self) -> dict:
-        return {"i": self.i, "j": self.j, "criterion": self.criterion,
-                "remainder_zero": self.remainder_zero}
-
 
 @dataclass(frozen=True)
 class GroebnerCertificate:
@@ -223,13 +216,6 @@ class GroebnerCertificate:
 
     def __bool__(self) -> bool:
         return self.is_basis
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_basis": self.is_basis,
-            "pairs": [p.to_json_dict() for p in self.pairs],
-            "basis": [f.to_json_list() for f in self.basis],
-        }
 
 
 def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
@@ -354,9 +340,6 @@ class InitialIdeal:
         guard = order.guard
         e = order.packed(order.heap_key(m)) | guard
         return not any((e - d) & guard == guard for d in self._packed)
-
-    def to_json_list(self) -> list[dict[str, int]]:
-        return [g.to_json_dict() for g in self.generators]
 
     def __iter__(self):
         return iter(self.generators)

@@ -227,7 +227,8 @@ class RingContext:
     Contexts are equal when they carry the same variables over one field.
     """
 
-    __slots__ = ("n", "field", "variables", "_position", "order", "_one")
+    __slots__ = ("n", "field", "variables", "_position", "order", "_one",
+                 "_json_names")
 
     def __init__(self, n: int, x_variables: Iterable[Variable] | None = None, *,
                  field: CoefficientField | None = None):
@@ -248,6 +249,7 @@ class RingContext:
         self._position = {v: k for k, v in enumerate(self.variables)}
         self.order = MonomialOrder(self)
         self._one = Monomial(self, ())
+        self._json_names = None  # the cli's JSON-encoded names, built on first use
 
     def x(self, i: int, j: int) -> Variable:
         v = Variable.x(i, j)
@@ -347,9 +349,6 @@ class Monomial:
 
     def __hash__(self) -> int:
         return hash(self.exps)
-
-    def to_json_dict(self) -> dict[str, int]:
-        return {self.ctx.variables[p].name: e for p, e in self.exps}
 
     def __str__(self) -> str:
         if not self.exps:
@@ -476,12 +475,13 @@ class MonomialOrder:
 class Polynomial:
     """Immutable sparse polynomial; terms sorted strictly descending."""
 
-    __slots__ = ("ctx", "terms", "_divisor")
+    __slots__ = ("ctx", "terms", "_divisor", "_json")
 
     def __init__(self, ctx: RingContext, terms: tuple):
         self.ctx = ctx
         self.terms = terms  # tuple of (coefficient, Monomial), descending
         self._divisor = None  # groebner's division entry, built on first use
+        self._json = None  # the cli's JSON text at depth 0, built on first use
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -537,9 +537,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash(self.terms)
-
-    def to_json_list(self) -> list[dict]:
-        return [{"c": str(c), "m": m.to_json_dict()} for c, m in self.terms]
 
     def __str__(self) -> str:
         if not self.terms:

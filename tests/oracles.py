@@ -7,7 +7,10 @@ ranks, a dict-and-max division loop and a completion that reduces every
 pair, direct divisibility scans for standard-monomial counting,
 inclusion-exclusion over generator lcms for Hilbert functions, trial
 division for primality, and a reader of the JSON polynomial form by
-variable name.  Rationals only.
+variable name.  Rationals only, except for the report forms: plain dicts
+and lists that the library objects in a report stand for, built without
+the library's emitter, so ``json.dumps(report_json(r), indent=2)`` is the
+reference text of a report r.
 """
 
 from fractions import Fraction
@@ -16,6 +19,8 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import networkx as nx
+
+from asl_forge import Monomial, Polynomial, SPairRecord
 
 
 # ---------------------------------------------------------------- posets
@@ -258,8 +263,35 @@ def dense_divide(ctx, f, divisors):
             del work[m]
     return quotients, remainder
 
+def monomial_json(m):
+    """A monomial's report form: {variable name: exponent}, layout order."""
+    return {v.name: e for v, e in m.factors()}
+
+def polynomial_json(f):
+    """A polynomial's report form: its terms, descending, as {"c", "m"}."""
+    return [{"c": str(c), "m": monomial_json(m)} for c, m in f.terms]
+
+def pair_json(p):
+    """An S-pair record's report form."""
+    return {"i": p.i, "j": p.j, "criterion": p.criterion,
+            "remainder_zero": p.remainder_zero}
+
+def report_json(value):
+    """value with each Polynomial, Monomial and SPairRecord in its report form."""
+    if isinstance(value, dict):
+        return {k: report_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [report_json(v) for v in value]
+    if isinstance(value, Polynomial):
+        return polynomial_json(value)
+    if isinstance(value, Monomial):
+        return monomial_json(value)
+    if isinstance(value, SPairRecord):
+        return pair_json(value)
+    return value
+
 def polynomial_from_json(ctx, data):
-    """The library polynomial that a to_json_list() list describes."""
+    """The library polynomial that a polynomial_json() list describes."""
     by_name = {v.name: v for v in ctx.variables}
     return ctx.polynomial({
         ctx.monomial({by_name[name]: e for name, e in term["m"].items()}): term["c"]

@@ -274,8 +274,9 @@ class TestAxiom1:
         report = verify(MatrixPattern.generic(n), 4)
         names = [f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
         names += [f"y_{j}" for j in range(1, n + 1)]
-        gens = [[g.get(name, 0) for name in names]
-                for g in report["sections"]["initial_ideal"]["generators"]]
+        generators = report["sections"]["initial_ideal"]["generators"]
+        gens = [[oracles.monomial_json(g).get(name, 0) for name in names]
+                for g in generators]
         for d, entry in enumerate(report["sections"]["axiom1"]["degrees"]):
             expected = oracles.hilbert_count(gens, len(names), d)
             assert entry["normal"] == expected

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,8 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 
 def run_cli(*args, threads=None, check=False, timeout=None):
@@ -412,3 +415,99 @@ class TestJsonEmitter:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@st.composite
+def _library_payloads(draw):
+    """A JSON tree whose leaves include one ring's library objects.
+
+    The leaves are drawn from a fixed list of objects, so one polynomial
+    can sit at several depths of the same payload.
+    """
+    from asl_forge import CoefficientField, RingContext, SPairRecord, Variable
+    n = draw(st.integers(1, 3))
+    entries = [Variable.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    xs = draw(st.lists(st.sampled_from(entries), unique=True, max_size=len(entries)))
+    field = draw(st.sampled_from([None, 2, 3, 32003]))
+    ctx = RingContext(n, sorted(xs, key=entries.index),
+                      field=CoefficientField(field))
+    monomials = st.dictionaries(st.sampled_from(ctx.variables), st.integers(0, 4),
+                                max_size=4).map(ctx.monomial)
+    coefficients = (st.fractions(max_denominator=60) if field is None
+                    else st.integers(-10**6, 10**6))
+    polynomials = st.dictionaries(monomials, coefficients,
+                                  max_size=5).map(ctx.polynomial)
+    pairs = st.builds(SPairRecord, st.integers(0, 500), st.integers(0, 500),
+                      st.sampled_from(["coprime", "reduced"]), st.booleans())
+    objects = draw(st.lists(polynomials | monomials | pairs, min_size=1, max_size=6))
+    objects += [ctx.zero, ctx.one]
+    leaves = st.sampled_from(objects) | st.integers(-3, 3) | st.text(max_size=4)
+    return draw(st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+        max_leaves=24))
+
+
+class TestLibraryObjectEmitter:
+    @settings(max_examples=100, deadline=None)
+    @given(_library_payloads())
+    def test_matches_json_dumps_of_oracle_forms(self, payload):
+        expected = json.dumps(oracles.report_json(payload), indent=2) + "\n"
+        assert _emitted(payload) == expected
+
+    def test_fixed_cases(self):
+        # the zero polynomial, the constant monomial, Fraction and GF(p)
+        # coefficients, exponents above 1, and one polynomial at three
+        # depths of one payload, which re-indents its cached text
+        from fractions import Fraction
+
+        from asl_forge import CoefficientField, RingContext, SPairRecord
+        for field in (CoefficientField.rationals(), CoefficientField.prime(7)):
+            ctx = RingContext(2, field=field)
+            m = ctx.monomial({ctx.x(1, 1): 3, ctx.x(2, 1): 1, ctx.y(2): 2})
+            c = Fraction(-3, 7) if field.p is None else 12
+            f = ctx.polynomial({m: c, ctx.monomial({ctx.y(1): 1}): 1, ctx.one: 2})
+            pair = SPairRecord(0, 3, "reduced", False)
+            payload = {"f": f, "deep": [[{"f": f, "m": m}], [pair, ctx.zero]],
+                       "zero": ctx.zero, "one": ctx.one, "g": [f]}
+            expected = json.dumps(oracles.report_json(payload), indent=2) + "\n"
+            assert _emitted(payload) == expected
+
+
+def _oracle_cases():
+    """24 n=5 masks over QQ, 16 n=3 masks over GF(3), generic n=3 over GF(3)."""
+    rng = random.Random(11)
+    for _ in range(24):
+        yield 5, [[rng.randint(0, 1) for _ in range(5)] for _ in range(5)], None
+    for _ in range(16):
+        yield 3, [[rng.randint(0, 1) for _ in range(3)] for _ in range(3)], 3
+    yield 3, None, 3
+
+
+class TestReportsMatchOracleForms:
+    """verify's bytes against json.dumps of the library report's oracle forms.
+
+    Unlike the pinned digests, the reference text here is recomputed, so
+    this holds across changes that alter reports on purpose.
+    """
+
+    @pytest.mark.parametrize("n,mask,p", list(_oracle_cases()))
+    def test_cli_bytes_equal_oracle_dump(self, n, mask, p):
+        from asl_forge import CoefficientField, MatrixPattern, verify
+        from asl_forge.cli import main
+        argv = ["verify", "--n", str(n), "--degree", "2"]
+        if mask is None:
+            pattern = MatrixPattern.generic(n)
+        else:
+            pattern = MatrixPattern.zero_pattern(mask)
+            argv += ["--pattern", "zero", "--mask", json.dumps(mask)]
+        if p is not None:
+            argv += ["--field", f"gf({p})"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        report = verify(pattern, 2, CoefficientField(p))
+        assert out.getvalue() == json.dumps(oracles.report_json(report),
+                                            indent=2) + "\n"
+        assert code == (0 if report["verdict"] == "pass" else 1)

@@ -126,7 +126,7 @@ class TestProductGenerators:
             sctx, sgens = matrix_product_ideal(MatrixPattern.symmetric(n))
             folded = []
             for g in ggens:
-                data = g.to_json_list()
+                data = oracles.polynomial_json(g)
                 for term in data:
                     fixed = {}
                     for name, e in term["m"].items():
