@@ -5,20 +5,14 @@ The layers, bottom up: poly_core (ring contexts, block monomial order,
 sparse exact arithmetic), groebner (division, Buchberger, certificates,
 initial ideals), matrix_ideal (patterned X and the generators of the
 entry ideal), poset (finite partial orders), asl (the variable poset,
-standard monomials, straightening, bounded-degree axiom checks and the
-``verify`` pipeline), cli.
+bounded-degree axiom checks and the ``verify`` pipeline), cli.
 """
 
 from .asl import (
-    NonStandardExpansionError,
     POSET_NOTE,
-    StraighteningRelation,
     build_poset,
-    chain_factors,
     count_standard_monomials,
     expected_incomparable_pairs,
-    is_standard_monomial,
-    straighten,
     verify,
     verify_axiom1,
     verify_axiom2,
@@ -31,7 +25,6 @@ from .groebner import (
     SPairRecord,
     buchberger,
     initial_ideal,
-    interreduce,
     is_groebner,
     reduce,
 )
@@ -63,29 +56,23 @@ __all__ = [
     "MatrixPattern",
     "Monomial",
     "MonomialOrder",
-    "NonStandardExpansionError",
     "NotGroebnerError",
     "POSET_NOTE",
     "Polynomial",
     "Poset",
     "RingContext",
     "SPairRecord",
-    "StraighteningRelation",
     "Variable",
     "ZeroPolynomialError",
     "buchberger",
     "build_poset",
-    "chain_factors",
     "count_standard_monomials",
     "expected_incomparable_pairs",
     "initial_ideal",
-    "interreduce",
     "is_groebner",
-    "is_standard_monomial",
     "matrix_product_ideal",
     "product_generators",
     "reduce",
-    "straighten",
     "verify",
     "verify_axiom1",
     "verify_axiom2",

@@ -10,9 +10,14 @@ statements at bounded degree:
            initial ideal, and they form a basis of each degree slice of
            the quotient (checked by sparse elimination on the slice of
            the ideal itself);
-  axiom 2: each incomparable product x_i_i * y_i rewrites, via its
-           Groebner normal form, into standard monomials whose least
-           factor sits below both x_i_i and y_i.
+  axiom 2: for each incomparable pair (alpha, beta) of the poset, every
+           term of the Groebner normal form of alpha*beta is standard,
+           so its factors sort into an ascending chain, and each chain's
+           least factor sits below both alpha and beta.
+
+"Standard" is one test for both axioms: a monomial's support against the
+comparability bitmasks that ``verify`` builds once from the poset, along
+with the poset's incomparable pairs.
 
 Both checkers return plain-dict reports with a top-level "verdict",
 suitable for direct JSON serialization.  ``verify`` runs the whole
@@ -23,9 +28,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .groebner import (
     GeneratorSet,
@@ -38,7 +42,7 @@ from .groebner import (
 )
 from .linalg import staircase
 from .matrix_ideal import MatrixPattern, matrix_product_ideal
-from .poly_core import CoefficientField, Monomial, RingContext, Variable
+from .poly_core import CoefficientField, RingContext, Variable
 from .poset import Poset
 
 # Reports that rest on the generator poset carry this note: the bridge
@@ -53,14 +57,6 @@ POSET_NOTE = ("bridge relations read as x_(i+1)_(i+1) <= y_i and "
 STRAIGHTENING_SKIP_REASON = (
     "straightening-law verification is defined here only for the generic "
     "pattern; Groebner checks still ran")
-
-
-class NonStandardExpansionError(ValueError):
-    """A straightening expansion produced a non-standard monomial."""
-
-    def __init__(self, monomial: Monomial):
-        super().__init__(f"expansion term {monomial} is not standard")
-        self.monomial = monomial
 
 
 def build_poset(n: int) -> Poset:
@@ -107,84 +103,18 @@ def expected_incomparable_pairs(n: int) -> list[tuple[Variable, Variable]]:
     return [(Variable.x(i, i), Variable.y(i)) for i in range(1, n + 1)]
 
 
-def _incomparable_check(poset: Poset, n: int
-                        ) -> tuple[list[tuple[Variable, Variable]], bool]:
-    """The poset's incomparable pairs, and whether they are the diagonal ones."""
-    found = poset.incomparable_pairs()
+def _incomparable_pairs(ctx: RingContext, comparable: list[int]
+                        ) -> list[tuple[Variable, Variable]]:
+    """The incomparable pairs of ring variables, in layout order, off the masks."""
+    variables = ctx.variables
+    return [(a, variables[q]) for p, a in enumerate(variables)
+            for q in range(p + 1, len(variables)) if not comparable[p] >> q & 1]
+
+
+def _only_diagonal(pairs: list[tuple[Variable, Variable]], n: int) -> bool:
+    """Whether the pairs are exactly the diagonal pairs (x_i_i, y_i)."""
     expected = expected_incomparable_pairs(n)
-    return found, {frozenset(p) for p in found} == {frozenset(p) for p in expected}
-
-
-def is_standard_monomial(m: Monomial, poset: Poset) -> bool:
-    """True when the variables dividing m are pairwise comparable.
-
-    Repeated factors never obstruct (v <= v), so only the support matters.
-    """
-    support = [v for v, _ in m.factors()]
-    return all(poset.comparable(a, b) for a, b in combinations(support, 2))
-
-
-def chain_factors(m: Monomial, poset: Poset) -> tuple[Variable, ...]:
-    """The factors of a standard monomial, with multiplicity, sorted ascending.
-
-    Raises NonStandardExpansionError when the factors are not totally
-    ordered, since no ascending chain exists then.
-    """
-    if not is_standard_monomial(m, poset):
-        raise NonStandardExpansionError(m)
-    factors = [v for v, e in m.factors() for _ in range(e)]
-
-    def cmp(a: Variable, b: Variable) -> int:
-        if a == b:
-            return 0
-        return -1 if poset.leq(a, b) else 1
-
-    return tuple(sorted(factors, key=cmp_to_key(cmp)))
-
-
-@dataclass(frozen=True)
-class StraighteningRelation:
-    """Rewrite of the incomparable product alpha*beta in standard monomials.
-
-    Each expansion entry pairs a nonzero coefficient with an ascending
-    chain of variables whose product is the monomial.
-    """
-
-    alpha: Variable
-    beta: Variable
-    expansion: tuple[tuple[object, tuple[Variable, ...]], ...]
-
-    def minimal_factors(self) -> list[Variable]:
-        return [chain[0] for _, chain in self.expansion if chain]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha.name,
-            "beta": self.beta.name,
-            "expansion": [{"c": str(c), "chain": [v.name for v in chain]}
-                          for c, chain in self.expansion],
-        }
-
-
-def straighten(i: int, ctx: RingContext, basis: GeneratorSet,
-               poset: Poset | None = None) -> StraighteningRelation:
-    """Straightening relation for the incomparable pair (x_i_i, y_i).
-
-    The right-hand side is the full normal form of x_i_i * y_i modulo the
-    basis (which must be a Groebner basis for the normal form to be
-    canonical), with each term's factors sorted into an ascending chain.
-    Raises NonStandardExpansionError if any term is not standard.
-    """
-    if not 1 <= i <= ctx.n:
-        raise ValueError(f"index {i} outside 1..{ctx.n}")
-    if poset is None:
-        poset = build_poset(ctx.n)
-    alpha = ctx.x(i, i)
-    beta = ctx.y(i)
-    product = ctx.polynomial({ctx.monomial({alpha: 1, beta: 1}): 1})
-    normal_form = reduce(product, basis)
-    expansion = tuple((c, chain_factors(m, poset)) for c, m in normal_form.terms)
-    return StraighteningRelation(alpha, beta, expansion)
+    return {frozenset(p) for p in pairs} == {frozenset(p) for p in expected}
 
 
 def count_standard_monomials(n: int, d: int) -> int:
@@ -300,13 +230,14 @@ def _check_degree(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
 
 
 def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
-                  init: InitialIdeal | None, poset: Poset,
+                  init: InitialIdeal | None, comparable: list[int],
                   degree_bound: int) -> dict:
     """Check freeness on standard monomials, degree by degree up to a bound.
 
     ``gens`` are the generic product generators, ``certificate`` their
     pair check, ``init`` their initial ideal (None when the check failed)
-    and ``poset`` the variable poset.  Per degree d <= degree_bound: every
+    and ``comparable`` the variable poset's bitmasks from
+    ``_comparable_masks``.  Per degree d <= degree_bound: every
     monomial is standard iff it is normal; the number of standard
     monomials matches the closed form; and eliminating the slice spanned
     by all degree-d multiples of the generators yields pivot monomials
@@ -318,7 +249,6 @@ def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
     ctx = gens.ctx
     per_degree = []
     if certificate.is_basis:
-        comparable = _comparable_masks(ctx, poset)
         per_degree = [_check_degree(ctx, gens, init, comparable, d)
                       for d in range(degree_bound + 1)]
     ok = (certificate.is_basis
@@ -337,44 +267,57 @@ def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
 
 
 def verify_axiom2(gens: GeneratorSet, certificate: GroebnerCertificate,
-                  poset: Poset) -> dict:
+                  poset: Poset, comparable: list[int],
+                  pairs: list[tuple[Variable, Variable]]) -> dict:
     """Check the straightening condition for every incomparable pair.
 
     ``gens`` are the generic product generators, ``certificate`` their
-    pair check and ``poset`` the variable poset.  For each diagonal pair
-    (x_i_i, y_i): the expansion terms are standard, the least factor of
-    each term lies below both x_i_i and y_i, and the product minus its
-    expansion reduces to zero, so the identity holds in the quotient.
+    pair check, ``poset`` the variable poset, ``comparable`` its bitmasks
+    from ``_comparable_masks`` and ``pairs`` its incomparable pairs.  For
+    each pair (alpha, beta), every term of the normal form of alpha*beta
+    must be standard (its factors pairwise comparable, so they sort into
+    an ascending chain), the least factor of each chain must lie below
+    both alpha and beta, and the product minus the expansion rebuilt from
+    the chains must reduce to zero, so the identity holds in the quotient.
     """
     ctx = gens.ctx
-    n = ctx.n
-    found, pairs_ok = _incomparable_check(poset, n)
+    variables = ctx.variables
 
+    def cmp(a: Variable, b: Variable) -> int:
+        return 0 if a == b else -1 if poset.leq(a, b) else 1
+
+    pairs_ok = _only_diagonal(pairs, ctx.n)
     entries = []
     all_ok = certificate.is_basis and pairs_ok
-    for i in range(1, n + 1):
-        alpha = ctx.x(i, i)
-        beta = ctx.y(i)
-        try:
-            rel = straighten(i, ctx, gens, poset)
-        except NonStandardExpansionError as exc:
-            entries.append({
-                "alpha": alpha.name, "beta": beta.name,
-                "status": "fail",
-                "non_standard_term": str(exc.monomial),
-            })
+    for alpha, beta in pairs:
+        product = ctx.polynomial({ctx.monomial({alpha: 1, beta: 1}): 1})
+        expansion = []
+        non_standard = None
+        for c, m in reduce(product, gens).terms:
+            support, allowed = 0, -1
+            for p, _ in m.exps:
+                support |= 1 << p
+                allowed &= comparable[p]
+            if support & allowed != support:
+                non_standard = m
+                break
+            expansion.append((c, sorted([variables[p] for p, e in m.exps
+                                         for _ in range(e)], key=cmp_to_key(cmp))))
+        if non_standard is not None:
+            entries.append({"alpha": alpha.name, "beta": beta.name,
+                            "status": "fail",
+                            "non_standard_term": str(non_standard)})
             all_ok = False
             continue
 
-        minima = rel.minimal_factors()
+        minima = [chain[0] for _, chain in expansion if chain]
         below_alpha = all(poset.leq(v, alpha) for v in minima)
         below_beta = all(poset.leq(v, beta) for v in minima)
 
         # rebuild the expansion as a polynomial and confirm membership
-        expansion_poly = ctx.polynomial({ctx.monomial(Counter(chain)): c
-                                         for c, chain in rel.expansion})
-        product = ctx.polynomial({ctx.monomial({alpha: 1, beta: 1}): 1})
-        residual = reduce(product - expansion_poly, gens)
+        rebuilt = ctx.polynomial({ctx.monomial(Counter(chain)): c
+                                  for c, chain in expansion})
+        residual = reduce(product - rebuilt, gens)
 
         entry_ok = below_alpha and below_beta and not residual
         all_ok = all_ok and entry_ok
@@ -382,7 +325,8 @@ def verify_axiom2(gens: GeneratorSet, certificate: GroebnerCertificate,
             "alpha": alpha.name,
             "beta": beta.name,
             "status": "pass" if entry_ok else "fail",
-            "expansion": rel.to_json_dict()["expansion"],
+            "expansion": [{"c": str(c), "chain": [v.name for v in chain]}
+                          for c, chain in expansion],
             "minimal_factors": [v.name for v in minima],
             "minimal_below_alpha": below_alpha,
             "minimal_below_beta": below_beta,
@@ -392,11 +336,11 @@ def verify_axiom2(gens: GeneratorSet, certificate: GroebnerCertificate,
     return {
         "verdict": "pass" if all_ok else "fail",
         "check": "incomparable products straighten below both factors",
-        "n": n,
+        "n": ctx.n,
         "field": ctx.field.name,
         "poset_note": POSET_NOTE,
         "groebner_verified": certificate.is_basis,
-        "incomparable_pairs": [[a.name, b.name] for a, b in found],
+        "incomparable_pairs": [[a.name, b.name] for a, b in pairs],
         "incomparable_as_expected": pairs_ok,
         "relations": entries,
     }
@@ -409,7 +353,8 @@ def verify(pattern: MatrixPattern, degree: int,
     Each invariant is built once and passed down: the generators (for a
     zero pattern, their Buchberger completion), one pair certificate, the
     initial ideal and, for the generic pattern only, the variable poset
-    that the poset section and both axiom checks read.  The verdict passes
+    with its comparability bitmasks and incomparable pairs, which the
+    poset section and both axiom checks read.  The verdict passes
     when every section passes or is skipped.  Bases, pairs and initial-ideal
     generators are Polynomial, SPairRecord and Monomial objects, not dicts.
     """
@@ -448,16 +393,20 @@ def verify(pattern: MatrixPattern, degree: int,
 
     if pattern.kind == "generic":
         poset = build_poset(ctx.n)
-        found, pairs_ok = _incomparable_check(poset, ctx.n)
+        comparable = _comparable_masks(ctx, poset)
+        pairs = _incomparable_pairs(ctx, comparable)
+        pairs_ok = _only_diagonal(pairs, ctx.n)
         sections["poset"] = {
             "status": "pass" if pairs_ok else "fail",
             "note": POSET_NOTE,
             "elements": len(poset),
-            "incomparable_pairs": [[a.name, b.name] for a, b in found],
+            "incomparable_pairs": [[a.name, b.name] for a, b in pairs],
             "only_diagonal_pairs_incomparable": pairs_ok,
         }
-        sections["axiom1"] = verify_axiom1(gens, certificate, init, poset, degree)
-        sections["axiom2"] = verify_axiom2(gens, certificate, poset)
+        sections["axiom1"] = verify_axiom1(gens, certificate, init, comparable,
+                                           degree)
+        sections["axiom2"] = verify_axiom2(gens, certificate, poset, comparable,
+                                           pairs)
     else:
         skipped = {"status": "skipped", "reason": STRAIGHTENING_SKIP_REASON}
         sections.update(poset=skipped, axiom1=skipped, axiom2=skipped)

@@ -112,34 +112,37 @@ def _emit(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _monomial_json(m: Monomial, newline: str) -> str:
-    """m's text; the ring's names are JSON-encoded once, cached on the ring."""
-    ctx = m.ctx
-    if ctx._json_names is None:
-        ctx._json_names = tuple([encode_basestring_ascii(v.name)
-                                 for v in ctx.variables])
-    inner, names = newline + "  ", ctx._json_names
+def _monomial_json(m: Monomial, newline: str, memo: dict) -> str:
+    """m's text; the ring's names are JSON-encoded once per report."""
+    names = memo.get(id(m.ctx))
+    if names is None:
+        names = memo[id(m.ctx)] = tuple([encode_basestring_ascii(v.name)
+                                         for v in m.ctx.variables])
+    inner = newline + "  "
     body = ",".join([f"{inner}{names[p]}: {e}" for p, e in m.exps])
     return "{" + body + newline + "}" if body else "{}"
 
 
-def _polynomial_json(f: Polynomial) -> str:
-    """f's text at depth 0, cached on f, which is immutable."""
-    if f._json is None:
+def _polynomial_json(f: Polynomial, memo: dict) -> str:
+    """f's text at depth 0, built once per report."""
+    text = memo.get(id(f))
+    if text is None:
         nl = "\n    "  # the line break and indentation of a term's "m"
         terms = [f'\n  {{{nl}"c": {encode_basestring_ascii(str(c))},{nl}"m": '
-                 f'{_monomial_json(m, nl)}\n  }}' for c, m in f.terms]
-        f._json = "[" + ",".join(terms) + "\n]" if terms else "[]"
-    return f._json
+                 f'{_monomial_json(m, nl, memo)}\n  }}' for c, m in f.terms]
+        text = memo[id(f)] = "[" + ",".join(terms) + "\n]" if terms else "[]"
+    return text
 
 
-def _json_parts(value, newline: str, out: list) -> None:
+def _json_parts(value, newline: str, out: list, memo: dict) -> None:
     """Append the pieces of ``json.dumps(value, indent=2)`` to out.
 
     ``newline`` is the line break plus the indentation of value's own
     line.  A Polynomial is written as ``[{"c": "<coefficient>", "m":
     <monomial>}, ...]``, a Monomial as ``{"<variable>": <exponent>, ...}``
-    and an SPairRecord as the dict of its fields.  Module level, not a
+    and an SPairRecord as the dict of its fields.  ``memo`` holds, by
+    object id, the texts built so far for this report, so a polynomial
+    the report holds twice is rendered once.  Module level, not a
     closure: a recursive closure would hold each report's pieces in a
     reference cycle until the next collection.
     """
@@ -150,9 +153,9 @@ def _json_parts(value, newline: str, out: list) -> None:
                    f'{inner}"remainder_zero": '
                    f'{"true" if value.remainder_zero else "false"}{newline}}}')
     elif isinstance(value, Polynomial):
-        out.append(_polynomial_json(value).replace("\n", newline))
+        out.append(_polynomial_json(value, memo).replace("\n", newline))
     elif isinstance(value, Monomial):
-        out.append(_monomial_json(value, newline))
+        out.append(_monomial_json(value, newline, memo))
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -175,7 +178,7 @@ def _json_parts(value, newline: str, out: list) -> None:
             out.append(sep)
             out.append(encode_basestring_ascii(k))
             out.append(": ")
-            _json_parts(v, inner, out)
+            _json_parts(v, inner, out, memo)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, list):
@@ -186,7 +189,7 @@ def _json_parts(value, newline: str, out: list) -> None:
         sep = "[" + inner
         for v in value:
             out.append(sep)
-            _json_parts(v, inner, out)
+            _json_parts(v, inner, out, memo)
             sep = "," + inner
         out.append(newline + "]")
     else:
@@ -203,7 +206,7 @@ def _emit_json(payload: dict, cfg: RunConfig) -> None:
     never need.
     """
     out: list[str] = []
-    _json_parts(payload, "\n", out)
+    _json_parts(payload, "\n", out, {})
     out.append("\n")
     _emit("".join(out), cfg)
 

@@ -62,21 +62,17 @@ def _divisor_entry(ctx: RingContext, g: Polynomial) -> tuple:
 
     The entry is (lc, leading heap key, leading packed exponents, tail),
     where the tail holds (coefficient, heap key) for each term after the
-    leading one.  It is cached on the polynomial, which is immutable, so
-    a basis that divides many polynomials builds each entry once.
+    leading one.
     """
     if g.ctx is not ctx and g.ctx != ctx:
         raise ContextMismatchError("divisor from a different ring context")
     if not g:
         raise ZeroPolynomialError("cannot divide by the zero polynomial")
-    entry = g._divisor
-    if entry is None:
-        key = ctx.order.heap_key
-        lc, lm = g.terms[0]
-        lkey = key(lm)
-        entry = g._divisor = (lc, lkey, ctx.order.packed(lkey),
-                              tuple((tc, key(tm)) for tc, tm in g.terms[1:]))
-    return entry
+    key = ctx.order.heap_key
+    lc, lm = g.terms[0]
+    lkey = key(lm)
+    return (lc, lkey, ctx.order.packed(lkey),
+            tuple((tc, key(tm)) for tc, tm in g.terms[1:]))
 
 
 def _subtract_tail(work: dict, heap: list, tail: tuple, coeff, qkey: int) -> None:
@@ -132,6 +128,16 @@ def _division(ctx: RingContext, table: list[tuple], work: dict, heap: list,
     return Polynomial(ctx, tuple(remainder))
 
 
+def _remainder(ctx: RingContext, table: list[tuple], f: Polynomial) -> Polynomial:
+    """Remainder of f under full tail reduction by the table's divisors."""
+    key = ctx.order.heap_key
+    known = {key(m): m for _, m in f.terms}
+    # descending terms give ascending keys, which is already a heap
+    heap = list(known)
+    return _division(ctx, table, dict(zip(heap, [c for c, _ in f.terms])), heap,
+                     known)
+
+
 def reduce(f: Polynomial, basis) -> Polynomial:
     """Remainder of f under full tail reduction by the given polynomials.
 
@@ -139,13 +145,7 @@ def reduce(f: Polynomial, basis) -> Polynomial:
     divides the current term is used, so the remainder is deterministic.
     """
     ctx = f.ctx
-    table = [_divisor_entry(ctx, g) for g in basis]
-    key = ctx.order.heap_key
-    known = {key(m): m for _, m in f.terms}
-    # descending terms give ascending keys, which is already a heap
-    heap = list(known)
-    return _division(ctx, table, dict(zip(heap, [c for c, _ in f.terms])), heap,
-                     known)
+    return _remainder(ctx, [_divisor_entry(ctx, g) for g in basis], f)
 
 
 def _pair_remainder(ctx: RingContext, table: list[tuple], a: int, b: int,
@@ -166,34 +166,25 @@ def _pair_remainder(ctx: RingContext, table: list[tuple], a: int, b: int,
     return _division(ctx, table, work, heap, {})
 
 
-def interreduce(polys) -> list[Polynomial]:
-    """Make the set reduced: monic, and no term divisible by another's LM.
+def _reduced_basis(ctx: RingContext, basis: list[Polynomial],
+                   table: list[tuple]) -> list[Polynomial]:
+    """The reduced Groebner basis of a Groebner basis with division table ``table``.
 
-    Returns the surviving polynomials sorted by descending leading
-    monomial.
+    An element is dropped when another's leading monomial divides its own
+    (of equal ones, the first is kept).  Each survivor's tail is reduced
+    once by the other survivors, which keeps its leading monomial, and
+    the result is made monic; the divisor order does not matter, since
+    the reduced basis is unique.  Sorted by descending leading monomial.
+    On a set that is not a Groebner basis this could change the ideal.
     """
-    current = [f for f in polys if f]
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(current)):
-            others = current[:k] + current[k + 1:]
-            if not others:
-                continue
-            r = reduce(current[k], others)
-            if r != current[k]:
-                changed = True
-            if r:
-                current[k] = r
-            else:
-                del current[k]
-                break
-    current = [f.monic() for f in current]
-    if not current:
-        return []
-    key = current[0].ctx.order.heap_key
-    current.sort(key=lambda f: key(f.leading_monomial()))
-    return current
+    guard = ctx.order.guard
+    keep = sorted((k for k, (_, lkey, lexp, _) in enumerate(table)
+                   if not any(((lexp | guard) - d[2]) & guard == guard
+                              and (d[1] != lkey or j < k)
+                              for j, d in enumerate(table) if j != k)),
+                  key=lambda k: table[k][1])
+    return [_remainder(ctx, [table[j] for j in keep if j != k], basis[k]).monic()
+            for k in keep]
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,10 +283,12 @@ def buchberger(gens: GeneratorSet) -> GeneratorSet:
     Pairs are popped in ascending (lcm degree, a, b) order from a heap
     filled by the Gebauer-Moeller update, which makes the run
     deterministic; the criteria are sound, and the reduced basis is
-    unique, so they change the work done but not the result.
+    unique, so they change the work done but not the result.  The input
+    is not interreduced first; one pass over the final division table
+    reduces the completed basis.
     """
     ctx = gens.ctx
-    basis = interreduce(list(gens))
+    basis = list(gens)
     table: list[tuple] = []
     pairs: dict[tuple[int, int], int] = {}
     queue: list[tuple[int, int, int]] = []
@@ -311,7 +304,7 @@ def buchberger(gens: GeneratorSet) -> GeneratorSet:
             h = r.monic()
             basis.append(h)
             _add_with_pairs(ctx.order, table, pairs, queue, _divisor_entry(ctx, h))
-    return GeneratorSet(ctx, interreduce(basis))
+    return GeneratorSet(ctx, _reduced_basis(ctx, basis, table))
 
 
 class InitialIdeal:

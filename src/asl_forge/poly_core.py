@@ -227,8 +227,7 @@ class RingContext:
     Contexts are equal when they carry the same variables over one field.
     """
 
-    __slots__ = ("n", "field", "variables", "_position", "order", "_one",
-                 "_json_names")
+    __slots__ = ("n", "field", "variables", "_position", "order", "_one")
 
     def __init__(self, n: int, x_variables: Iterable[Variable] | None = None, *,
                  field: CoefficientField | None = None):
@@ -249,7 +248,6 @@ class RingContext:
         self._position = {v: k for k, v in enumerate(self.variables)}
         self.order = MonomialOrder(self)
         self._one = Monomial(self, ())
-        self._json_names = None  # the cli's JSON-encoded names, built on first use
 
     def x(self, i: int, j: int) -> Variable:
         v = Variable.x(i, j)
@@ -475,13 +473,11 @@ class MonomialOrder:
 class Polynomial:
     """Immutable sparse polynomial; terms sorted strictly descending."""
 
-    __slots__ = ("ctx", "terms", "_divisor", "_json")
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: RingContext, terms: tuple):
         self.ctx = ctx
         self.terms = terms  # tuple of (coefficient, Monomial), descending
-        self._divisor = None  # groebner's division entry, built on first use
-        self._json = None  # the cli's JSON text at depth 0, built on first use
 
     def __bool__(self) -> bool:
         return bool(self.terms)

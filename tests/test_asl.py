@@ -13,24 +13,26 @@ from asl_forge import (
     InitialIdeal,
     MatrixPattern,
     Monomial,
-    NonStandardExpansionError,
     POSET_NOTE,
     Poset,
     Variable,
     build_poset,
-    chain_factors,
     count_standard_monomials,
     expected_incomparable_pairs,
     initial_ideal,
     is_groebner,
-    is_standard_monomial,
     matrix_product_ideal,
     reduce,
-    straighten,
     verify,
     verify_axiom1,
+    verify_axiom2,
 )
-from asl_forge.asl import _check_degree, _comparable_masks, axiom1_work
+from asl_forge.asl import (
+    _check_degree,
+    _comparable_masks,
+    _incomparable_pairs,
+    axiom1_work,
+)
 
 
 class TestBuildPoset:
@@ -88,16 +90,42 @@ class TestBuildPoset:
         assert not p.comparable(x(2, 2), y(2))
 
 
+def non_standard(ctx, poset, d):
+    """The degree-d monomials the axiom-1 bitmask test calls non-standard.
+
+    Against an empty initial ideal every monomial is normal, so the slice
+    check's standard-versus-normal mismatches are the non-standard ones.
+    """
+    comparable = _comparable_masks(ctx, poset)
+    _, gens = matrix_product_ideal(MatrixPattern.generic(ctx.n))
+    return _check_degree(ctx, gens, InitialIdeal(ctx, []), comparable, d)["mismatches"]
+
+
+def straightening(gens, poset):
+    """verify_axiom2's report on gens over the pairs the poset leaves incomparable."""
+    comparable = _comparable_masks(gens.ctx, poset)
+    return verify_axiom2(gens, is_groebner(gens), poset, comparable,
+                         _incomparable_pairs(gens.ctx, comparable))
+
+
+def relation(report, alpha, beta):
+    """The report's entry for the pair (alpha, beta)."""
+    [entry] = [e for e in report["relations"]
+               if (e["alpha"], e["beta"]) == (alpha, beta)]
+    return entry
+
+
 class TestStandardMonomials:
     def test_examples_n2(self):
         ctx, _ = matrix_product_ideal(MatrixPattern.generic(2))
         p = build_poset(2)
-        m = ctx.monomial
-        assert is_standard_monomial(m({ctx.x(1, 2): 1, ctx.y(2): 1}), p)
-        assert not is_standard_monomial(m({ctx.x(1, 1): 1, ctx.y(1): 1}), p)
-        assert is_standard_monomial(ctx.one, p)
-        assert is_standard_monomial(m({ctx.x(1, 1): 3}), p)
-        assert not is_standard_monomial(m({ctx.x(2, 2): 2, ctx.y(2): 1}), p)
+        assert non_standard(ctx, p, 0) == []  # the monomial 1
+        degree2 = non_standard(ctx, p, 2)
+        assert "x_1_1*y_1" in degree2
+        assert "x_1_2*y_2" not in degree2
+        degree3 = non_standard(ctx, p, 3)
+        assert "x_2_2^2*y_2" in degree3
+        assert "x_1_1^3" not in degree3
 
     @pytest.mark.parametrize("n,dmax", [(1, 4), (2, 4), (3, 3)])
     def test_standard_iff_normal(self, n, dmax):
@@ -107,80 +135,115 @@ class TestStandardMonomials:
         p = build_poset(n)
         diag = [(ctx.x(i, i), ctx.y(i)) for i in range(1, n + 1)]
         for d in range(dmax + 1):
+            divisible = []
             for m in oracles.monomials_of_degree(ctx, d):
                 exps = dict(m.factors())
-                divisible = any(a in exps and b in exps for a, b in diag)
-                assert is_standard_monomial(m, p) == (not divisible)
+                if any(a in exps and b in exps for a, b in diag):
+                    divisible.append(str(m))
+            assert non_standard(ctx, p, d) == sorted(divisible)
 
     def test_chain_factors_sorted(self):
+        # x_1_1*y_1 reduces to -x_1_2^2*x_2_2*y_1, whose factors form a
+        # chain with a repeated factor; against an antichain they do not
         ctx, _ = matrix_product_ideal(MatrixPattern.generic(2))
+        m = ctx.monomial
+        gens = GeneratorSet(ctx, [ctx.polynomial({
+            m({ctx.x(1, 1): 1, ctx.y(1): 1}): 1,
+            m({ctx.y(1): 1, ctx.x(1, 2): 2, ctx.x(2, 2): 1}): 1})])
         p = build_poset(2)
-        m = ctx.monomial({ctx.y(1): 1, ctx.x(1, 2): 2, ctx.x(2, 2): 1})
-        chain = chain_factors(m, p)
-        assert chain == (ctx.x(1, 2), ctx.x(1, 2), ctx.x(2, 2), ctx.y(1))
+        entry = relation(straightening(gens, p), "x_1_1", "y_1")
+        assert entry["status"] == "pass"
+        [term] = entry["expansion"]
+        assert term == {"c": "-1", "chain": ["x_1_2", "x_1_2", "x_2_2", "y_1"]}
+        by_name = {v.name: v for v in p.elements}
+        chain = [by_name[name] for name in term["chain"]]
         for a, b in zip(chain, chain[1:]):
             assert p.leq(a, b)
-        with pytest.raises(NonStandardExpansionError):
-            chain_factors(ctx.monomial({ctx.x(1, 1): 1, ctx.y(1): 1}), p)
+        antichain = Poset(p.elements, [])
+        entry = relation(straightening(gens, antichain), "x_1_1", "y_1")
+        assert entry["non_standard_term"] == "x_1_2^2*x_2_2*y_1"
 
 
 class TestStraighten:
     def test_n2_example(self):
-        ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
-        rel = straighten(1, ctx, gens)
-        assert rel.alpha == ctx.x(1, 1) and rel.beta == ctx.y(1)
-        assert rel.expansion == ((ctx.field.coerce(-1),
-                                  (ctx.x(1, 2), ctx.y(2))),)
+        entry = axiom2(2)["relations"][0]
+        assert (entry["alpha"], entry["beta"]) == ("x_1_1", "y_1")
+        assert entry["expansion"] == [{"c": "-1", "chain": ["x_1_2", "y_2"]}]
 
     def test_n3_middle_row(self):
-        ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
-        rel = straighten(2, ctx, gens)
-        chains = {(tuple(v.name for v in chain), str(c))
-                  for c, chain in rel.expansion}
+        entry = relation(axiom2(3), "x_2_2", "y_2")
+        chains = {(tuple(term["chain"]), term["c"]) for term in entry["expansion"]}
         assert chains == {(("x_2_1", "y_1"), "-1"), (("x_2_3", "y_3"), "-1")}
 
     def test_n1_empty_expansion(self):
-        ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
-        rel = straighten(1, ctx, gens)
-        assert rel.expansion == ()
-        assert rel.minimal_factors() == []
+        entry = axiom2(1)["relations"][0]
+        assert entry["expansion"] == []
+        assert entry["minimal_factors"] == []
 
-    def test_index_out_of_range(self):
+    def test_pair_outside_the_ring_raises(self):
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
-        with pytest.raises(ValueError):
-            straighten(0, ctx, gens)
-        with pytest.raises(ValueError):
-            straighten(3, ctx, gens)
+        p = build_poset(2)
+        with pytest.raises(ValueError, match="x_3_3 is not a variable"):
+            verify_axiom2(gens, is_groebner(gens), p, _comparable_masks(ctx, p),
+                          [(Variable.x(3, 3), Variable.y(3))])
 
-    def test_non_standard_expansion_raises(self):
+    def test_non_standard_expansion_fails(self):
         # against a bare antichain every two-variable monomial is
-        # non-standard, so the expansion cannot be written as chains
+        # non-standard, so no expansion can be written as chains
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
-        antichain = Poset(build_poset(2).elements, [])
-        with pytest.raises(NonStandardExpansionError):
-            straighten(1, ctx, gens, antichain)
+        report = straightening(gens, Poset(build_poset(2).elements, []))
+        assert report["verdict"] == "fail"
+        assert not report["incomparable_as_expected"]
+        assert len(report["relations"]) == 15  # every pair of 6 variables
+        entry = relation(report, "x_1_1", "y_1")
+        assert entry == {"alpha": "x_1_1", "beta": "y_1", "status": "fail",
+                         "non_standard_term": "x_1_2*y_2"}
+        # a normal product is its own, non-standard, normal form
+        assert relation(report, "x_1_2", "y_2")["non_standard_term"] == "x_1_2*y_2"
+
+    def test_minimal_factor_not_below_alpha_fails(self):
+        # x_1_1 <= x_1_2 <= y_2 keeps x_1_1 and y_1 incomparable and the
+        # expansion -x_1_2*y_2 standard, but its least factor is above x_1_1
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
+        x, y = Variable.x, Variable.y
+        poset = Poset(build_poset(2).elements, [(x(1, 1), x(1, 2)), (x(1, 2), y(2))])
+        report = straightening(gens, poset)
+        assert report["verdict"] == "fail"
+        entry = relation(report, "x_1_1", "y_1")
+        assert entry["expansion"] == [{"c": "-1", "chain": ["x_1_2", "y_2"]}]
+        assert entry["minimal_below_alpha"] is False
+        assert entry["minimal_below_beta"] is False
+        assert entry["difference_reduces_to_zero"]
+        assert entry["status"] == "fail"
 
     def test_expansion_matches_normal_form(self):
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(4))
-        for i in range(1, 5):
-            rel = straighten(i, ctx, gens)
+        by_name = {v.name: v for v in ctx.variables}
+        report = axiom2(4)
+        assert len(report["relations"]) == 4
+        for i, entry in enumerate(report["relations"], start=1):
+            assert (entry["alpha"], entry["beta"]) == (f"x_{i}_{i}", f"y_{i}")
             rebuilt = ctx.zero
-            for c, chain in rel.expansion:
+            for term in entry["expansion"]:
                 m = ctx.one
-                for v in chain:
-                    m = oracles.monomial_mul(m, ctx.monomial({v: 1}))
-                rebuilt = rebuilt + ctx.polynomial({m: c})
+                for name in term["chain"]:
+                    m = oracles.monomial_mul(m, ctx.monomial({by_name[name]: 1}))
+                rebuilt = rebuilt + ctx.polynomial({m: term["c"]})
             product = ctx.polynomial(
                 {ctx.monomial({ctx.x(i, i): 1, ctx.y(i): 1}): 1})
             assert not reduce(product - rebuilt, gens)
+            assert oracles.is_member(ctx, gens, product - rebuilt)
 
     def test_json_shape(self):
-        ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
-        data = straighten(1, ctx, gens).to_json_dict()
-        assert data == {
+        assert axiom2(2)["relations"][0] == {
             "alpha": "x_1_1",
             "beta": "y_1",
+            "status": "pass",
             "expansion": [{"c": "-1", "chain": ["x_1_2", "y_2"]}],
+            "minimal_factors": ["x_1_2"],
+            "minimal_below_alpha": True,
+            "minimal_below_beta": True,
+            "difference_reduces_to_zero": True,
         }
 
 
@@ -303,7 +366,8 @@ class TestAxiom1:
             ctx.polynomial({ctx.monomial({ctx.x(1, 1): 1, ctx.x(1, 2): 1}): 1})])
         certificate = is_groebner(extra)
         assert not certificate.is_basis
-        report = verify_axiom1(extra, certificate, None, build_poset(2), 3)
+        report = verify_axiom1(extra, certificate, None,
+                               _comparable_masks(ctx, build_poset(2)), 3)
         assert report["verdict"] == "fail"
         assert not report["groebner_verified"] and report["degrees"] == []
 
@@ -342,13 +406,12 @@ class TestAxiom1:
         assert not entry["basis_check"]
 
     def test_comparability_built_once_and_no_monomial_per_row(self, monkeypatch):
-        # n = 3 has N = 12 variables: the comparability bitmasks cost N**2
-        # Poset.comparable calls per run, whatever the degree bound, and
-        # monomials and Macaulay rows are heap keys, so the Monomials built
-        # do not grow with the rows eliminated (234 more at degree 4)
-        ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
-        certificate = is_groebner(gens)
-        init, poset = initial_ideal(gens, certificate), build_poset(3)
+        # a generic verify builds the comparability bitmasks once, at N**2
+        # Poset.comparable calls for N variables, and reads the incomparable
+        # pairs and both axioms' "standard" off them, whatever the degree
+        # bound.  Monomials and Macaulay rows are heap keys, so the
+        # Monomials built do not grow with the rows eliminated (234 more
+        # at n = 3, degree 4)
         counts = Counter()
         real_comparable, real_init = Poset.comparable, Monomial.__init__
 
@@ -361,14 +424,15 @@ class TestAxiom1:
             real_init(self, *args)
         monkeypatch.setattr(Poset, "comparable", comparable)
         monkeypatch.setattr(Monomial, "__init__", monomial_init)
-        seen = {}
-        for bound in (3, 4):
-            counts.clear()
-            report = verify_axiom1(gens, certificate, init, poset, bound)
-            assert report["verdict"] == "pass"
-            seen[bound] = (counts["comparable"], counts["monomial"])
-        assert seen[3] == seen[4]
-        assert seen[4][0] == 12 * 12
+        for n, bounds in ((3, (3, 4)), (4, (2, 3))):
+            seen = {}
+            for bound in bounds:
+                counts.clear()
+                report = verify(MatrixPattern.generic(n), bound)
+                assert report["verdict"] == "pass"
+                seen[bound] = (counts["comparable"], counts["monomial"])
+            assert seen[bounds[0]] == seen[bounds[1]]
+            assert seen[bounds[1]][0] == (n * n + n) ** 2
 
     def test_row_shift_past_the_order_bound_raises(self, monkeypatch):
         # with 4-bit fields the order encodes total degree at most 7.  At
@@ -386,10 +450,11 @@ class TestAxiom1:
         with pytest.raises(ValueError, match="total degree 8"):
             _check_degree(ctx, gens, InitialIdeal(ctx, []), everything, 8)
         certificate = is_groebner(gens)
-        init, poset = initial_ideal(gens, certificate), build_poset(1)
-        assert verify_axiom1(gens, certificate, init, poset, 7)["verdict"] == "pass"
+        init = initial_ideal(gens, certificate)
+        comparable = _comparable_masks(ctx, build_poset(1))
+        assert verify_axiom1(gens, certificate, init, comparable, 7)["verdict"] == "pass"
         with pytest.raises(ValueError, match="total degree 8"):
-            verify_axiom1(gens, certificate, init, poset, 8)
+            verify_axiom1(gens, certificate, init, comparable, 8)
 
 
 class TestAxiom2:

@@ -6,7 +6,9 @@ over QQ and GF(3).  The second runs `verify` on all 512 n=3 zero masks
 over QQ and GF(3), whose completions are large enough to exercise the
 division and S-pair kernels.  The third runs `verify` on 32 seeded n=4
 zero masks over QQ and GF(3), whose S-pair reductions pass through
-non-squarefree intermediate terms.  Each digest covers every call's argv, exit
+non-squarefree intermediate terms.  The fourth runs `verify` on the generic
+and the symmetric patterns for n = 1..6 and degree bounds 0..2 over QQ,
+GF(2), GF(3) and GF(32003), which covers both axiom reports.  Each digest covers every call's argv, exit
 code and stdout, so any change to a report, a rendering or an exit code
 shows up here.  A change that alters output on purpose must say so and
 record the new digest.
@@ -25,6 +27,7 @@ from asl_forge.cli import main
 GRID_SHA256 = "965f5fc9b345984defc5384aa1e649f8aa3443d6e804ce1787e508795a143fbe"
 N3_MASKS_SHA256 = "6233fbb45012f1c47281e9775a49f521b5761bcc79f886c1685188c4210144e6"
 N4_MASKS_SHA256 = "1cd181663b63898f20e4441c154eef192b6aff8c75779b9f8b787eda92854b24"
+GENERIC_SHA256 = "cb0f1c0a83145ed2236a42a6fd58c475bef4610d70aa3a11cb209037bad1b4f6"
 
 PATTERN_COMMANDS = [("ideal", "json"), ("ideal", "text"), ("gb", "json"),
                     ("gb", "text"), ("verify-gb", "json"), ("verify-gb", "text"),
@@ -70,6 +73,15 @@ def n4_masks_grid():
                    json.dumps(mask), "--field", field, "--degree", "2"]
 
 
+def generic_grid():
+    for field in ("rationals", "gf(2)", "gf(3)", "gf(32003)"):
+        for pattern in ("generic", "symmetric"):
+            for n in range(1, 7):
+                for degree in range(3):
+                    yield ["verify", "--n", str(n), "--pattern", pattern,
+                           "--field", field, "--degree", str(degree)]
+
+
 def run_grid(argvs):
     """(sha256 hex digest over the calls, number of calls, seconds)."""
     start = time.perf_counter()
@@ -103,4 +115,11 @@ def test_n4_mask_completions_are_pinned():
     digest, calls, elapsed = run_grid(n4_masks_grid())
     assert calls == 64
     assert digest == N4_MASKS_SHA256
+    assert elapsed < 3.0, f"grid took {elapsed:.2f} s"
+
+
+def test_generic_and_symmetric_reports_are_pinned():
+    digest, calls, elapsed = run_grid(generic_grid())
+    assert calls == 144
+    assert digest == GENERIC_SHA256
     assert elapsed < 3.0, f"grid took {elapsed:.2f} s"

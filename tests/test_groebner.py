@@ -21,7 +21,6 @@ from asl_forge import (
     RingContext,
     buchberger,
     initial_ideal,
-    interreduce,
     is_groebner,
     matrix_product_ideal,
     reduce,
@@ -334,13 +333,17 @@ class TestBuchberger:
             assert not reduce(f, basis)
             assert oracles.is_member(ctx, gens, f)
 
-    def test_interreduce_makes_reduced_sets(self):
+    def test_buchberger_makes_reduced_sets(self):
+        # the input is not interreduced first: the second element's
+        # leading monomial repeats the first's, and its tail survives as
+        # the monic y_1 only through the completion
         ctx, _ = generic(2)
         f = poly(ctx, (1, {ctx.x(1, 1): 1}))
         g = poly(ctx, (2, {ctx.x(1, 1): 1}), (2, {ctx.y(1): 1}))
-        reduced = interreduce([f, g])
-        assert reduced == [f, poly(ctx, (1, {ctx.y(1): 1}))]
-        assert interreduce([ctx.zero]) == []
+        reduced = buchberger(GeneratorSet(ctx, [f, g]))
+        assert list(reduced) == [f, poly(ctx, (1, {ctx.y(1): 1}))]
+        assert list(buchberger(GeneratorSet(ctx, [ctx.zero]))) == []
+        assert list(buchberger(GeneratorSet(ctx, []))) == []
 
 
 FIELDS = [CoefficientField.rationals()] + [CoefficientField.prime(p)

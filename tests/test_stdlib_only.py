@@ -96,3 +96,35 @@ def test_every_private_name_is_used(path):
     unused = [name for name, node in private_definitions(trees[path]).items()
               if name not in others | referenced_names(trees[path], skip=node)]
     assert not unused, f"{path.name} defines {unused} but nothing in src uses them"
+
+
+def declared_slots(tree: ast.AST) -> set[str]:
+    """Every string in a `__slots__` assigned anywhere in the module."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in node.targets)):
+            names.update(c.value for c in ast.walk(node.value)
+                         if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return names
+
+
+def private_attribute_stores(tree: ast.AST) -> list[ast.Attribute]:
+    """Stores to a `_name` attribute of anything but `self`."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_attributes_set_only_where_declared(path):
+    # a module that parks its own state on another module's objects (a
+    # cache slot on Polynomial, say) couples the two; a module may write
+    # the private slots it declares itself, like poly_core's Monomial._hkey
+    tree = ast.parse(path.read_text(), filename=str(path))
+    slots = declared_slots(tree)
+    foreign = [f"line {node.lineno}: {ast.unparse(node)}"
+               for node in private_attribute_stores(tree) if node.attr not in slots]
+    assert not foreign, f"{path.name} sets undeclared private attributes: {foreign}"
