@@ -8,8 +8,9 @@ statements at bounded degree:
 
   axiom 1: standard monomials coincide with the monomials outside the
            initial ideal, and they form a basis of each degree slice of
-           the quotient (checked by sparse elimination on the slice of
-           the ideal itself);
+           the quotient (one depth-first walk visits every monomial up
+           to the degree bound once; sparse elimination on each slice of
+           the ideal itself gives the pivots);
   axiom 2: for each incomparable pair (alpha, beta) of the poset, every
            term of the Groebner normal form of alpha*beta is standard,
            so its factors sort into an ascending chain, and each chain's
@@ -159,74 +160,125 @@ def _comparable_masks(ctx: RingContext, poset: Poset) -> list[int]:
             for a in variables]
 
 
-def _check_degree(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
-                  comparable: list[int], degree: int) -> dict:
-    """Axiom-1 evidence for one degree slice.
+def _walk(order, init: InitialIdeal, comparable: list[int],
+          degree_bound: int) -> list[list]:
+    """Per degree d <= degree_bound: [monomials, standard, non-normal, mismatches].
+
+    One depth-first walk, on an explicit stack, over the nondecreasing
+    sequences of variable positions visits each monomial of degree at
+    most the bound once.  A node carries its packed exponent vector,
+    support bitmask, the AND of its variables' ``comparable`` masks and
+    its "normal" flag.  A multiple of a non-normal monomial is non-normal,
+    and a normal monomial times x_p can only be divisible by a generator
+    of ``init`` that involves p, so a child tests just those, exactly, by
+    the guard-bit test.  Mismatches are kept as packed vectors.
+    """
+    guard = order.guard
+    packed = [order.packed(w) for w in order.weights]
+    involving = [[] for _ in packed]
+    for g in init.generators:
+        for p, _ in g.exps:
+            involving[p].append(order.packed(order.heap_key(g)))
+    nodes = [(p, packed[p], 1 << p, comparable[p], involving[p])
+             for p in range(len(packed))]
+    suffixes = [nodes[p:] for p in range(len(nodes))]
+    normal = all(g.exps for g in init.generators)  # else 1 is in the ideal
+    stats = [[1, 1, int(not normal), [] if normal else [0]]]
+    stats += [[0, 0, 0, []] for _ in range(degree_bound)]
+    stack = [(0, 0, 0, 0, -1, normal)] if degree_bound else []
+    while stack:
+        first, depth, e, support, allowed, normal = stack.pop()
+        depth += 1
+        row = stats[depth]
+        total, standard, non_normal, mismatches = row
+        inner = depth < degree_bound
+        for p, step, bit, comp, divisors in suffixes[first]:
+            e2, s2, a2 = e + step, support | bit, allowed & comp
+            std = s2 & a2 == s2
+            nrm = normal
+            if nrm:
+                for d in divisors:
+                    if ((e2 | guard) - d) & guard == guard:
+                        nrm = False
+                        break
+            standard += std
+            if not nrm:
+                non_normal += 1
+            if std != nrm:
+                mismatches.append(e2)
+            if inner:
+                stack.append((p, depth, e2, s2, a2, nrm))
+        row[:3] = total + len(nodes) - first, standard, non_normal
+    return stats
+
+
+def _ideal_slice(order, field: CoefficientField, gen_terms: list, divisors: list,
+                 degree: int) -> tuple[int, bool]:
+    """Rank of the ideal's degree slice, and whether every pivot is non-normal.
+
+    A Macaulay row is a quadric generator's term keys (``gen_terms``)
+    shifted by the key of a degree d-2 multiplier.  A pivot is non-normal
+    when it has degree d and a packed generator in ``divisors`` divides
+    it.  The pivot rows are freed on return, before the next slice.
+    """
+    rows = ()
+    if degree >= 2:
+        rows = ({t + q: c for t, c in terms}
+                for q in map(sum, combinations_with_replacement(order.weights,
+                                                                degree - 2))
+                for terms in gen_terms)
+    pivots = staircase(rows, field)
+    guard = order.guard
+    for e in map(order.packed, pivots):
+        if order.degree(e) != degree:
+            return len(pivots), False
+        e |= guard
+        for d in divisors:
+            if (e - d) & guard == guard:
+                break
+        else:
+            return len(pivots), False
+    return len(pivots), True
+
+
+def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
+                    comparable: list[int], degree_bound: int) -> list[dict]:
+    """Axiom-1 evidence for each degree slice up to the bound.
 
     Standard must match normal monomial-by-monomial, the standard count
     must match the closed form, and the pivot monomials of the ideal's
     degree slice (row echelon over all monomial multiples of the
-    generators) must be exactly the non-normal monomials.  Together these
-    say the standard monomials are a basis of the slice of the quotient.
-
-    The degree-d monomials are visited once, as sorted tuples of variable
-    positions.  "Standard" is read off ``comparable``, the bitmasks of
-    ``_comparable_masks``, and "normal" off (support bitmask, exponents)
-    pairs built from the generators of ``init``.  Monomials and Macaulay
-    rows are heap keys, each the sum of its variables' keys: a row is a
-    quadric generator's term keys shifted by the key of a degree d-2
-    multiplier.
+    generators) must be exactly the non-normal monomials: as many of
+    them, each non-normal.  Together these say the standard monomials
+    are a basis of the slice of the quotient.  "Standard" is read off
+    ``comparable``, the bitmasks of ``_comparable_masks``, and "normal"
+    off the generators of ``init``.  The order's bound is checked once,
+    for the top degree, before any key is summed.
     """
     order = ctx.order
-    order.check_degree(degree)
-    weights = order.weights
-    divisors = [(sum(1 << p for p, _ in g.exps), g.exps)
-                for g in init.generators]
-
-    total = standard = 0
-    non_normal = set()
-    mismatches = []
-    for combo in combinations_with_replacement(range(len(weights)), degree):
-        support = 0
-        allowed = -1
-        for p in combo:
-            support |= 1 << p
-            allowed &= comparable[p]
-        std = support & allowed == support
-        nrm = True
-        for mask, exps in divisors:
-            if (support & mask == mask
-                    and all(combo.count(p) >= e for p, e in exps)):
-                nrm = False
-                break
-        total += 1
-        standard += std
-        if not nrm:
-            non_normal.add(sum([weights[p] for p in combo]))
-        if std != nrm:
-            mismatches.append(str(order.monomial(sum([weights[p] for p in combo]))))
-
-    rows = ()
-    if degree >= 2:
-        gen_terms = [[(order.heap_key(m), c) for c, m in g.terms] for g in gens]
-        rows = ({t + q: c for t, c in terms}
-                for q in map(sum, combinations_with_replacement(weights, degree - 2))
-                for terms in gen_terms)
-    pivots = staircase(rows, ctx.field)
-
-    expected = count_standard_monomials(ctx.n, degree)
-    return {
-        "degree": degree,
-        "monomials": total,
-        "standard": standard,
-        "normal": total - len(non_normal),
-        "standard_equals_normal": not mismatches,
-        "mismatches": sorted(mismatches),
-        "count_formula": expected,
-        "count_matches": standard == expected,
-        "ideal_slice_rank": len(pivots),
-        "basis_check": pivots.keys() == non_normal,
-    }
+    order.check_degree(degree_bound)
+    divisors = [order.packed(order.heap_key(g)) for g in init.generators]
+    gen_terms = [[(order.heap_key(m), c) for c, m in g.terms] for g in gens]
+    reports = []
+    for degree, (total, standard, non_normal, mismatches) in enumerate(
+            _walk(order, init, comparable, degree_bound)):
+        rank, pivots_non_normal = _ideal_slice(order, ctx.field, gen_terms,
+                                               divisors, degree)
+        expected = count_standard_monomials(ctx.n, degree)
+        reports.append({
+            "degree": degree,
+            "monomials": total,
+            "standard": standard,
+            "normal": total - non_normal,
+            "standard_equals_normal": not mismatches,
+            "mismatches": sorted([str(order.monomial(order.packed(e)))
+                                  for e in mismatches]),
+            "count_formula": expected,
+            "count_matches": standard == expected,
+            "ideal_slice_rank": rank,
+            "basis_check": rank == non_normal and pivots_non_normal,
+        })
+    return reports
 
 
 def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
@@ -249,8 +301,7 @@ def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
     ctx = gens.ctx
     per_degree = []
     if certificate.is_basis:
-        per_degree = [_check_degree(ctx, gens, init, comparable, d)
-                      for d in range(degree_bound + 1)]
+        per_degree = _axiom1_degrees(ctx, gens, init, comparable, degree_bound)
     ok = (certificate.is_basis
           and all(d["standard_equals_normal"] and d["count_matches"]
                   and d["basis_check"] for d in per_degree))

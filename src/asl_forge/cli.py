@@ -26,8 +26,10 @@ from .poly_core import CoefficientField, Monomial, Polynomial
 
 LARGE_N = 8
 LARGE_DEGREE = 8
-# bound on axiom1_work for a generic verify: (n, degree) = (8, 4) at about
-# 1.3e6 runs in 2.6 s, (4, 8) at about 4.0e6 in 14.2 s at 471 MiB peak RSS
+# bound on axiom1_work for a generic verify.  On a shared 2-vCPU Xeon VM,
+# (n, degree) = (8, 4) at about 1.3e6 runs in 0.8-1.2 s at 53 MiB peak RSS,
+# (5, 6) at 2.2e6 in 2.9-3.6 s at 163 MiB, (4, 8) at 4.0e6 in 10.0-10.6 s
+# at 378 MiB
 LARGE_WORK = 2_000_000
 
 

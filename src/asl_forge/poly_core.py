@@ -22,6 +22,7 @@ threads.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -225,9 +226,11 @@ class RingContext:
     layout order: by default all n*n, row-major.  A pattern passes only the
     distinct entries it keeps, so a zeroed entry is no variable at all.
     Contexts are equal when they carry the same variables over one field.
+    Nothing a context holds refers back to it (its order holds it by weak
+    reference), so reference counting frees it, not the cyclic collector.
     """
 
-    __slots__ = ("n", "field", "variables", "_position", "order", "_one")
+    __slots__ = ("n", "field", "variables", "_position", "order", "__weakref__")
 
     def __init__(self, n: int, x_variables: Iterable[Variable] | None = None, *,
                  field: CoefficientField | None = None):
@@ -247,7 +250,6 @@ class RingContext:
             Variable.y(j) for j in range(1, n + 1))
         self._position = {v: k for k, v in enumerate(self.variables)}
         self.order = MonomialOrder(self)
-        self._one = Monomial(self, ())
 
     def x(self, i: int, j: int) -> Variable:
         v = Variable.x(i, j)
@@ -269,7 +271,7 @@ class RingContext:
 
     @property
     def one(self) -> "Monomial":
-        return self._one
+        return Monomial(self, (), 0)
 
     def monomial(self, exponents: Mapping[Variable, int]) -> "Monomial":
         pairs = []
@@ -382,14 +384,15 @@ class MonomialOrder:
     and more of the lowest differing tail variable makes a smaller
     monomial.  ``packed`` gives the same fields, all positive.  Packed a
     divides packed b exactly when ((b | guard) - a) & guard == guard, and
-    b - a is then the quotient.
+    b - a is then the quotient.  The order holds its ring by weak
+    reference, so ``monomial`` and ``compare`` need the ring alive.
     """
 
-    __slots__ = ("ctx", "guard", "tail_bits", "_bits", "weights", "_position",
+    __slots__ = ("_ctx", "guard", "tail_bits", "_bits", "weights", "_position",
                  "_ones", "_low")
 
     def __init__(self, ctx: RingContext):
-        self.ctx = ctx
+        self._ctx = weakref.ref(ctx)
         w = self._bits = EXPONENT_BITS
         nv = len(ctx.variables)
         diagonal = [p for p, v in enumerate(ctx.variables) if v.is_diagonal]
@@ -456,13 +459,13 @@ class MonomialOrder:
             exps.append((self._position[top], e >> (top - w) & ((1 << w) - 1)))
             support ^= 1 << (top - 1)
         exps.sort()
-        m = Monomial(self.ctx, tuple(exps), self.degree(e))
+        m = Monomial(self._ctx(), tuple(exps), self.degree(e))
         m._hkey = key
         return m
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         """Return -1, 0 or 1 as a <, =, > b in the order."""
-        ctx = self.ctx
+        ctx = self._ctx()
         if ((a.ctx is not ctx and a.ctx != ctx)
                 or (b.ctx is not ctx and b.ctx != ctx)):
             raise ContextMismatchError("monomial from a different ring context")

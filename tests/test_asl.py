@@ -1,5 +1,6 @@
 """Variable poset, standard monomials, straightening, axiom reports."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -28,7 +29,7 @@ from asl_forge import (
     verify_axiom2,
 )
 from asl_forge.asl import (
-    _check_degree,
+    _axiom1_degrees,
     _comparable_masks,
     _incomparable_pairs,
     axiom1_work,
@@ -98,7 +99,8 @@ def non_standard(ctx, poset, d):
     """
     comparable = _comparable_masks(ctx, poset)
     _, gens = matrix_product_ideal(MatrixPattern.generic(ctx.n))
-    return _check_degree(ctx, gens, InitialIdeal(ctx, []), comparable, d)["mismatches"]
+    return _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), comparable, d)[d][
+        "mismatches"]
 
 
 def straightening(gens, poset):
@@ -377,8 +379,8 @@ class TestAxiom1:
         base = build_poset(n)
         relations = base.covers() + [(Variable.x(1, 1), Variable.y(1))]
         poset = Poset(base.elements, relations)
-        entry = _check_degree(ctx, gens, initial_ideal(gens),
-                              _comparable_masks(ctx, poset), d)
+        entry = _axiom1_degrees(ctx, gens, initial_ideal(gens),
+                                _comparable_masks(ctx, poset), d)[d]
         expected = oracles.standard_normal_mismatches(
             n, d, [(a.name, b.name) for a, b in relations])
         assert expected
@@ -388,9 +390,9 @@ class TestAxiom1:
     @pytest.mark.parametrize("d", [2, 3])
     def test_dropped_generator_fails_basis_check(self, d):
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
-        entry = _check_degree(ctx, GeneratorSet(ctx, list(gens)[:-1]),
-                              initial_ideal(gens),
-                              _comparable_masks(ctx, build_poset(3)), d)
+        entry = _axiom1_degrees(ctx, GeneratorSet(ctx, list(gens)[:-1]),
+                                initial_ideal(gens),
+                                _comparable_masks(ctx, build_poset(3)), d)[d]
         assert entry["standard_equals_normal"] and entry["count_matches"]
         assert entry["ideal_slice_rank"] < entry["monomials"] - entry["normal"]
         assert not entry["basis_check"]
@@ -399,11 +401,24 @@ class TestAxiom1:
         # the slice rank still matches, but one pivot, x_3_1*y_1, is normal
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
         swapped = ctx.polynomial({ctx.monomial({ctx.x(3, 1): 1, ctx.y(1): 1}): 1})
-        entry = _check_degree(ctx, GeneratorSet(ctx, list(gens)[:-1] + [swapped]),
-                              initial_ideal(gens),
-                              _comparable_masks(ctx, build_poset(3)), 2)
+        entry = _axiom1_degrees(ctx, GeneratorSet(ctx, list(gens)[:-1] + [swapped]),
+                                initial_ideal(gens),
+                                _comparable_masks(ctx, build_poset(3)), 2)[2]
         assert entry["ideal_slice_rank"] == entry["monomials"] - entry["normal"]
         assert not entry["basis_check"]
+
+    def test_pivots_of_another_degree_fail_basis_check(self):
+        # rows shift each generator by the degree d-2 multipliers, so a
+        # cubic generator x_1_1^2*y_1 gives d-1 pivots of degree d+1, all
+        # multiples of x_1_1*y_1: as many as the degree-d non-normal
+        # monomials, but not the same monomials
+        ctx, _ = matrix_product_ideal(MatrixPattern.generic(1))
+        x, y = ctx.x(1, 1), ctx.y(1)
+        cubic = GeneratorSet(ctx, [ctx.polynomial({ctx.monomial({x: 2, y: 1}): 1})])
+        init = InitialIdeal(ctx, [ctx.monomial({x: 1, y: 1})])
+        for entry in _axiom1_degrees(ctx, cubic, init, [-1, -1], 4)[2:]:
+            assert entry["ideal_slice_rank"] == entry["monomials"] - entry["normal"]
+            assert not entry["basis_check"]
 
     def test_comparability_built_once_and_no_monomial_per_row(self, monkeypatch):
         # a generic verify builds the comparability bitmasks once, at N**2
@@ -438,23 +453,103 @@ class TestAxiom1:
         # with 4-bit fields the order encodes total degree at most 7.  At
         # degree 8 a generator term (degree 2) and a multiplier (degree 6)
         # each have a key in range, but their sum, a Macaulay row term,
-        # does not; with no initial-ideal generator and every pair
-        # comparable, no monomial of the slice needs a key, so only the
-        # rows reach the bound
-        from asl_forge import poly_core
+        # does not; the bound is checked once, before the walk sums any
+        # key and before any slice is eliminated
+        from asl_forge import asl, poly_core
         monkeypatch.setattr(poly_core, "EXPONENT_BITS", 4)
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
         everything = [-1] * len(ctx.variables)
-        entry = _check_degree(ctx, gens, InitialIdeal(ctx, []), everything, 7)
+        entry = _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), everything, 7)[7]
         assert entry["ideal_slice_rank"] == 6  # x_1_1*y_1 times 6 monomials
-        with pytest.raises(ValueError, match="total degree 8"):
-            _check_degree(ctx, gens, InitialIdeal(ctx, []), everything, 8)
         certificate = is_groebner(gens)
         init = initial_ideal(gens, certificate)
         comparable = _comparable_masks(ctx, build_poset(1))
         assert verify_axiom1(gens, certificate, init, comparable, 7)["verdict"] == "pass"
         with pytest.raises(ValueError, match="total degree 8"):
             verify_axiom1(gens, certificate, init, comparable, 8)
+        started = []
+        monkeypatch.setattr(asl, "staircase",
+                            lambda rows, field: started.append(rows))
+        monkeypatch.setattr(asl, "_walk", lambda *args: started.append(args))
+        with pytest.raises(ValueError, match="total degree 8"):
+            _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), everything, 8)
+        assert started == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_walk_matches_dense_brute_force(self, seed):
+        # random symmetric comparability masks and initial ideals with a
+        # non-squarefree generator, against a scan of dense exponent
+        # tuples: per degree the counts, the mismatches in both directions
+        # and the basis check, whose pivots come from dense elimination of
+        # the generic n = 2 slice; seed 0 keeps the true initial ideal
+        rng = random.Random(seed)
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
+        variables = ctx.variables
+        nv = len(variables)
+        pairs = {(p, q) for p in range(nv) for q in range(p, nv)
+                 if rng.random() < 0.75}
+        pairs |= {(q, p) for p, q in pairs}
+        masks = [sum(1 << q for q in range(nv) if (p, q) in pairs)
+                 for p in range(nv)]
+        if seed == 0:
+            init = initial_ideal(gens)
+        else:
+            square = [0] * nv
+            square[rng.randrange(nv)] = rng.randint(2, 3)
+            generators = [tuple(square)]
+            for _ in range(rng.randint(1, 3)):
+                e = [0] * nv
+                for _ in range(rng.randint(2, 3)):
+                    e[rng.randrange(nv)] += 1
+                generators.append(tuple(e))
+            init = InitialIdeal(ctx, [ctx.monomial(dict(zip(variables, e)))
+                                      for e in generators])
+        dense_init = [oracles.to_dense(g, nv) for g in init]
+        assert seed == 0 or max(max(e) for e in dense_init) >= 2
+        bound = 4
+        reports = _axiom1_degrees(ctx, gens, init, masks, bound)
+        directions = set()
+        for d, entry in enumerate(reports):
+            total = standard = normal = 0
+            mismatches, non_normal = [], set()
+            for e in oracles.dense_monomials(nv, d):
+                support = [p for p in range(nv) if e[p]]
+                std = all((p, q) in pairs for p in support for q in support)
+                nrm = not any(oracles.divides(g, e) for g in dense_init)
+                total += 1
+                standard += std
+                normal += nrm
+                if not nrm:
+                    non_normal.add(e)
+                if std != nrm:
+                    directions.add(std)
+                    mismatches.append("*".join(
+                        variables[p].name + (f"^{e[p]}" if e[p] > 1 else "")
+                        for p in support))
+            pivots = oracles.slice_pivots_descending(ctx, gens, d)
+            assert entry["degree"] == d
+            assert (entry["monomials"], entry["standard"], entry["normal"]) == (
+                total, standard, normal)
+            assert entry["mismatches"] == sorted(mismatches)
+            assert entry["standard_equals_normal"] == (not mismatches)
+            assert entry["ideal_slice_rank"] == len(pivots)
+            assert entry["basis_check"] == (pivots == non_normal)
+        if seed == 0:
+            assert all(e["basis_check"] for e in reports)
+        else:
+            assert directions == {True, False}
+            assert not reports[bound]["basis_check"]
+
+    def test_unit_initial_ideal_makes_every_monomial_non_normal(self):
+        # the monomial 1 in the ideal: the walk's root is non-normal, so
+        # every standard monomial is a mismatch, the monomial 1 included
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
+        reports = _axiom1_degrees(ctx, gens, InitialIdeal(ctx, [ctx.one]),
+                                  [-1, -1], 2)
+        assert [e["normal"] for e in reports] == [0, 0, 0]
+        assert [e["mismatches"] for e in reports] == [
+            ["1"], ["x_1_1", "y_1"], ["x_1_1*y_1", "x_1_1^2", "y_1^2"]]
+        assert [e["basis_check"] for e in reports] == [False, False, False]
 
 
 class TestAxiom2:

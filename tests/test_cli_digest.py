@@ -8,7 +8,10 @@ division and S-pair kernels.  The third runs `verify` on 32 seeded n=4
 zero masks over QQ and GF(3), whose S-pair reductions pass through
 non-squarefree intermediate terms.  The fourth runs `verify` on the generic
 and the symmetric patterns for n = 1..6 and degree bounds 0..2 over QQ,
-GF(2), GF(3) and GF(32003), which covers both axiom reports.  Each digest covers every call's argv, exit
+GF(2), GF(3) and GF(32003), which covers both axiom reports.  The fifth
+runs a generic `verify` above degree 2 over the same four fields, from
+n = 1 up to degree 10 to n = 5 at degree 3; it includes the benchmark's
+`verify --n 4 --degree 5`.  Each digest covers every call's argv, exit
 code and stdout, so any change to a report, a rendering or an exit code
 shows up here.  A change that alters output on purpose must say so and
 record the new digest.
@@ -28,6 +31,7 @@ GRID_SHA256 = "965f5fc9b345984defc5384aa1e649f8aa3443d6e804ce1787e508795a143fbe"
 N3_MASKS_SHA256 = "6233fbb45012f1c47281e9775a49f521b5761bcc79f886c1685188c4210144e6"
 N4_MASKS_SHA256 = "1cd181663b63898f20e4441c154eef192b6aff8c75779b9f8b787eda92854b24"
 GENERIC_SHA256 = "cb0f1c0a83145ed2236a42a6fd58c475bef4610d70aa3a11cb209037bad1b4f6"
+AXIOM1_SHA256 = "dcde14bf8c6430927e02e2deee30e35a54b5fbfd2ecfbd14ce876ee55ece6812"
 
 PATTERN_COMMANDS = [("ideal", "json"), ("ideal", "text"), ("gb", "json"),
                     ("gb", "text"), ("verify-gb", "json"), ("verify-gb", "text"),
@@ -82,6 +86,15 @@ def generic_grid():
                            "--field", field, "--degree", str(degree)]
 
 
+def axiom1_grid():
+    for field in ("rationals", "gf(2)", "gf(3)", "gf(32003)"):
+        for n, degrees in ((1, range(3, 11)), (2, range(3, 7)), (3, range(3, 6)),
+                           (4, range(3, 6)), (5, range(3, 4))):
+            for degree in degrees:
+                yield ["verify", "--n", str(n), "--field", field,
+                       "--degree", str(degree)]
+
+
 def run_grid(argvs):
     """(sha256 hex digest over the calls, number of calls, seconds)."""
     start = time.perf_counter()
@@ -122,4 +135,11 @@ def test_generic_and_symmetric_reports_are_pinned():
     digest, calls, elapsed = run_grid(generic_grid())
     assert calls == 144
     assert digest == GENERIC_SHA256
+    assert elapsed < 3.0, f"grid took {elapsed:.2f} s"
+
+
+def test_generic_axiom1_reports_above_degree_2_are_pinned():
+    digest, calls, elapsed = run_grid(axiom1_grid())
+    assert calls == 76
+    assert digest == AXIOM1_SHA256
     assert elapsed < 3.0, f"grid took {elapsed:.2f} s"

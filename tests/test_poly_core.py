@@ -1,5 +1,7 @@
 """Kernel tests: the block order, exact arithmetic, JSON round-trips."""
 
+import gc
+import weakref
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -17,6 +19,7 @@ from asl_forge import (
     Variable,
     ZeroPolynomialError,
     product_generators,
+    verify,
 )
 from asl_forge.poly_core import EXPONENT_BITS, PRIME_BOUND, _is_prime
 
@@ -520,3 +523,37 @@ def test_variable_validation():
                [Variable.x(1, 3)]):
         with pytest.raises(ValueError):
             RingContext(2, xs)
+
+
+class TestRingLifetime:
+    # a ring's order holds the ring by weak reference and its monomial 1
+    # is built on demand, so nothing a ring holds refers back to it and
+    # reference counting alone frees it
+
+    def test_ring_freed_without_the_cyclic_collector(self):
+        gc.disable()
+        try:
+            ctx = RingContext(2)
+            ref = weakref.ref(ctx)
+            order = ctx.order
+            m = order.monomial(order.heap_key(ctx.monomial({ctx.x(1, 1): 2})))
+            assert m.ctx is ctx and str(m) == "x_1_1^2"
+            del ctx, order
+            assert ref() is not None  # m still holds its ring
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_verify_leaves_no_cyclic_garbage(self):
+        zero = MatrixPattern.zero_pattern([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+        generic = MatrixPattern.generic(3)
+        verify(zero, 2), verify(generic, 3)  # warm any import-time caches
+        gc.collect()
+        gc.disable()
+        try:
+            assert verify(zero, 2)["verdict"] == "pass"
+            assert verify(generic, 3)["verdict"] == "pass"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,10 +1,14 @@
-"""The package imports only the standard library, and uses what it imports."""
+"""The package imports only the standard library, uses what it imports and
+never recurses on input-sized depth."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+from asl_forge import MatrixPattern, initial_ideal, is_groebner, matrix_product_ideal
+from asl_forge.asl import _comparable_masks, build_poset, verify_axiom1
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "asl_forge"
 MODULES = sorted(SRC.glob("*.py"))
@@ -128,3 +132,62 @@ def test_private_attributes_set_only_where_declared(path):
     foreign = [f"line {node.lineno}: {ast.unparse(node)}"
                for node in private_attribute_stores(tree) if node.attr not in slots]
     assert not foreign, f"{path.name} sets undeclared private attributes: {foreign}"
+
+
+def self_calls(tree: ast.AST) -> list[str]:
+    """Functions that call themselves by name, or as a method on self or cls."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if ((isinstance(func, ast.Name) and func.id == node.name)
+                    or (isinstance(func, ast.Attribute) and func.attr == node.name
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id in ("self", "cls"))):
+                found.append(f"line {call.lineno}: {node.name}")
+    return found
+
+
+# the report's nesting is fixed, so rendering it recursively is bounded
+RECURSION_ALLOWED = {("cli.py", "_json_parts")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    # the degree bound comes from the input and --allow-large lifts it past
+    # the interpreter's recursion limit, so a walk keeps an explicit stack
+    tree = ast.parse(path.read_text(), filename=str(path))
+    recursive = [found for found in self_calls(tree)
+                 if (path.name, found.split(": ")[1]) not in RECURSION_ALLOWED]
+    assert not recursive, f"{path.name} has recursive functions: {recursive}"
+
+
+def test_recursion_guard_sees_a_self_call():
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert {found.split(": ")[1] for found in self_calls(cli)} == {"_json_parts"}
+    tree = ast.parse("def walk(n):\n    return walk(n - 1) if n else 0\n\n"
+                     "class A:\n    def f(self):\n        return self.f()\n")
+    assert self_calls(tree) == ["line 2: walk", "line 6: f"]
+
+
+def test_axiom1_above_the_recursion_limit_passes():
+    ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
+    certificate = is_groebner(gens)
+    init = initial_ideal(gens, certificate)
+    comparable = _comparable_masks(ctx, build_poset(1))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = depth + 50
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        report = verify_axiom1(gens, certificate, init, comparable, limit + 20)
+    finally:
+        sys.setrecursionlimit(old)
+    assert report["verdict"] == "pass"
+    assert len(report["degrees"]) == limit + 21
