@@ -9,8 +9,10 @@ statements at bounded degree:
   axiom 1: standard monomials coincide with the monomials outside the
            initial ideal, and they form a basis of each degree slice of
            the quotient (one depth-first walk visits every monomial up
-           to the degree bound once; sparse elimination on each slice of
-           the ideal itself gives the pivots);
+           to the degree bound once, and each node counts its children,
+           which differ in one variable, as bitmasks over that variable;
+           sparse elimination on each slice of the ideal itself gives
+           the pivots);
   axiom 2: for each incomparable pair (alpha, beta) of the poset, every
            term of the Groebner normal form of alpha*beta is standard,
            so its factors sort into an ascending chain, and each chain's
@@ -166,22 +168,32 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
 
     One depth-first walk, on an explicit stack, over the nondecreasing
     sequences of variable positions visits each monomial of degree at
-    most the bound once.  A node carries its packed exponent vector,
+    most the bound once.  A node m carries its packed exponent vector,
     support bitmask, the AND of its variables' ``comparable`` masks and
-    its "normal" flag.  A multiple of a non-normal monomial is non-normal,
-    and a normal monomial times x_p can only be divisible by a generator
-    of ``init`` that involves p, so a child tests just those, exactly, by
-    the guard-bit test.  Mismatches are kept as packed vectors.
+    its "normal" flag, and counts its children x_p*m, p >= first, all at
+    once as bitmasks over p.  With symmetric masks, x_p*m is standard
+    exactly when m is standard, p is comparable to m's variables (p is in
+    ``allowed``) and to itself.  A multiple of a non-normal monomial is
+    non-normal, and x_p*m for a normal m is non-normal exactly when g/x_p
+    divides m for a generator g of ``init`` that involves p, which the
+    guard-bit test decides exactly.  Only the children below the bound
+    are pushed.  Mismatches are kept as packed vectors.  Asymmetric masks
+    raise ValueError.
     """
+    nv = len(order.weights)
+    if any((comparable[p] >> q ^ comparable[q] >> p) & 1
+           for p in range(nv) for q in range(p + 1, nv)):
+        raise ValueError("comparability masks are not symmetric")
     guard = order.guard
     packed = [order.packed(w) for w in order.weights]
-    involving = [[] for _ in packed]
-    for g in init.generators:
-        for p, _ in g.exps:
-            involving[p].append(order.packed(order.heap_key(g)))
-    nodes = [(p, packed[p], 1 << p, comparable[p], involving[p])
-             for p in range(len(packed))]
-    suffixes = [nodes[p:] for p in range(len(nodes))]
+    self_comparable = sum(1 << p for p in range(nv) if comparable[p] >> p & 1)
+    spans = [((1 << nv) - 1) >> first << first for first in range(nv)]
+    quotients = [(order.packed(order.heap_key(g)) - packed[p], p)
+                 for g in init.generators for p, _ in g.exps]  # g/x_p
+    tests = [[(d, 1 << p) for d, p in quotients if p >= first]
+             for first in range(nv)]
+    nodes = [(p, packed[p], 1 << p, comparable[p]) for p in range(nv)]
+    suffixes = [nodes[p:] for p in range(nv)]
     normal = all(g.exps for g in init.generators)  # else 1 is in the ideal
     stats = [[1, 1, int(not normal), [] if normal else [0]]]
     stats += [[0, 0, 0, []] for _ in range(degree_bound)]
@@ -190,25 +202,27 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
         first, depth, e, support, allowed, normal = stack.pop()
         depth += 1
         row = stats[depth]
-        total, standard, non_normal, mismatches = row
-        inner = depth < degree_bound
-        for p, step, bit, comp, divisors in suffixes[first]:
-            e2, s2, a2 = e + step, support | bit, allowed & comp
-            std = s2 & a2 == s2
-            nrm = normal
-            if nrm:
-                for d in divisors:
-                    if ((e2 | guard) - d) & guard == guard:
-                        nrm = False
-                        break
-            standard += std
-            if not nrm:
-                non_normal += 1
-            if std != nrm:
-                mismatches.append(e2)
-            if inner:
-                stack.append((p, depth, e2, s2, a2, nrm))
-        row[:3] = total + len(nodes) - first, standard, non_normal
+        span = spans[first]
+        std = allowed & self_comparable & span if support & allowed == support else 0
+        non_normal = span
+        if normal:
+            non_normal = 0
+            eg = e | guard
+            for d, bit in tests[first]:
+                if (eg - d) & guard == guard:
+                    non_normal |= bit
+        row[0] += nv - first
+        row[1] += std.bit_count()
+        row[2] += non_normal.bit_count()
+        mismatched = std ^ (span & ~non_normal)
+        while mismatched:
+            bit = mismatched & -mismatched
+            row[3].append(e + packed[bit.bit_length() - 1])
+            mismatched ^= bit
+        if depth < degree_bound:
+            for p, step, bit, comp in suffixes[first]:
+                stack.append((p, depth, e + step, support | bit, allowed & comp,
+                              not non_normal >> p & 1))
     return stats
 
 
@@ -294,10 +308,12 @@ def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
     monomials matches the closed form; and eliminating the slice spanned
     by all degree-d multiples of the generators yields pivot monomials
     exactly equal to the non-normal set, so the standard residues are
-    linearly independent and spanning.
+    linearly independent and spanning.  A certificate of another set
+    raises ValueError.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
+    certificate.check_same_set(gens)
     ctx = gens.ctx
     per_degree = []
     if certificate.is_basis:
@@ -330,7 +346,9 @@ def verify_axiom2(gens: GeneratorSet, certificate: GroebnerCertificate,
     an ascending chain), the least factor of each chain must lie below
     both alpha and beta, and the product minus the expansion rebuilt from
     the chains must reduce to zero, so the identity holds in the quotient.
+    A certificate of another set raises ValueError.
     """
+    certificate.check_same_set(gens)
     ctx = gens.ctx
     variables = ctx.variables
 

@@ -208,6 +208,11 @@ class GroebnerCertificate:
     def __bool__(self) -> bool:
         return self.is_basis
 
+    def check_same_set(self, gens: GeneratorSet) -> None:
+        """Raise ValueError unless this is the pair check of ``gens``."""
+        if self.basis is not gens.polys and self.basis != gens.polys:
+            raise ValueError("the certificate checks another set of polynomials")
+
 
 def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
     """Check every S-pair, recording coprime skips and reduction outcomes.
@@ -217,7 +222,7 @@ def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
     against the full set.  No other criterion is applied: the records are
     the certificate.
     """
-    polys = list(gens)
+    polys = gens.polys
     ctx = gens.ctx
     order = ctx.order
     table = [_divisor_entry(ctx, f) for f in polys]
@@ -234,7 +239,7 @@ def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
             zero = not _pair_remainder(ctx, table, a, b, lcm)
             ok = ok and zero
             records.append(SPairRecord(a, b, "reduced", zero))
-    return GroebnerCertificate(ok, tuple(records), tuple(polys))
+    return GroebnerCertificate(ok, tuple(records), polys)
 
 
 def _add_with_pairs(order: MonomialOrder, table: list[tuple], pairs: dict,
@@ -355,10 +360,11 @@ def initial_ideal(gens: GeneratorSet,
 
     The set must be a Groebner basis, otherwise its leading monomials
     would not determine the initial ideal; a failed or missing check
-    raises NotGroebnerError.
+    raises NotGroebnerError, and a certificate of another set ValueError.
     """
     if certificate is None:
         certificate = is_groebner(gens)
+    certificate.check_same_set(gens)
     if not certificate.is_basis:
         raise NotGroebnerError(
             "leading monomials of a non-Groebner set do not span the initial ideal")

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import GeneratorSet
-from .poly_core import CoefficientField, Polynomial, RingContext, Variable
+from .poly_core import (
+    CoefficientField,
+    Monomial,
+    Polynomial,
+    RingContext,
+    Variable,
+)
 
 PATTERN_KINDS = ("generic", "symmetric", "zero_pattern")
 
@@ -95,18 +101,23 @@ def product_generators(pattern: MatrixPattern,
     The ring carries the distinct entries the pattern keeps, in row-major
     order of first appearance, then y_1..y_n.  g_i = sum_j X[i][j] * y_j
     over the kept entries of row i.  Always returns n polynomials: an
-    all-zero row of a zero pattern gives the zero polynomial.
+    all-zero row of a zero pattern gives the zero polynomial.  Each term
+    x*y_j is built from the ring positions of x and y_j, which follow from
+    the layout, so no term looks a variable up.
     """
     n = pattern.n
-    rows = [[pattern.entry(i, j) for j in range(1, n + 1)]
+    kept: dict[Variable, int] = {}  # entry -> ring position
+    rows = [[(kept.setdefault(x, len(kept)), j)
+             for j in range(1, n + 1) if (x := pattern.entry(i, j)) is not None]
             for i in range(1, n + 1)]
-    kept = dict.fromkeys(x for row in rows for x in row if x is not None)
     ctx = RingContext(n, kept, field=field)
+    y_first = len(kept) - 1  # y_j sits at position y_first + j
+    key, one = ctx.order.heap_key, ctx.field.one
     gens = []
     for row in rows:
-        terms = {ctx.monomial({x: 1, ctx.y(j): 1}): 1
-                 for j, x in enumerate(row, start=1) if x is not None}
-        gens.append(ctx.polynomial(terms))
+        terms = sorted((Monomial(ctx, ((p, 1), (y_first + j, 1)), 2)
+                        for p, j in row), key=key)
+        gens.append(Polynomial(ctx, tuple((one, m) for m in terms)))
     return ctx, gens
 
 

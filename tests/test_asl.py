@@ -475,13 +475,17 @@ class TestAxiom1:
             _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), everything, 8)
         assert started == []
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_walk_matches_dense_brute_force(self, seed):
+    @pytest.mark.parametrize("bound,seed", [
+        pytest.param(bound, seed, id=str(seed) if bound == 4 else f"{bound}-{seed}")
+        for bound in (4, 1, 2) for seed in range(8)])
+    def test_walk_matches_dense_brute_force(self, bound, seed):
         # random symmetric comparability masks and initial ideals with a
         # non-squarefree generator, against a scan of dense exponent
-        # tuples: per degree the counts, the mismatches in both directions
-        # and the basis check, whose pivots come from dense elimination of
-        # the generic n = 2 slice; seed 0 keeps the true initial ideal
+        # tuples: per degree the counts, the mismatches and the basis
+        # check, whose pivots come from dense elimination of the generic
+        # n = 2 slice; seed 0 keeps the true initial ideal.  Bound 4 sees
+        # mismatches in both directions; bound 1 hangs every monomial off
+        # the root, and bound 2 pushes only the root's children
         rng = random.Random(seed)
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
         variables = ctx.variables
@@ -506,7 +510,6 @@ class TestAxiom1:
                                       for e in generators])
         dense_init = [oracles.to_dense(g, nv) for g in init]
         assert seed == 0 or max(max(e) for e in dense_init) >= 2
-        bound = 4
         reports = _axiom1_degrees(ctx, gens, init, masks, bound)
         directions = set()
         for d, entry in enumerate(reports):
@@ -536,9 +539,31 @@ class TestAxiom1:
             assert entry["basis_check"] == (pivots == non_normal)
         if seed == 0:
             assert all(e["basis_check"] for e in reports)
-        else:
+        elif bound == 4:
             assert directions == {True, False}
             assert not reports[bound]["basis_check"]
+
+    def test_asymmetric_masks_raise(self):
+        # the walk reads "p is comparable to m's variables" off the AND of
+        # their masks, which needs comparability to be symmetric
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
+        init = InitialIdeal(ctx, [])
+        assert _axiom1_degrees(ctx, gens, init, [0b01, 0b10], 2)[2]["standard"] == 2
+        for masks in ([0b11, 0b10], [0b01, 0b11], [-1, 0b10]):
+            with pytest.raises(ValueError, match="not symmetric"):
+                _axiom1_degrees(ctx, gens, init, masks, 2)
+
+    def test_certificate_of_another_set_raises(self):
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
+        comparable = _comparable_masks(ctx, build_poset(2))
+        fewer = GeneratorSet(ctx, list(gens)[:1])
+        other = is_groebner(fewer)
+        assert other.is_basis
+        with pytest.raises(ValueError, match="another set"):
+            verify_axiom1(gens, other, initial_ideal(fewer), comparable, 2)
+        # an equal set checked separately is the same set
+        assert verify_axiom1(gens, is_groebner(GeneratorSet(ctx, list(gens))),
+                             initial_ideal(gens), comparable, 2)["verdict"] == "pass"
 
     def test_unit_initial_ideal_makes_every_monomial_non_normal(self):
         # the monomial 1 in the ideal: the walk's root is non-normal, so
@@ -588,3 +613,13 @@ class TestAxiom2:
 
     def test_note_embedded(self):
         assert axiom2(2)["poset_note"] == POSET_NOTE
+
+    def test_certificate_of_another_set_raises(self):
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
+        p = build_poset(2)
+        comparable = _comparable_masks(ctx, p)
+        other = is_groebner(GeneratorSet(ctx, list(gens)[1:]))
+        assert other.is_basis
+        with pytest.raises(ValueError, match="another set"):
+            verify_axiom2(gens, other, p, comparable,
+                          _incomparable_pairs(ctx, comparable))

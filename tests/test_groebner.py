@@ -516,6 +516,17 @@ class TestInitialIdeal:
         with pytest.raises(NotGroebnerError):
             initial_ideal(gens)
 
+    def test_certificate_of_another_set_raises(self):
+        # the raw generators are no basis; their completion's certificate
+        # must not vouch for them, or their two leading monomials would
+        # pass for an initial ideal that also needs x_1_2*x_2_1*y_2
+        ctx, gens = matrix_product_ideal(MatrixPattern.zero_pattern([[1, 1], [1, 0]]))
+        basis = buchberger(gens)
+        with pytest.raises(ValueError, match="another set"):
+            initial_ideal(gens, is_groebner(basis))
+        copy = GeneratorSet(ctx, list(basis))
+        assert initial_ideal(copy, is_groebner(basis)) == initial_ideal(basis)
+
     @settings(max_examples=150)
     @given(st.lists(small_polys(_RING2, max_terms=1, max_degree=4).filter(bool),
                     max_size=6))

@@ -2,6 +2,7 @@
 never recurses on input-sized depth."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +36,28 @@ def test_imports_are_stdlib_or_the_package(path):
     foreign = {name for name in imported_top_levels(tree)
                if name != "asl_forge" and name not in sys.stdlib_module_names}
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def python_floor() -> tuple[int, int]:
+    """The (major, minor) lower bound of pyproject's requires-python."""
+    text = (SRC.parents[1] / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M)
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parses_at_the_python_floor(path):
+    # the tests run on a newer interpreter than the one the package
+    # promises, so syntax newer than requires-python could slip in unseen
+    ast.parse(path.read_text(), filename=str(path), feature_version=python_floor())
+
+
+def test_python_floor_check_sees_newer_syntax():
+    assert python_floor() == (3, 10)  # int.bit_count needs 3.10
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(newer)
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=python_floor())
 
 
 def imported_names(tree: ast.AST) -> set[str]:
