@@ -16,7 +16,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from .asl import axiom1_work, build_poset, count_standard_monomials, verify
@@ -33,27 +33,22 @@ LARGE_DEGREE = 8
 LARGE_WORK = 2_000_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    pattern: MatrixPattern
-    degree: int = 4
-    fieldspec: CoefficientField = dataclass_field(
-        default_factory=CoefficientField.rationals)
-    fmt: str = "json"
-    output: str | None = None
+class RunConfig(namedtuple("RunConfig", "pattern degree fieldspec fmt output",
+                           defaults=(4, CoefficientField.rationals(), "json", None))):
+    """One command's pattern, degree bound, field, format and output path."""
+
+    __slots__ = ()
 
 
 def parse_field(text: str) -> CoefficientField:
     t = text.strip().lower()
     if t == "rationals":
         return CoefficientField.rationals()
-    if t.startswith("gf(") and t.endswith(")"):
-        try:
-            p = int(t[3:-1])
-        except ValueError:
-            pass
-        else:
-            return CoefficientField.prime(p)
+    # int() would also take a sign, spaces and underscores: gf(1_3) is no field
+    digits = t[3:-1]
+    if (t.startswith("gf(") and t.endswith(")") and digits.isascii()
+            and digits.isdigit()):
+        return CoefficientField.prime(int(digits))
     raise ValueError(f"unrecognized field {text!r}: use rationals or gf(p)")
 
 

@@ -8,7 +8,7 @@ basis, and it is what the straightening computations downstream rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappop, heappush
 
 from .poly_core import (
@@ -187,23 +187,40 @@ def _reduced_basis(ctx: RingContext, basis: list[Polynomial],
             for k in keep]
 
 
-@dataclass(frozen=True, slots=True)
-class SPairRecord:
-    """Outcome of one S-pair check; i, j index into the checked basis."""
+class SPairRecord(namedtuple("SPairRecord", "i j criterion remainder_zero")):
+    """Outcome of one S-pair check; i, j index into the checked basis.
 
-    i: int
-    j: int
-    criterion: str  # "coprime" or "reduced"
-    remainder_zero: bool
+    ``criterion`` is "coprime" or "reduced".
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class GroebnerCertificate:
     """Per-pair evidence that a set is (or is not) a Groebner basis."""
 
-    is_basis: bool
-    pairs: tuple[SPairRecord, ...]
-    basis: tuple[Polynomial, ...]
+    __slots__ = ("is_basis", "pairs", "basis")
+
+    def __init__(self, is_basis: bool, pairs: tuple[SPairRecord, ...],
+                 basis: tuple[Polynomial, ...]):
+        object.__setattr__(self, "is_basis", is_basis)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "basis", basis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.is_basis, self.pairs, self.basis)
+                == (other.is_basis, other.pairs, other.basis))
+
+    def __hash__(self) -> int:
+        return hash((self.is_basis, self.pairs, self.basis))
 
     def __bool__(self) -> bool:
         return self.is_basis

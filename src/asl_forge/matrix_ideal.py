@@ -10,7 +10,7 @@ position of X, and the ring carries only the variables the pattern keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .groebner import GeneratorSet
 from .poly_core import (
@@ -24,38 +24,37 @@ from .poly_core import (
 PATTERN_KINDS = ("generic", "symmetric", "zero_pattern")
 
 
-@dataclass(frozen=True)
-class MatrixPattern:
+class MatrixPattern(namedtuple("MatrixPattern", "n kind mask")):
     """Shape of the matrix X: generic, symmetric, or entries zeroed by mask.
 
     ``mask`` is only meaningful for kind "zero_pattern": mask[i][j] == 1
     keeps entry (i+1, j+1), 0 forces it to zero.
     """
 
-    n: int
-    kind: str = "generic"
-    mask: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, kind: str = "generic",
+                mask: tuple[tuple[int, ...], ...] | None = None):
+        if n < 1:
             raise ValueError("matrix size n must be >= 1")
-        if self.kind not in PATTERN_KINDS:
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if self.kind == "zero_pattern":
-            if self.mask is None:
+        if kind not in PATTERN_KINDS:
+            raise ValueError(f"unknown pattern kind {kind!r}")
+        if kind == "zero_pattern":
+            if mask is None:
                 raise ValueError("zero_pattern requires a mask")
-            rows = self.mask if isinstance(self.mask, (tuple, list)) else ()
-            if len(rows) != self.n or any(
-                    not isinstance(r, (tuple, list)) or len(r) != self.n
+            rows = mask if isinstance(mask, (tuple, list)) else ()
+            if len(rows) != n or any(
+                    not isinstance(r, (tuple, list)) or len(r) != n
                     for r in rows):
                 raise ValueError("mask must be an n-by-n matrix")
             # a type check, not only a value one: 1.0 == 1, and no float
             # or string may be coerced into a kept or zeroed entry
             if any(type(v) is not int or v not in (0, 1)
-                   for r in self.mask for v in r):
+                   for r in mask for v in r):
                 raise ValueError("mask entries must be 0 or 1")
-        elif self.mask is not None:
-            raise ValueError(f"mask is only valid for zero_pattern, not {self.kind!r}")
+        elif mask is not None:
+            raise ValueError(f"mask is only valid for zero_pattern, not {kind!r}")
+        return tuple.__new__(cls, (n, kind, mask))
 
     @classmethod
     def generic(cls, n: int) -> "MatrixPattern":
@@ -72,7 +71,9 @@ class MatrixPattern:
             rows = tuple(tuple(int(v) if isinstance(v, bool) else v for v in row)
                          for row in mask)
         except TypeError:  # the mask or one of its rows is not iterable
-            raise ValueError("mask must be an n-by-n matrix") from None
+            rows = ()
+        if not rows:
+            raise ValueError("mask must be an n-by-n matrix")
         return cls(len(rows), "zero_pattern", rows)
 
     def to_json_dict(self) -> dict:

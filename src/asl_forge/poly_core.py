@@ -23,9 +23,8 @@ threads.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 
 
 class ContextMismatchError(ValueError):
@@ -36,21 +35,19 @@ class ZeroPolynomialError(ValueError):
     """The operation needs a nonzero polynomial (e.g. a leading term)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
+class Variable(namedtuple("Variable", "kind i j")):
     """A named indeterminate: x_i_j (matrix entry) or y_j (vector entry)."""
 
-    kind: str
-    i: int | None
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("x", "y"):
-            raise ValueError(f"variable kind must be 'x' or 'y', got {self.kind!r}")
-        if self.kind == "x" and (self.i is None or self.i < 1 or self.j < 1):
+    def __new__(cls, kind: str, i: int | None, j: int):
+        if kind not in ("x", "y"):
+            raise ValueError(f"variable kind must be 'x' or 'y', got {kind!r}")
+        if kind == "x" and (i is None or i < 1 or j < 1):
             raise ValueError("x variables need row and column indices >= 1")
-        if self.kind == "y" and (self.i is not None or self.j < 1):
+        if kind == "y" and (i is not None or j < 1):
             raise ValueError("y variables carry a single column index >= 1")
+        return tuple.__new__(cls, (kind, i, j))
 
     @staticmethod
     def x(i: int, j: int) -> "Variable":
@@ -112,12 +109,34 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
 class FpElement:
-    """An element of GF(p), normalized to 0 <= residue < p."""
+    """An element of GF(p), normalized to 0 <= residue < p.
 
-    residue: int
-    p: int
+    Not a tuple: an int times a tuple would repeat it, not raise.
+    """
+
+    __slots__ = ("residue", "p")
+
+    def __init__(self, residue: int, p: int):
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.residue == other.residue and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.residue, self.p))
+
+    def __repr__(self) -> str:
+        return f"FpElement(residue={self.residue!r}, p={self.p!r})"
 
     def _check(self, other: "FpElement") -> None:
         if not isinstance(other, FpElement) or other.p != self.p:
@@ -182,10 +201,12 @@ class CoefficientField:
     def name(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
 
-    def coerce(self, value) -> int | Fraction | FpElement:
+    def coerce(self, value):
+        """value as an ``int`` or ``Fraction`` of QQ, or an FpElement of GF(p)."""
         if self.p is None:
             if isinstance(value, int):  # bool included: True becomes 1
                 return int(value)
+            from fractions import Fraction  # only a non-int value needs it
             if isinstance(value, (Fraction, str)):
                 q = Fraction(value)
                 return q.numerator if q.denominator == 1 else q
@@ -206,6 +227,11 @@ class CoefficientField:
             return a / b
         if b == 1:
             return a
+        if a.__class__ is int and b.__class__ is int:
+            q, r = divmod(a, b)
+            if not r:
+                return q
+        from fractions import Fraction  # only a true fraction needs it
         q = Fraction(a, b)
         return q.numerator if q.denominator == 1 else q
 

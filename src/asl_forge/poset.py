@@ -9,7 +9,7 @@ elements), so every constructed instance is a genuine partial order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
 
 class Poset:

@@ -188,12 +188,25 @@ class TestGuardsAndErrors:
         assert proc.returncode == 2
         assert "prime" in proc.stderr
 
-    @pytest.mark.parametrize("spec", ["gf(x)", "gf()", "GF(1.5)"])
+    @pytest.mark.parametrize("spec", ["gf(x)", "gf()", "GF(1.5)", "gf(1_3)",
+                                      "gf(+5)", "gf( 7)"])
     def test_non_integer_prime_field(self, spec):
         proc = run_cli("gb", "--n", "2", "--field", spec)
         assert proc.returncode == 2
         assert proc.stderr == (f"error: unrecognized field {spec!r}: "
                                "use rationals or gf(p)\n")
+
+    def test_field_spec_takes_only_ascii_digits(self):
+        # int() would read each of these as a modulus
+        from asl_forge import CoefficientField
+        from asl_forge.cli import parse_field
+        assert parse_field("GF(5)") == CoefficientField.prime(5)
+        assert parse_field(" gf(32003) ").p == 32003
+        assert parse_field("Rationals") == CoefficientField.rationals()
+        for spec in ("gf(1_3)", "gf(+5)", "gf(-5)", "gf( 7)", "gf(7 )",
+                     "gf(\u0663)", "gf(\uff17)", "gf(0x7)"):
+            with pytest.raises(ValueError, match="^unrecognized field"):
+                parse_field(spec)
 
     def test_huge_prime_field_refused_quickly(self):
         start = time.monotonic()
@@ -238,6 +251,13 @@ class TestGuardsAndErrors:
         bad = json.dumps([[True, True], [True]])
         proc = run_cli("ideal", "--n", "2", "--pattern", "zero", "--mask", bad)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("mask", ["{}", "[]"])
+    def test_empty_mask_is_a_shape_error(self, mask, capsys):
+        from asl_forge.cli import main
+        assert main(["verify", "--n", "2", "--pattern", "zero", "--mask", mask]) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: mask must be an n-by-n matrix\n" and out.out == ""
 
     def test_mask_must_parse(self):
         proc = run_cli("ideal", "--n", "2", "--pattern", "zero", "--mask", "[1,")
@@ -288,6 +308,27 @@ class TestGuardsAndErrors:
         proc = run_cli("ideal", "--n", "2", "--pattern", "zero", "--mask", mask)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "mask entries must be 0 or 1" in proc.stderr
+
+
+class TestRunConfig:
+    def test_is_a_value(self):
+        from asl_forge import CoefficientField, MatrixPattern
+        from asl_forge.cli import RunConfig
+        pattern = MatrixPattern.generic(2)
+        cfg = RunConfig(pattern, 3, CoefficientField.prime(5), "text", "r.txt")
+        same = RunConfig(pattern=pattern, degree=3, fieldspec=CoefficientField(5),
+                         fmt="text", output="r.txt")
+        assert cfg == same and hash(cfg) == hash(same)
+        assert cfg != RunConfig(pattern, 4, CoefficientField.prime(5), "text", "r.txt")
+        default = RunConfig(pattern)
+        assert (default.degree, default.fieldspec, default.fmt, default.output) \
+            == (4, CoefficientField.rationals(), "json", None)
+        with pytest.raises(AttributeError):
+            cfg.degree = 5
+        with pytest.raises(AttributeError):
+            cfg.label = "a"
+        with pytest.raises(TypeError):
+            RunConfig()
 
 
 class TestSinglePipeline:

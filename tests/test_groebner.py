@@ -14,11 +14,13 @@ import oracles
 from asl_forge import (
     CoefficientField,
     GeneratorSet,
+    GroebnerCertificate,
     InitialIdeal,
     MatrixPattern,
     NotGroebnerError,
     Polynomial,
     RingContext,
+    SPairRecord,
     buchberger,
     initial_ideal,
     is_groebner,
@@ -466,6 +468,30 @@ class TestCertificates:
         ctx, _ = generic(2)
         cert = is_groebner(GeneratorSet(ctx, [poly(ctx, (1, {ctx.y(1): 2}))]))
         assert cert.is_basis and cert.pairs == ()
+
+    def test_pair_record_is_a_value(self):
+        rec = SPairRecord(0, 1, "coprime", True)
+        same = SPairRecord(i=0, j=1, criterion="coprime", remainder_zero=True)
+        assert rec == same and hash(rec) == hash(same)
+        assert rec != SPairRecord(0, 1, "reduced", True)
+        assert (rec.i, rec.j, rec.criterion, rec.remainder_zero) == (0, 1, "coprime", True)
+        with pytest.raises(AttributeError):
+            rec.remainder_zero = False
+        with pytest.raises(TypeError):
+            SPairRecord(0, 1, "coprime")
+
+    def test_certificate_is_a_value(self):
+        ctx, gens = generic(2)
+        cert, again = is_groebner(gens), is_groebner(gens)
+        assert cert == again and hash(cert) == hash(again)
+        assert cert == GroebnerCertificate(is_basis=True, pairs=cert.pairs,
+                                           basis=cert.basis)
+        assert cert != GroebnerCertificate(False, cert.pairs, cert.basis)
+        for name in ("is_basis", "pairs", "other"):
+            with pytest.raises(AttributeError):
+                setattr(cert, name, None)
+        with pytest.raises(AttributeError):
+            del cert.basis
 
     def test_certificate_json_shape(self):
         ctx, gens = generic(2)

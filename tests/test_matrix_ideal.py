@@ -45,14 +45,42 @@ class TestMatrixPattern:
         with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
             MatrixPattern(2, "zero_pattern", ((1, bad), (1, 1)))
 
-    @pytest.mark.parametrize("mask", [[1, 1], [[1, 1], 1], 5, [[1, 1], None]])
+    @pytest.mark.parametrize("mask", [[1, 1], [[1, 1], 1], 5, [[1, 1], None],
+                                      [], {}, ()])
     def test_mask_rows_must_be_rows(self, mask):
         # a row that is a number, or a mask that is one, is a shape error
-        # from every entry point, not a TypeError from iterating an int
+        # from every entry point, not a TypeError from iterating an int;
+        # an empty mask is one too, not a matrix of size 0
         with pytest.raises(ValueError, match="mask must be an n-by-n matrix"):
             MatrixPattern.zero_pattern(mask)
         with pytest.raises(ValueError, match="mask must be an n-by-n matrix"):
             MatrixPattern(2, "zero_pattern", mask)
+
+    def test_pattern_is_a_value(self):
+        p = MatrixPattern(2, "zero_pattern", ((1, 0), (1, 1)))
+        same = MatrixPattern(n=2, kind="zero_pattern", mask=((1, 0), (1, 1)))
+        assert p == same == MatrixPattern.zero_pattern([[1, 0], [1, 1]])
+        assert hash(p) == hash(same)
+        assert p != MatrixPattern.zero_pattern([[1, 1], [1, 1]])
+        assert MatrixPattern(3) == MatrixPattern.generic(3) != MatrixPattern.symmetric(3)
+        assert (p.n, p.kind, p.mask) == (2, "zero_pattern", ((1, 0), (1, 1)))
+        assert MatrixPattern(3).mask is None
+        with pytest.raises(AttributeError):
+            p.n = 3
+        with pytest.raises(AttributeError):
+            p.label = "a"
+
+    @pytest.mark.parametrize("args,message", [
+        ((0,), "matrix size n must be >= 1"),
+        ((2, "sparse"), "unknown pattern kind 'sparse'"),
+        ((2, "zero_pattern"), "zero_pattern requires a mask"),
+        ((2, "symmetric", ((1, 1), (1, 1))),
+         "mask is only valid for zero_pattern, not 'symmetric'"),
+    ])
+    def test_pattern_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            MatrixPattern(*args)
+        assert str(info.value) == message
 
     def test_mask_accepts_booleans_and_bits(self):
         p = MatrixPattern.zero_pattern([[True, 0], [False, 1]])

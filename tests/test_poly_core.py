@@ -416,7 +416,11 @@ class TestCoefficientFields:
         assert field.coerce("3/6") == Fraction(1, 2)
         assert field.div(5, 1) == 5 and type(field.div(5, 1)) is int
         assert type(field.div(4, -2)) is int and field.div(4, -2) == -2
+        for a, b in ((6, -3), (7, -1), (0, -5)):
+            q = field.div(a, b)
+            assert type(q) is int and q == a // b
         assert field.div(3, 2) == Fraction(3, 2)
+        assert field.div(1, 2) == Fraction(1, 2) and field.div(-3, -6) == Fraction(1, 2)
         assert type(field.div(Fraction(3, 2), Fraction(1, 2))) is int
         with pytest.raises(ZeroDivisionError):
             field.div(1, 0)
@@ -434,7 +438,7 @@ class TestCoefficientFields:
         assert a == FpElement(3, 7)
         assert a + field.coerce(4) == field.zero
         assert (a / field.coerce(5)) * field.coerce(5) == a
-        assert field.div(a, field.coerce(5)) == a / field.coerce(5)
+        assert field.div(a, field.coerce(5)) == a / field.coerce(5) == FpElement(2, 7)
         assert -field.coerce(1) == field.coerce(6)
         with pytest.raises(ZeroDivisionError):
             a / field.zero
@@ -523,6 +527,53 @@ def test_variable_validation():
                [Variable.x(1, 3)]):
         with pytest.raises(ValueError):
             RingContext(2, xs)
+
+
+class TestValueTypes:
+    # the records are immutable values: equal fields make equal, equally
+    # hashed objects, and no field can be reassigned
+    def test_variable(self):
+        v = Variable("x", 1, 2)
+        assert v == Variable(kind="x", i=1, j=2) == Variable.x(1, 2)
+        assert hash(v) == hash(Variable.x(1, 2))
+        assert v != Variable.x(2, 1) and Variable.y(1) == Variable("y", None, 1)
+        assert (v.kind, v.i, v.j, v.name, repr(v)) == ("x", 1, 2, "x_1_2", "x_1_2")
+        with pytest.raises(AttributeError):
+            v.i = 3
+        with pytest.raises(AttributeError):
+            v.label = "a"
+
+    @pytest.mark.parametrize("args,message", [
+        (("z", None, 1), "variable kind must be 'x' or 'y', got 'z'"),
+        (("x", None, 1), "x variables need row and column indices >= 1"),
+        (("x", 1, 0), "x variables need row and column indices >= 1"),
+        (("y", 1, 1), "y variables carry a single column index >= 1"),
+        (("y", None, 0), "y variables carry a single column index >= 1"),
+    ])
+    def test_variable_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            Variable(*args)
+        assert str(info.value) == message
+
+    def test_fp_element(self):
+        a = FpElement(2, 7)
+        assert a == FpElement(residue=2, p=7) and hash(a) == hash(FpElement(2, 7))
+        assert a != FpElement(2, 11) and a != FpElement(3, 7) and a != 2
+        assert repr(a) == "FpElement(residue=2, p=7)" and str(a) == "2"
+        for name in ("residue", "p", "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            del a.residue
+        # no sequence behaviour: an int times an element is no repetition
+        with pytest.raises(TypeError):
+            3 * a
+        with pytest.raises(TypeError):
+            len(a)
+        with pytest.raises(ValueError, match="mixed prime-field arithmetic"):
+            a + 1
+        with pytest.raises(ValueError, match="mixed prime-field arithmetic"):
+            a * FpElement(2, 11)
 
 
 class TestRingLifetime:

@@ -1,8 +1,10 @@
-"""The package imports only the standard library, uses what it imports and
-never recurses on input-sized depth."""
+"""The package imports only the standard library, loads none of its slow
+modules at import, uses what it imports and never recurses on input-sized
+depth."""
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,6 +38,28 @@ def test_imports_are_stdlib_or_the_package(path):
     foreign = {name for name in imported_top_levels(tree)
                if name != "asl_forge" and name not in sys.stdlib_module_names}
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+# Each verify is a fresh process that pays for every module the package
+# loads.  dataclasses pulls in inspect, ast, dis and tokenize, and fractions
+# pulls in decimal; typing is heavy under -S, where nothing preloads it.
+SLOW_IMPORTS = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_or_typing_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not imported_top_levels(tree) & {"dataclasses", "typing"}
+
+
+def test_import_loads_no_slow_stdlib_module():
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            "import asl_forge, asl_forge.cli; "
+            f"print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def python_floor() -> tuple[int, int]:
