@@ -230,14 +230,15 @@ def _ideal_slice(order, field: CoefficientField, gen_terms: list, divisors: list
                  degree: int) -> tuple[int, bool]:
     """Rank of the ideal's degree slice, and whether every pivot is non-normal.
 
-    A Macaulay row is a quadric generator's term keys (``gen_terms``)
-    shifted by the key of a degree d-2 multiplier.  A pivot is non-normal
-    when it has degree d and a packed generator in ``divisors`` divides
-    it.  The pivot rows are freed on return, before the next slice.
+    A Macaulay row is a quadric generator's terms (``gen_terms``) and the
+    key of a degree d-2 multiplier, built only if a later row reduces
+    against it.  A pivot is non-normal when it has degree d and a packed
+    generator in ``divisors`` divides it.  The pivot rows are freed on
+    return, before the next slice.
     """
     rows = ()
     if degree >= 2:
-        rows = ({t + q: c for t, c in terms}
+        rows = ((q, terms)
                 for q in map(sum, combinations_with_replacement(order.weights,
                                                                 degree - 2))
                 for terms in gen_terms)
@@ -272,7 +273,7 @@ def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
     order = ctx.order
     order.check_degree(degree_bound)
     divisors = [order.packed(order.heap_key(g)) for g in init.generators]
-    gen_terms = [[(order.heap_key(m), c) for c, m in g.terms] for g in gens]
+    gen_terms = [tuple((order.heap_key(m), c) for c, m in g.terms) for g in gens]
     reports = []
     for degree, (total, standard, non_normal, mismatches) in enumerate(
             _walk(order, init, comparable, degree_bound)):

@@ -1,13 +1,14 @@
 """Sparse row elimination of polynomial slices.
 
 A degree slice of a homogeneous ideal is a subspace of the span of the
-monomials of that degree.  Each row is a dict mapping a monomial's heap
-key (``MonomialOrder.heap_key``) to its coefficient; no ``Monomial`` is
-built.  Elimination brings the rows to (not reduced) row echelon form,
-always pivoting on the row's leading monomial, the one with the smallest
-key.  The pivot set is then exactly the set of leading monomials realized
-in the slice, which is the same pivot set classical Gaussian elimination
-with columns scanned in descending monomial order would produce.
+monomials of that degree, here heap keys (``MonomialOrder.heap_key``),
+which add under multiplication.  A row arrives unbuilt, as a multiplier
+key q and a generator's (key, coefficient) terms, leading (smallest) key
+first.  Elimination brings the rows to (not reduced) row echelon form,
+pivoting on each row's leading monomial; a row with a new lead enters
+unchanged, so it is built only when a later row reduces against it.  The
+pivot set is the set of leading monomials realized in the slice, as in
+classical Gaussian elimination with columns in descending monomial order.
 """
 
 from __future__ import annotations
@@ -25,31 +26,39 @@ def _scale_into(target: dict, source: dict, factor) -> None:
             del target[k]
 
 
-def staircase(rows, field: CoefficientField) -> dict[int, dict]:
-    """Reduce key-indexed rows to row echelon form; return {pivot key: row}.
+def _pivot_row(pivots: dict, lead: int, field: CoefficientField) -> dict:
+    """Pivot ``lead``'s unit row; an unbuilt one is built and cached first."""
+    row = pivots[lead]
+    if type(row) is not dict:
+        shift, lc, div = lead - row[0][0], row[0][1], field.div
+        row = pivots[lead] = ({t + shift: c for t, c in row} if lc == field.one
+                              else {t + shift: div(c, lc) for t, c in row})
+    return row
 
-    Each row is copied, then reduced against the stored pivot rows until
-    its leading key is not yet a pivot, then stored under that key.  Each
-    returned row has coefficient 1 on its pivot and the pivot is the
-    row's smallest key; rows are not inter-reduced, so a row may still
-    contain larger pivot keys.  The pivot set is the set of leading
-    monomials of the rows' span, so it is independent of the input order.
+
+def staircase(rows, field: CoefficientField) -> dict[int, dict | tuple]:
+    """Reduce (q, terms) rows to row echelon form; return {pivot key: row}.
+
+    A row whose lead q + terms[0][0] is new is stored unbuilt, as
+    ``terms``; any other is built, reduced against the pivot rows it
+    reaches (``_pivot_row`` builds them) until its lead is new, made unit
+    and stored.  A pivot's row, read by ``_pivot_row``, has coefficient 1
+    on the pivot, its smallest key; rows are not inter-reduced.  The
+    pivot set is the set of leading monomials of the rows' span,
+    independent of the input order and of which rows are built.
     """
-    pivots: dict[int, dict] = {}
-    one = field.one
-    for row in rows:
-        row = dict(row)
+    pivots: dict = {}
+    for q, terms in rows:
+        if pivots.setdefault(q + terms[0][0], terms) is terms:
+            continue  # a new lead, or this same row again
+        row = {t + q: c for t, c in terms}
         while row:
             lead = min(row)
-            hit = pivots.get(lead)
-            if hit is None:
+            if lead not in pivots:
+                lc = row[lead]
+                if lc != field.one:
+                    row = {k: field.div(c, lc) for k, c in row.items()}
+                pivots[lead] = row
                 break
-            _scale_into(row, hit, -row[lead])
-        if not row:
-            continue
-        lc = row[lead]
-        if lc != one:
-            div = field.div
-            row = {k: div(c, lc) for k, c in row.items()}
-        pivots[lead] = row
+            _scale_into(row, _pivot_row(pivots, lead, field), -row[lead])
     return pivots

@@ -15,6 +15,7 @@ reference text of a report r.
 
 from fractions import Fraction
 from functools import cmp_to_key
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -320,22 +321,30 @@ def dense_s_polynomial(ctx, fa, fb):
 def reduced_groebner_basis(ctx, gens):
     """Reduced Groebner basis by plain Buchberger, as a set of dense items.
 
-    Every pair is reduced, with no criterion; then leading-redundant
-    elements are dropped, the rest fully reduced by the others and made
-    monic.  Returns a frozenset of sorted (exponent tuple, coefficient)
-    tuples, one per basis element.
+    Every pair is reduced, with no criterion, the pair with the smallest
+    lcm degree of its leading monomials first (the normal strategy, so a
+    low-degree remainder arrives before the high-degree pairs it would
+    close); then leading-redundant elements are dropped, the rest fully
+    reduced by the others and made monic.  Returns a frozenset of sorted
+    (exponent tuple, coefficient) tuples, one per basis element.
     """
     key = cmp_to_key(lambda a, b: dense_compare(ctx, a, b))
     basis = [g for g in (dense_poly(ctx, f) for f in gens) if g]
-    pairs = list(combinations(range(len(basis)), 2))
+    leads = [max(g, key=key) for g in basis]
+
+    def pair(a, b):
+        return sum(map(max, leads[a], leads[b])), a, b
+    pairs = [pair(a, b) for a, b in combinations(range(len(basis)), 2)]
+    heapify(pairs)
     while pairs:
-        a, b = pairs.pop()
+        _, a, b = heappop(pairs)
         _, r = dense_divide(ctx, dense_s_polynomial(ctx, basis[a], basis[b]),
                             basis)
         if r:
-            pairs.extend((k, len(basis)) for k in range(len(basis)))
             basis.append(r)
-    leads = [max(g, key=key) for g in basis]
+            leads.append(max(r, key=key))
+            for k in range(len(basis) - 1):
+                heappush(pairs, pair(k, len(basis) - 1))
     minimal = [g for k, g in enumerate(basis)
                if not any(divides(leads[j], leads[k])
                           and (leads[j] != leads[k] or j < k)

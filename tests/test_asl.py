@@ -468,12 +468,18 @@ class TestAxiom1:
         with pytest.raises(ValueError, match="total degree 8"):
             verify_axiom1(gens, certificate, init, comparable, 8)
         started = []
-        monkeypatch.setattr(asl, "staircase",
-                            lambda rows, field: started.append(rows))
-        monkeypatch.setattr(asl, "_walk", lambda *args: started.append(args))
+        staircase, walk = asl.staircase, asl._walk
+        monkeypatch.setattr(asl, "staircase", lambda rows, field: (
+            started.append("staircase") or staircase(rows, field)))
+        monkeypatch.setattr(asl, "_walk", lambda *args: (
+            started.append("walk") or walk(*args)))
         with pytest.raises(ValueError, match="total degree 8"):
             _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), everything, 8)
         assert started == []
+        # positive control: within the bound both wrappers are reached,
+        # once for the walk and once per slice
+        _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), everything, 7)
+        assert started == ["walk"] + ["staircase"] * 8
 
     @pytest.mark.parametrize("bound,seed", [
         pytest.param(bound, seed, id=str(seed) if bound == 4 else f"{bound}-{seed}")

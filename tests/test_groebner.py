@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -396,10 +396,16 @@ class TestCompletionFuzz:
         if field.p is None:
             assert all(oracles.is_member(ctx, gens, b) for b in basis)
 
-    # small enough that a completion without criteria stays fast
+    # small enough that a completion without criteria stays fast.  The
+    # example is the one drawn by --hypothesis-seed=18, on which the
+    # reference completion ran for minutes while it took pairs last in,
+    # first out; by smallest lcm degree it takes milliseconds
     @settings(max_examples=200, deadline=None)
     @given(st.lists(small_polys(_RING2, max_terms=3, max_degree=2).filter(bool),
                     min_size=1, max_size=3))
+    @example([parse(_RING2, t) for t in (
+        "-x_1_1 - 3*x_2_2*y_2 - 3*y_1", "x_1_1*x_2_2 + 3*x_2_2*y_1 - 2",
+        "-2*x_1_1*y_1 - 2*x_1_1*x_2_1 + x_1_1")])
     def test_inhomogeneous_inputs_match_reference_completion(self, polys):
         basis = buchberger(GeneratorSet(_RING2, polys))
         assert dense_set(_RING2, basis) == oracles.reduced_groebner_basis(_RING2, polys)
