@@ -170,15 +170,20 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
     sequences of variable positions visits each monomial of degree at
     most the bound once.  A node m carries its packed exponent vector,
     support bitmask, the AND of its variables' ``comparable`` masks and
-    its "normal" flag, and counts its children x_p*m, p >= first, all at
-    once as bitmasks over p.  With symmetric masks, x_p*m is standard
-    exactly when m is standard, p is comparable to m's variables (p is in
+    ``near``, and counts its children x_p*m, p >= first, all at once as
+    bitmasks over p.  With symmetric masks, x_p*m is standard exactly
+    when m is standard, p is comparable to m's variables (p is in
     ``allowed``) and to itself.  A multiple of a non-normal monomial is
     non-normal, and x_p*m for a normal m is non-normal exactly when g/x_p
-    divides m for a generator g of ``init`` that involves p, which the
-    guard-bit test decides exactly.  Only the children below the bound
-    are pushed.  Mismatches are kept as packed vectors.  Asymmetric masks
-    raise ValueError.
+    divides m for a generator g of ``init`` that involves p.  A quotient
+    g/x_p that is one variable x_v divides m exactly when v is in m's
+    support, so it sets bit p of ``partners[v]``, and a normal node's
+    ``near`` is the OR of ``partners`` over its support; a non-normal
+    node's ``near`` is -1.  Every other quotient (1, a square, anything
+    of degree 2 or more) keeps the exact guard-bit test; both are built
+    once per run.  Only the children below the bound are pushed.
+    Mismatches are kept as packed vectors.  Asymmetric masks raise
+    ValueError.
     """
     nv = len(order.weights)
     if any((comparable[p] >> q ^ comparable[q] >> p) & 1
@@ -186,27 +191,36 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
         raise ValueError("comparability masks are not symmetric")
     guard = order.guard
     packed = [order.packed(w) for w in order.weights]
+    single = {e: v for v, e in enumerate(packed)}
     self_comparable = sum(1 << p for p in range(nv) if comparable[p] >> p & 1)
     spans = [((1 << nv) - 1) >> first << first for first in range(nv)]
-    quotients = [(order.packed(order.heap_key(g)) - packed[p], p)
-                 for g in init.generators for p, _ in g.exps]  # g/x_p
+    partners = [0] * nv  # partners[v]: the p with g/x_p = x_v for some g
+    quotients = []
+    for g in init.generators:
+        e = order.packed(order.heap_key(g))
+        for p, _ in g.exps:
+            d = e - packed[p]  # g/x_p
+            v = single.get(d)
+            if v is None:
+                quotients.append((d, p))
+            else:
+                partners[v] |= 1 << p
     tests = [[(d, 1 << p) for d, p in quotients if p >= first]
              for first in range(nv)]
-    nodes = [(p, packed[p], 1 << p, comparable[p]) for p in range(nv)]
+    nodes = [(p, packed[p], 1 << p, comparable[p], partners[p]) for p in range(nv)]
     suffixes = [nodes[p:] for p in range(nv)]
     normal = all(g.exps for g in init.generators)  # else 1 is in the ideal
     stats = [[1, 1, int(not normal), [] if normal else [0]]]
     stats += [[0, 0, 0, []] for _ in range(degree_bound)]
-    stack = [(0, 0, 0, 0, -1, normal)] if degree_bound else []
+    stack = [(0, 0, 0, 0, -1, 0 if normal else -1)] if degree_bound else []
     while stack:
-        first, depth, e, support, allowed, normal = stack.pop()
+        first, depth, e, support, allowed, near = stack.pop()
         depth += 1
         row = stats[depth]
         span = spans[first]
         std = allowed & self_comparable & span if support & allowed == support else 0
-        non_normal = span
-        if normal:
-            non_normal = 0
+        non_normal = near & span
+        if near >= 0 and quotients:
             eg = e | guard
             for d, bit in tests[first]:
                 if (eg - d) & guard == guard:
@@ -220,9 +234,10 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
             row[3].append(e + packed[bit.bit_length() - 1])
             mismatched ^= bit
         if depth < degree_bound:
-            for p, step, bit, comp in suffixes[first]:
+            for p, step, bit, comp, partner in suffixes[first]:
+                # a non-normal child's near is -1
                 stack.append((p, depth, e + step, support | bit, allowed & comp,
-                              not non_normal >> p & 1))
+                              near | partner | -(non_normal >> p & 1)))
     return stats
 
 
@@ -243,9 +258,11 @@ def _ideal_slice(order, field: CoefficientField, gen_terms: list, divisors: list
                                                                 degree - 2))
                 for terms in gen_terms)
     pivots = staircase(rows, field)
-    guard = order.guard
-    for e in map(order.packed, pivots):
-        if order.degree(e) != degree:
+    guard, s = order.guard, order.tail_bits
+    field_mask = (1 << order.field_bits) - 1
+    for k in pivots:
+        e = k - ((k >> s) << (s + 1))  # order.packed(k), inlined
+        if e >> s & field_mask != degree:  # order.degree(e), inlined
             return len(pivots), False
         e |= guard
         for d in divisors:

@@ -27,9 +27,9 @@ from .poly_core import CoefficientField, Monomial, Polynomial
 LARGE_N = 8
 LARGE_DEGREE = 8
 # bound on axiom1_work for a generic verify.  On a shared 2-vCPU Xeon VM,
-# in process, (n, degree) = (8, 4) at about 1.3e6 runs in 0.33-0.36 s at
-# 21 MiB peak RSS, (5, 6) at 2.2e6 in 1.7 s at 70 MiB, (4, 8) at 4.0e6 in
-# 7.4-7.7 s at 227 MiB
+# in process, (n, degree) = (8, 4) at about 1.3e6 runs in 0.13-0.18 s at
+# 20-21 MiB peak RSS, (5, 6) at 2.2e6 in 1.2-1.3 s at 70 MiB, (4, 8) at
+# 4.0e6 in 6.4-7.1 s at 227 MiB
 LARGE_WORK = 2_000_000
 
 

@@ -404,7 +404,7 @@ class MonomialOrder:
     key(a*b) = key(a) + key(b), and ``weights[p]`` is the key of the
     variable at position p.  A sum of keys skips the degree bound that
     ``heap_key`` checks; its caller runs ``check_degree``.  The key's
-    EXPONENT_BITS-bit fields, most significant first, are (-diagonal
+    ``field_bits``-bit fields, most significant first, are (-diagonal
     exponents, -total degree, tail exponents by ascending position): with
     equal diagonal exponents the total degree ranks like the tail degree,
     and more of the lowest differing tail variable makes a smaller
@@ -414,12 +414,12 @@ class MonomialOrder:
     reference, so ``monomial`` and ``compare`` need the ring alive.
     """
 
-    __slots__ = ("_ctx", "guard", "tail_bits", "_bits", "weights", "_position",
-                 "_ones", "_low")
+    __slots__ = ("_ctx", "guard", "tail_bits", "field_bits", "weights",
+                 "_position", "_ones", "_low")
 
     def __init__(self, ctx: RingContext):
         self._ctx = weakref.ref(ctx)
-        w = self._bits = EXPONENT_BITS
+        w = self.field_bits = EXPONENT_BITS
         nv = len(ctx.variables)
         diagonal = [p for p, v in enumerate(ctx.variables) if v.is_diagonal]
         tail = [p for p in range(nv) if p not in diagonal]
@@ -436,9 +436,9 @@ class MonomialOrder:
 
     def check_degree(self, degree: int) -> None:
         """Raise ValueError if the order cannot encode this total degree."""
-        if degree >> (self._bits - 1):
+        if degree >> (self.field_bits - 1):
             raise ValueError(f"monomial of total degree {degree} exceeds the "
-                             f"order's bound of {(1 << (self._bits - 1)) - 1}")
+                             f"order's bound of {(1 << (self.field_bits - 1)) - 1}")
 
     def heap_key(self, m: Monomial) -> int:
         """Int key with heap_key(a) < heap_key(b) exactly when a > b."""
@@ -456,7 +456,7 @@ class MonomialOrder:
 
     def degree(self, e: int) -> int:
         """Total degree of a packed exponent vector."""
-        return e >> self.tail_bits & ((1 << self._bits) - 1)
+        return e >> self.tail_bits & ((1 << self.field_bits) - 1)
 
     def support(self, e: int) -> int:
         """Guard bits of the nonzero exponent fields of a packed vector."""
@@ -464,7 +464,7 @@ class MonomialOrder:
 
     def lcm(self, a: int, b: int) -> int:
         """Packed lcm of packed vectors: field-wise max, degree re-summed."""
-        w, s, guard = self._bits, self.tail_bits, self.guard
+        w, s, guard = self.field_bits, self.tail_bits, self.guard
         ge = ((a | guard) - b) & guard  # guard bits of the fields where a >= b
         ge -= ge >> (w - 1)  # ... widened to those fields' value bits
         mask = (1 << w) - 1
@@ -477,7 +477,7 @@ class MonomialOrder:
     def monomial(self, key: int) -> Monomial:
         """The monomial with this heap key."""
         e = self.packed(key)
-        w = self._bits
+        w = self.field_bits
         exps = []
         support = self.support(e)
         while support:

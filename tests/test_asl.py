@@ -307,6 +307,49 @@ def axiom2(n):
     return verify(MatrixPattern.generic(n), 0)["sections"]["axiom2"]
 
 
+def _walk_against_dense(ctx, gens, init, pairs, bound):
+    """Check ``_axiom1_degrees`` against a scan of dense exponent tuples.
+
+    ``pairs`` is the symmetric comparability relation on positions.  Per
+    degree: the counts, the mismatches and the basis check, whose pivots
+    come from dense elimination of the slice.  Returns the reports and
+    the set of directions (standard or not) seen among the mismatches.
+    """
+    variables = ctx.variables
+    nv = len(variables)
+    masks = [sum(1 << q for q in range(nv) if (p, q) in pairs) for p in range(nv)]
+    dense_init = [oracles.to_dense(g, nv) for g in init]
+    reports = _axiom1_degrees(ctx, gens, init, masks, bound)
+    assert len(reports) == bound + 1
+    directions = set()
+    for d, entry in enumerate(reports):
+        total = standard = normal = 0
+        mismatches, non_normal = [], set()
+        for e in oracles.dense_monomials(nv, d):
+            support = [p for p in range(nv) if e[p]]
+            std = all((p, q) in pairs for p in support for q in support)
+            nrm = not any(oracles.divides(g, e) for g in dense_init)
+            total += 1
+            standard += std
+            normal += nrm
+            if not nrm:
+                non_normal.add(e)
+            if std != nrm:
+                directions.add(std)
+                mismatches.append("*".join(
+                    variables[p].name + (f"^{e[p]}" if e[p] > 1 else "")
+                    for p in support))
+        pivots = oracles.slice_pivots_descending(ctx, gens, d)
+        assert entry["degree"] == d
+        assert (entry["monomials"], entry["standard"], entry["normal"]) == (
+            total, standard, normal)
+        assert entry["mismatches"] == sorted(mismatches)
+        assert entry["standard_equals_normal"] == (not mismatches)
+        assert entry["ideal_slice_rank"] == len(pivots)
+        assert entry["basis_check"] == (pivots == non_normal)
+    return reports, directions
+
+
 class TestAxiom1:
     @pytest.mark.parametrize("n,d", [(1, 4), (2, 4), (3, 3)])
     def test_passes(self, n, d):
@@ -499,8 +542,6 @@ class TestAxiom1:
         pairs = {(p, q) for p in range(nv) for q in range(p, nv)
                  if rng.random() < 0.75}
         pairs |= {(q, p) for p, q in pairs}
-        masks = [sum(1 << q for q in range(nv) if (p, q) in pairs)
-                 for p in range(nv)]
         if seed == 0:
             init = initial_ideal(gens)
         else:
@@ -516,38 +557,39 @@ class TestAxiom1:
                                       for e in generators])
         dense_init = [oracles.to_dense(g, nv) for g in init]
         assert seed == 0 or max(max(e) for e in dense_init) >= 2
-        reports = _axiom1_degrees(ctx, gens, init, masks, bound)
-        directions = set()
-        for d, entry in enumerate(reports):
-            total = standard = normal = 0
-            mismatches, non_normal = [], set()
-            for e in oracles.dense_monomials(nv, d):
-                support = [p for p in range(nv) if e[p]]
-                std = all((p, q) in pairs for p in support for q in support)
-                nrm = not any(oracles.divides(g, e) for g in dense_init)
-                total += 1
-                standard += std
-                normal += nrm
-                if not nrm:
-                    non_normal.add(e)
-                if std != nrm:
-                    directions.add(std)
-                    mismatches.append("*".join(
-                        variables[p].name + (f"^{e[p]}" if e[p] > 1 else "")
-                        for p in support))
-            pivots = oracles.slice_pivots_descending(ctx, gens, d)
-            assert entry["degree"] == d
-            assert (entry["monomials"], entry["standard"], entry["normal"]) == (
-                total, standard, normal)
-            assert entry["mismatches"] == sorted(mismatches)
-            assert entry["standard_equals_normal"] == (not mismatches)
-            assert entry["ideal_slice_rank"] == len(pivots)
-            assert entry["basis_check"] == (pivots == non_normal)
+        reports, directions = _walk_against_dense(ctx, gens, init, pairs, bound)
         if seed == 0:
             assert all(e["basis_check"] for e in reports)
         elif bound == 4:
             assert directions == {True, False}
             assert not reports[bound]["basis_check"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bound", [1, 2, 4])
+    def test_walk_matches_dense_brute_force_on_every_quotient_shape(self, n, bound):
+        # one initial ideal with every shape of quotient g/x_p: x_a gives
+        # the quotient 1; x_b^2 gives x_b, its own partner; x_c*x_d and
+        # x_c*x_e share x_c, so x_c has two partners; the cubic x_d^2*x_e
+        # gives x_d*x_e and x_d^2.  The single-variable quotients go
+        # through the support mask, the others through the guard-bit test
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(n))
+        variables = ctx.variables
+        nv = len(variables)
+        for seed in range(3):
+            rng = random.Random(seed)
+            a, b, c, d, e = (variables[p] for p in rng.sample(range(nv), 5))
+            init = InitialIdeal(ctx, [
+                ctx.monomial(g) for g in ({a: 1}, {b: 2}, {c: 1, d: 1},
+                                          {c: 1, e: 1}, {d: 2, e: 1})])
+            assert len(init) == 5  # each generator is minimal
+            pairs = {(p, q) for p in range(nv) for q in range(p, nv)
+                     if rng.random() < 0.75}
+            pairs |= {(q, p) for p, q in pairs}
+            reports, directions = _walk_against_dense(ctx, gens, init, pairs,
+                                                      bound)
+            assert reports[1]["normal"] == nv - 1  # only x_a is non-normal
+            if bound == 4:
+                assert directions == {True, False}
 
     def test_asymmetric_masks_raise(self):
         # the walk reads "p is comparable to m's variables" off the AND of
