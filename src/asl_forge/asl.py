@@ -168,20 +168,23 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
 
     One depth-first walk, on an explicit stack, over the nondecreasing
     sequences of variable positions visits each monomial of degree at
-    most the bound once.  A node m carries its packed exponent vector,
-    support bitmask, the AND of its variables' ``comparable`` masks and
-    ``near``, and counts its children x_p*m, p >= first, all at once as
-    bitmasks over p.  With symmetric masks, x_p*m is standard exactly
-    when m is standard, p is comparable to m's variables (p is in
+    most the bound once.  The stack holds parents; a parent's loop makes
+    each child m = x_p*parent from its packed exponent vector, support
+    bitmask, the AND of its variables' ``comparable`` masks and ``near``,
+    and counts m's own children x_q*m, q >= p, all at once as bitmasks
+    over q.  The root, the monomial 1, is the only child of a sentinel
+    parent at depth -1.  With symmetric masks, x_q*m is standard exactly
+    when m is standard, q is comparable to m's variables (q is in
     ``allowed``) and to itself.  A multiple of a non-normal monomial is
-    non-normal, and x_p*m for a normal m is non-normal exactly when g/x_p
-    divides m for a generator g of ``init`` that involves p.  A quotient
-    g/x_p that is one variable x_v divides m exactly when v is in m's
-    support, so it sets bit p of ``partners[v]``, and a normal node's
+    non-normal, and x_q*m for a normal m is non-normal exactly when g/x_q
+    divides m for a generator g of ``init`` that involves q.  A quotient
+    g/x_q that is one variable x_v divides m exactly when v is in m's
+    support, so it sets bit q of ``partners[v]``, and a normal node's
     ``near`` is the OR of ``partners`` over its support; a non-normal
     node's ``near`` is -1.  Every other quotient (1, a square, anything
     of degree 2 or more) keeps the exact guard-bit test; both are built
-    once per run.  Only the children below the bound are pushed.
+    once per run.  A parent adds its children's counts once, and pushes
+    only the children whose children have children within the bound.
     Mismatches are kept as packed vectors.  Asymmetric masks raise
     ValueError.
     """
@@ -207,49 +210,69 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
                 partners[v] |= 1 << p
     tests = [[(d, 1 << p) for d, p in quotients if p >= first]
              for first in range(nv)]
-    nodes = [(p, packed[p], 1 << p, comparable[p], partners[p]) for p in range(nv)]
+    # a child x_p*m: its position, step, bit, mask, partners, and the
+    # positions of its own children, all and self-comparable ones
+    nodes = [(p, packed[p], 1 << p, comparable[p], partners[p], spans[p],
+              self_comparable & spans[p]) for p in range(nv)]
     suffixes = [nodes[p:] for p in range(nv)]
     normal = all(g.exps for g in init.generators)  # else 1 is in the ideal
     stats = [[1, 1, int(not normal), [] if normal else [0]]]
     stats += [[0, 0, 0, []] for _ in range(degree_bound)]
-    stack = [(0, 0, 0, 0, -1, 0 if normal else -1)] if degree_bound else []
+    # the sentinel: children [root], e 0, support 0, allowed -1, near 0,
+    # and its non-normal children: the root when 1 is in the ideal
+    root = [(0, 0, 0, -1, 0, spans[0], self_comparable)]
+    stack = [(root, -1, 0, 0, -1, 0, int(not normal))] if degree_bound else []
     while stack:
-        first, depth, e, support, allowed, near = stack.pop()
-        depth += 1
-        row = stats[depth]
-        span = spans[first]
-        std = allowed & self_comparable & span if support & allowed == support else 0
-        non_normal = near & span
-        if near >= 0 and quotients:
-            eg = e | guard
-            for d, bit in tests[first]:
-                if (eg - d) & guard == guard:
-                    non_normal |= bit
-        row[0] += nv - first
-        row[1] += std.bit_count()
-        row[2] += non_normal.bit_count()
-        mismatched = std ^ (span & ~non_normal)
-        while mismatched:
-            bit = mismatched & -mismatched
-            row[3].append(e + packed[bit.bit_length() - 1])
-            mismatched ^= bit
-        if depth < degree_bound:
-            for p, step, bit, comp, partner in suffixes[first]:
-                # a non-normal child's near is -1
-                stack.append((p, depth, e + step, support | bit, allowed & comp,
-                              near | partner | -(non_normal >> p & 1)))
+        children, depth, e, support, allowed, near, non_normal = stack.pop()
+        depth += 1  # the children's degree
+        row = stats[depth + 1]
+        mismatches = row[3]
+        push = depth + 1 < degree_bound
+        total = std_count = non_normal_count = 0
+        for p, step, bit, comp, partner, span, std_span in children:
+            child_e = e + step
+            child_support = support | bit
+            child_allowed = allowed & comp
+            child_near = near | partner | -(non_normal >> p & 1)
+            std = (child_allowed & std_span
+                   if child_support & child_allowed == child_support else 0)
+            child_non_normal = child_near & span
+            if quotients and child_near >= 0:
+                eg = child_e | guard
+                for d, q_bit in tests[p]:
+                    if (eg - d) & guard == guard:
+                        child_non_normal |= q_bit
+            total += nv - p
+            std_count += std.bit_count()
+            non_normal_count += child_non_normal.bit_count()
+            mismatched = std ^ (span & ~child_non_normal)
+            while mismatched:
+                q_bit = mismatched & -mismatched
+                mismatches.append(child_e + packed[q_bit.bit_length() - 1])
+                mismatched ^= q_bit
+            if push:
+                stack.append((suffixes[p], depth, child_e, child_support,
+                              child_allowed, child_near, child_non_normal))
+        row[0] += total
+        row[1] += std_count
+        row[2] += non_normal_count
     return stats
 
 
-def _ideal_slice(order, field: CoefficientField, gen_terms: list, divisors: list,
-                 degree: int) -> tuple[int, bool]:
+def _ideal_slice(order, field: CoefficientField, gen_terms: list,
+                 uncertified: list, divisors: list, degree: int
+                 ) -> tuple[int, bool]:
     """Rank of the ideal's degree slice, and whether every pivot is non-normal.
 
-    A Macaulay row is a quadric generator's terms (``gen_terms``) and the
-    key of a degree d-2 multiplier, built only if a later row reduces
-    against it.  A pivot is non-normal when it has degree d and a packed
-    generator in ``divisors`` divides it.  The pivot rows are freed on
-    return, before the next slice.
+    A Macaulay row is a generator's terms (``gen_terms``) and the key of
+    a degree d-2 multiplier q, built only if a later row reduces against
+    it.  A pivot is non-normal when it has degree d and a packed
+    generator in ``divisors`` divides it.  A pivot still stored unbuilt
+    as a generator's own terms is q*LM(g); unless those terms are in
+    ``uncertified``, LM(g) is a non-normal quadric, and so is every such
+    multiple of it, so only built pivots and multiples of uncertified
+    generators are tested.  The pivot rows are freed on return, before
+    the next slice.
     """
     rows = ()
     if degree >= 2:
@@ -260,7 +283,9 @@ def _ideal_slice(order, field: CoefficientField, gen_terms: list, divisors: list
     pivots = staircase(rows, field)
     guard, s = order.guard, order.tail_bits
     field_mask = (1 << order.field_bits) - 1
-    for k in pivots:
+    for k, row in pivots.items():
+        if type(row) is tuple and row not in uncertified:
+            continue  # q*LM(g) for a certified g
         e = k - ((k >> s) << (s + 1))  # order.packed(k), inlined
         if e >> s & field_mask != degree:  # order.degree(e), inlined
             return len(pivots), False
@@ -284,18 +309,28 @@ def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
     them, each non-normal.  Together these say the standard monomials
     are a basis of the slice of the quotient.  "Standard" is read off
     ``comparable``, the bitmasks of ``_comparable_masks``, and "normal"
-    off the generators of ``init``.  The order's bound is checked once,
-    for the top degree, before any key is summed.
+    off the generators of ``init``.  Each generator is tested once: its
+    leading monomial is certified when it is a quadric that a generator
+    of ``init`` divides, and the slices then skip the pivots that are
+    its unbuilt multiples.  The order's bound is checked once, for the
+    top degree, before any key is summed.
     """
     order = ctx.order
     order.check_degree(degree_bound)
     divisors = [order.packed(order.heap_key(g)) for g in init.generators]
     gen_terms = [tuple((order.heap_key(m), c) for c, m in g.terms) for g in gens]
+    guard = order.guard
+    uncertified = []
+    for terms in gen_terms:
+        lead = order.packed(terms[0][0])
+        if not (order.degree(lead) == 2
+                and any((lead | guard) - d & guard == guard for d in divisors)):
+            uncertified.append(terms)
     reports = []
     for degree, (total, standard, non_normal, mismatches) in enumerate(
             _walk(order, init, comparable, degree_bound)):
         rank, pivots_non_normal = _ideal_slice(order, ctx.field, gen_terms,
-                                               divisors, degree)
+                                               uncertified, divisors, degree)
         expected = count_standard_monomials(ctx.n, degree)
         reports.append({
             "degree": degree,

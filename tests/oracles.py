@@ -212,15 +212,30 @@ def dense_compare(ctx, ea, eb):
             return -1 if ea[p] > eb[p] else 1
     return 0
 
-def slice_pivots_descending(ctx, gens, degree):
-    """Pivot exponent tuples of the slice, choosing order-largest columns."""
+def _pivots_descending(ctx, rows):
+    """Pivot exponent tuples of the rows, choosing order-largest columns."""
     def choose(row):
         best = None
         for col in row:
             if best is None or dense_compare(ctx, col, best) > 0:
                 best = col
         return best
-    return set(eliminate(slice_rows(ctx, gens, degree), choose))
+    return set(eliminate(rows, choose))
+
+def slice_pivots_descending(ctx, gens, degree):
+    """Pivot exponent tuples of the slice, choosing order-largest columns."""
+    return _pivots_descending(ctx, slice_rows(ctx, gens, degree))
+
+def macaulay_pivots_descending(ctx, gens, degree):
+    """Pivots of every generator times every monomial of degree d-2.
+
+    These are the rows the axiom-1 check eliminates for degree d, which
+    assumes quadric generators: for quadrics the result is the slice's
+    pivot set, and a cubic's rows have degree d+1.
+    """
+    rows = [row for g in gens if g
+            for row in slice_rows(ctx, [g], degree - 2 + g.terms[0][1].total_degree)]
+    return _pivots_descending(ctx, rows)
 
 
 # ----------------------------------------------- division and completion

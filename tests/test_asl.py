@@ -312,8 +312,9 @@ def _walk_against_dense(ctx, gens, init, pairs, bound):
 
     ``pairs`` is the symmetric comparability relation on positions.  Per
     degree: the counts, the mismatches and the basis check, whose pivots
-    come from dense elimination of the slice.  Returns the reports and
-    the set of directions (standard or not) seen among the mismatches.
+    come from dense elimination of the same Macaulay rows (the slice's,
+    for quadric generators).  Returns the reports and the set of
+    directions (standard or not) seen among the mismatches.
     """
     variables = ctx.variables
     nv = len(variables)
@@ -338,8 +339,8 @@ def _walk_against_dense(ctx, gens, init, pairs, bound):
                 directions.add(std)
                 mismatches.append("*".join(
                     variables[p].name + (f"^{e[p]}" if e[p] > 1 else "")
-                    for p in support))
-        pivots = oracles.slice_pivots_descending(ctx, gens, d)
+                    for p in support) or "1")
+        pivots = oracles.macaulay_pivots_descending(ctx, gens, d)
         assert entry["degree"] == d
         assert (entry["monomials"], entry["standard"], entry["normal"]) == (
             total, standard, normal)
@@ -590,6 +591,79 @@ class TestAxiom1:
             assert reports[1]["normal"] == nv - 1  # only x_a is non-normal
             if bound == 4:
                 assert directions == {True, False}
+
+    @pytest.mark.parametrize("ideal", ["generic", "unit"])
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_walk_matches_dense_brute_force_at_the_edge_bounds(self, bound, ideal):
+        # bound 0 walks nothing below the root, and bound 1 counts only the
+        # root's children, in the loop of the sentinel parent; the unit
+        # ideal makes the root itself non-normal
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
+        nv = len(ctx.variables)
+        rng = random.Random(bound)
+        pairs = {(p, q) for p in range(nv) for q in range(p, nv)
+                 if rng.random() < 0.75}
+        pairs |= {(q, p) for p, q in pairs}
+        init = (initial_ideal(gens) if ideal == "generic"
+                else InitialIdeal(ctx, [ctx.one]))
+        reports, _ = _walk_against_dense(ctx, gens, init, pairs, bound)
+        assert [e["monomials"] for e in reports] == [1, nv][:bound + 1]
+        assert reports[0]["normal"] == int(ideal == "generic")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bound", [2, 3, 4])
+    def test_walk_matches_dense_brute_force_on_a_mixed_slice(self, n, bound,
+                                                             monkeypatch):
+        # g_1 loses its leading term, so its lead x_1_n*y_n is a normal
+        # quadric, and g_n becomes the cubic x_1_1*g_n; the initial ideal
+        # stays that of the generic generators.  Their unbuilt pivots get
+        # the full pivot test; at n = 3 the unbuilt multiples of g_2's
+        # lead, a non-normal quadric, are certified by that lead alone; and
+        # rows whose lead is already a pivot are built.  At degree 4 one
+        # slice holds all three kinds
+        from asl_forge import asl
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(n))
+        init = initial_ideal(gens)
+        nv = len(ctx.variables)
+        first, *middle, last = gens
+        x = Counter([ctx.x(1, 1)])
+        cubic = {ctx.monomial(Counter(dict(m.factors())) + x): c
+                 for c, m in last.terms}
+        mixed = [ctx.polynomial({m: c for c, m in first.terms[1:]}), *middle,
+                 ctx.polynomial(cubic)]
+        assert str(mixed[0].leading_monomial()) == f"x_1_{n}*y_{n}"
+        assert mixed[-1].leading_monomial().total_degree == 3
+        masks = _comparable_masks(ctx, build_poset(n))
+        pairs = {(p, q) for p in range(nv) for q in range(nv) if masks[p] >> q & 1}
+        slices = []
+        staircase = asl.staircase
+        monkeypatch.setattr(asl, "staircase", lambda rows, field: (
+            slices.append(staircase(rows, field)) or slices[-1]))
+        reports, _ = _walk_against_dense(ctx, GeneratorSet(ctx, mixed), init,
+                                         pairs, bound)
+        dense_init = [oracles.to_dense(g, nv) for g in init]
+        kinds = []
+        for pivots in slices:
+            certified = tested = built = 0
+            for row in pivots.values():
+                if type(row) is dict:
+                    built += 1
+                    continue
+                lead = ctx.order.monomial(row[0][0])
+                if lead.total_degree == 2 and any(
+                        oracles.divides(g, oracles.to_dense(lead, nv))
+                        for g in dense_init):
+                    certified += 1
+                else:
+                    tested += 1
+            kinds.append((certified, tested, built))
+        assert not any(e["basis_check"] for e in reports[2:])
+        # as many pivots as non-normal monomials: only the pivot test fails
+        for entry in reports[2:4]:
+            assert entry["ideal_slice_rank"] == entry["monomials"] - entry["normal"]
+        assert all(tested for _, tested, _ in kinds[2:])
+        if n == 3 and bound == 4:
+            assert all(kinds[4])
 
     def test_asymmetric_masks_raise(self):
         # the walk reads "p is comparable to m's variables" off the AND of

@@ -1,4 +1,4 @@
-"""Byte-identity guards: sha256 digests pin the CLI's output over two grids.
+"""Byte-identity guards: sha256 digests pin the CLI's output over six grids.
 
 In the first grid every subcommand and output format runs in process over
 the generic and the symmetric n=2 patterns and all 16 n=2 zero masks,
@@ -11,9 +11,10 @@ and the symmetric patterns for n = 1..6 and degree bounds 0..2 over QQ,
 GF(2), GF(3) and GF(32003), which covers both axiom reports.  The fifth
 runs a generic `verify` above degree 2 over the same four fields, from
 n = 1 up to degree 10 to n = 5 at degree 3; it includes the benchmark's
-`verify --n 4 --degree 5`.  Each digest covers every call's argv, exit
-code and stdout, so any change to a report, a rendering or an exit code
-shows up here.  A change that alters output on purpose must say so and
+`verify --n 4 --degree 5`.  The sixth runs the deeper generic calls
+`verify --n 4 --degree 6` and `--n 5 --degree 5` over QQ and GF(32003).
+Each digest covers every call's argv, exit code and stdout, so any change
+to a report, a rendering or an exit code shows up here.  A change that alters output on purpose must say so and
 record the new digest.
 """
 
@@ -32,6 +33,7 @@ N3_MASKS_SHA256 = "6233fbb45012f1c47281e9775a49f521b5761bcc79f886c1685188c421014
 N4_MASKS_SHA256 = "1cd181663b63898f20e4441c154eef192b6aff8c75779b9f8b787eda92854b24"
 GENERIC_SHA256 = "cb0f1c0a83145ed2236a42a6fd58c475bef4610d70aa3a11cb209037bad1b4f6"
 AXIOM1_SHA256 = "dcde14bf8c6430927e02e2deee30e35a54b5fbfd2ecfbd14ce876ee55ece6812"
+DEEP_SHA256 = "4b1c342b9aca40195680c200e3d3b5491b97d2bafe2853c182b83f1a22ee02b6"
 
 PATTERN_COMMANDS = [("ideal", "json"), ("ideal", "text"), ("gb", "json"),
                     ("gb", "text"), ("verify-gb", "json"), ("verify-gb", "text"),
@@ -95,6 +97,13 @@ def axiom1_grid():
                        "--degree", str(degree)]
 
 
+def deep_grid():
+    for field in ("rationals", "gf(32003)"):
+        for n, degree in ((4, 6), (5, 5)):
+            yield ["verify", "--n", str(n), "--field", field,
+                   "--degree", str(degree)]
+
+
 def run_grid(argvs):
     """(sha256 hex digest over the calls, number of calls, seconds)."""
     start = time.perf_counter()
@@ -142,4 +151,11 @@ def test_generic_axiom1_reports_above_degree_2_are_pinned():
     digest, calls, elapsed = run_grid(axiom1_grid())
     assert calls == 76
     assert digest == AXIOM1_SHA256
+    assert elapsed < 3.0, f"grid took {elapsed:.2f} s"
+
+
+def test_deep_generic_axiom1_reports_are_pinned():
+    digest, calls, elapsed = run_grid(deep_grid())
+    assert calls == 4
+    assert digest == DEEP_SHA256
     assert elapsed < 3.0, f"grid took {elapsed:.2f} s"
