@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cmp_to_key
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, cycle, repeat
 
 from .groebner import (
     GeneratorSet,
@@ -169,24 +169,26 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
     One depth-first walk, on an explicit stack, over the nondecreasing
     sequences of variable positions visits each monomial of degree at
     most the bound once.  The stack holds parents; a parent's loop makes
-    each child m = x_p*parent from its packed exponent vector, support
-    bitmask, the AND of its variables' ``comparable`` masks and ``near``,
-    and counts m's own children x_q*m, q >= p, all at once as bitmasks
-    over q.  The root, the monomial 1, is the only child of a sentinel
-    parent at depth -1.  With symmetric masks, x_q*m is standard exactly
-    when m is standard, q is comparable to m's variables (q is in
-    ``allowed``) and to itself.  A multiple of a non-normal monomial is
-    non-normal, and x_q*m for a normal m is non-normal exactly when g/x_q
-    divides m for a generator g of ``init`` that involves q.  A quotient
-    g/x_q that is one variable x_v divides m exactly when v is in m's
-    support, so it sets bit q of ``partners[v]``, and a normal node's
-    ``near`` is the OR of ``partners`` over its support; a non-normal
-    node's ``near`` is -1.  Every other quotient (1, a square, anything
-    of degree 2 or more) keeps the exact guard-bit test; both are built
-    once per run.  A parent adds its children's counts once, and pushes
-    only the children whose children have children within the bound.
-    Mismatches are kept as packed vectors.  Asymmetric masks raise
-    ValueError.
+    each child m = x_p*parent from the parent's packed exponent vector,
+    the AND of its variables' ``comparable`` masks, ``near`` and the
+    bitmasks of its standard and its non-normal children, and counts
+    m's own children x_q*m, q >= p, all at once as bitmasks over q.  The
+    root, the monomial 1, is the only child of a sentinel parent at
+    depth -1.  With symmetric masks, x_q*m is standard exactly when m is
+    standard (bit p of the parent's standard mask), q is comparable to
+    m's variables (q is in ``allowed``) and to itself.  A multiple of a
+    non-normal monomial is non-normal, and x_q*m for a normal m is
+    non-normal exactly when g/x_q divides m for a generator g of
+    ``init`` that involves q.  A quotient g/x_q that is one variable x_v
+    divides m exactly when v is in m's support, so it sets bit q of
+    ``partners[v]``, and a normal node's ``near`` is the OR of
+    ``partners`` over its support; a non-normal node's ``near`` is -1.
+    Every other quotient (1, a square, anything of degree 2 or more)
+    keeps the exact guard-bit test; both are built once per run.  A
+    parent adds its children's counts once, and pushes only the children
+    whose children have children within the bound.  A child's exponent
+    vector is summed only where it is read.  Mismatches are kept as
+    packed vectors.  Asymmetric masks raise ValueError.
     """
     nv = len(order.weights)
     if any((comparable[p] >> q ^ comparable[q] >> p) & 1
@@ -210,35 +212,32 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
                 partners[v] |= 1 << p
     tests = [[(d, 1 << p) for d, p in quotients if p >= first]
              for first in range(nv)]
-    # a child x_p*m: its position, step, bit, mask, partners, and the
+    # a child x_p*m: its position, step, mask, partners, and the
     # positions of its own children, all and self-comparable ones
-    nodes = [(p, packed[p], 1 << p, comparable[p], partners[p], spans[p],
+    nodes = [(p, packed[p], comparable[p], partners[p], spans[p],
               self_comparable & spans[p]) for p in range(nv)]
     suffixes = [nodes[p:] for p in range(nv)]
     normal = all(g.exps for g in init.generators)  # else 1 is in the ideal
     stats = [[1, 1, int(not normal), [] if normal else [0]]]
     stats += [[0, 0, 0, []] for _ in range(degree_bound)]
-    # the sentinel: children [root], e 0, support 0, allowed -1, near 0,
-    # and its non-normal children: the root when 1 is in the ideal
-    root = [(0, 0, 0, -1, 0, spans[0], self_comparable)]
-    stack = [(root, -1, 0, 0, -1, 0, int(not normal))] if degree_bound else []
+    # the sentinel: children [root], e 0, standard children [root],
+    # allowed -1, near 0, and non-normal children [root] if 1 is in the ideal
+    root = [(0, 0, -1, 0, spans[0], self_comparable)]
+    stack = [(root, -1, 0, 1, -1, 0, int(not normal))] if degree_bound else []
     while stack:
-        children, depth, e, support, allowed, near, non_normal = stack.pop()
+        children, depth, e, standard, allowed, near, non_normal = stack.pop()
         depth += 1  # the children's degree
         row = stats[depth + 1]
         mismatches = row[3]
         push = depth + 1 < degree_bound
         total = std_count = non_normal_count = 0
-        for p, step, bit, comp, partner, span, std_span in children:
-            child_e = e + step
-            child_support = support | bit
+        for p, step, comp, partner, span, std_span in children:
             child_allowed = allowed & comp
             child_near = near | partner | -(non_normal >> p & 1)
-            std = (child_allowed & std_span
-                   if child_support & child_allowed == child_support else 0)
+            std = child_allowed & std_span if standard >> p & 1 else 0
             child_non_normal = child_near & span
             if quotients and child_near >= 0:
-                eg = child_e | guard
+                eg = (e + step) | guard
                 for d, q_bit in tests[p]:
                     if (eg - d) & guard == guard:
                         child_non_normal |= q_bit
@@ -248,10 +247,10 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
             mismatched = std ^ (span & ~child_non_normal)
             while mismatched:
                 q_bit = mismatched & -mismatched
-                mismatches.append(child_e + packed[q_bit.bit_length() - 1])
+                mismatches.append(e + step + packed[q_bit.bit_length() - 1])
                 mismatched ^= q_bit
             if push:
-                stack.append((suffixes[p], depth, child_e, child_support,
+                stack.append((suffixes[p], depth, e + step, std,
                               child_allowed, child_near, child_non_normal))
         row[0] += total
         row[1] += std_count
@@ -269,17 +268,20 @@ def _ideal_slice(order, field: CoefficientField, gen_terms: list,
     it.  A pivot is non-normal when it has degree d and a packed
     generator in ``divisors`` divides it.  A pivot still stored unbuilt
     as a generator's own terms is q*LM(g); unless those terms are in
-    ``uncertified``, LM(g) is a non-normal quadric, and so is every such
-    multiple of it, so only built pivots and multiples of uncertified
-    generators are tested.  The pivot rows are freed on return, before
-    the next slice.
+    ``uncertified``, LM(g) is a non-normal quadric, so q*LM(g) is
+    non-normal of degree d, and only built pivots and multiples of
+    uncertified generators are tested.  The pivot rows are freed on
+    return, before the next slice.
     """
     rows = ()
     if degree >= 2:
-        rows = ((q, terms)
-                for q in map(sum, combinations_with_replacement(order.weights,
-                                                                degree - 2))
-                for terms in gen_terms)
+        # (q, terms) for each multiplier q and then each generator, streamed
+        # by iterators alone: no multiplier list, no Python frame per row
+        multipliers = map(sum, combinations_with_replacement(order.weights,
+                                                             degree - 2))
+        rows = zip(chain.from_iterable(map(repeat, multipliers,
+                                           repeat(len(gen_terms)))),
+                   cycle(gen_terms))
     pivots = staircase(rows, field)
     guard, s = order.guard, order.tail_bits
     field_mask = (1 << order.field_bits) - 1

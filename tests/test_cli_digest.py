@@ -14,8 +14,8 @@ n = 1 up to degree 10 to n = 5 at degree 3; it includes the benchmark's
 `verify --n 4 --degree 5`.  The sixth runs the deeper generic calls
 `verify --n 4 --degree 6` and `--n 5 --degree 5` over QQ and GF(32003).
 Each digest covers every call's argv, exit code and stdout, so any change
-to a report, a rendering or an exit code shows up here.  A change that alters output on purpose must say so and
-record the new digest.
+to a report, a rendering or an exit code shows up here.  A change that
+alters output on purpose must say so and record the new digest.
 """
 
 import contextlib
