@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cmp_to_key
-from itertools import chain, combinations_with_replacement, cycle, repeat
+from itertools import combinations_with_replacement
 
 from .groebner import (
     GeneratorSet,
@@ -275,13 +275,10 @@ def _ideal_slice(order, field: CoefficientField, gen_terms: list,
     """
     rows = ()
     if degree >= 2:
-        # (q, terms) for each multiplier q and then each generator, streamed
-        # by iterators alone: no multiplier list, no Python frame per row
-        multipliers = map(sum, combinations_with_replacement(order.weights,
-                                                             degree - 2))
-        rows = zip(chain.from_iterable(map(repeat, multipliers,
-                                           repeat(len(gen_terms)))),
-                   cycle(gen_terms))
+        rows = ((q, terms)
+                for q in map(sum, combinations_with_replacement(order.weights,
+                                                                degree - 2))
+                for terms in gen_terms)
     pivots = staircase(rows, field)
     guard, s = order.guard, order.tail_bits
     field_mask = (1 << order.field_bits) - 1
