@@ -233,6 +233,7 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
         total = std_count = non_normal_count = 0
         for p, step, comp, partner, span, std_span in children:
             child_allowed = allowed & comp
+            # a non-normal child's near is -1
             child_near = near | partner | -(non_normal >> p & 1)
             std = child_allowed & std_span if standard >> p & 1 else 0
             child_non_normal = child_near & span
@@ -323,7 +324,7 @@ def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
     for terms in gen_terms:
         lead = order.packed(terms[0][0])
         if not (order.degree(lead) == 2
-                and any((lead | guard) - d & guard == guard for d in divisors)):
+                and any(((lead | guard) - d) & guard == guard for d in divisors)):
             uncertified.append(terms)
     reports = []
     for degree, (total, standard, non_normal, mismatches) in enumerate(

@@ -27,9 +27,9 @@ from .poly_core import CoefficientField, Monomial, Polynomial
 LARGE_N = 8
 LARGE_DEGREE = 8
 # bound on axiom1_work for a generic verify.  On a shared 2-vCPU Xeon VM,
-# in process, (n, degree) = (8, 4) at about 1.3e6 runs in 0.08-0.11 s at
-# 20-21 MiB peak RSS, (5, 6) at 2.2e6 in 0.8-0.9 s at 70 MiB, (4, 8) at
-# 4.0e6 in 4.7-5.0 s at 227 MiB
+# in process, (n, degree) = (8, 4) at about 1.3e6 runs in 0.06-0.12 s at
+# 20-21 MiB peak RSS, (5, 6) at 2.2e6 in 0.6-0.9 s at 70 MiB, (4, 8) at
+# 4.0e6 in 3.6-6.3 s at 227 MiB (ranges span the VM's load)
 LARGE_WORK = 2_000_000
 
 
