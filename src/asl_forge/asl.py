@@ -9,8 +9,9 @@ statements at bounded degree:
   axiom 1: standard monomials coincide with the monomials outside the
            initial ideal, and they form a basis of each degree slice of
            the quotient (one depth-first walk visits every monomial up
-           to the degree bound once, and each node counts its children,
-           which differ in one variable, as bitmasks over that variable;
+           to the degree bound once, and each node's children, which
+           differ in one variable, are counted as bitmasks over that
+           variable, in the loop of the node's parent;
            sparse elimination on each slice of the ideal itself gives
            the pivots);
   axiom 2: for each incomparable pair (alpha, beta) of the poset, every
