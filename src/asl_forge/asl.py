@@ -20,8 +20,9 @@ statements at bounded degree:
            least factor sits below both alpha and beta.
 
 "Standard" is one test for both axioms: a monomial's support against the
-comparability bitmasks that ``verify`` builds once from the poset, along
-with the poset's incomparable pairs.
+poset's comparability bitmasks, which the poset builds once, in its
+constructor, along with its up-sets.  Both checks take the poset itself,
+whose elements must be the ring's variables in layout order.
 
 Both checkers return plain-dict reports with a top-level "verdict",
 suitable for direct JSON serialization.  ``verify`` runs the whole
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cmp_to_key
 from itertools import combinations_with_replacement
 
 from .groebner import (
@@ -107,12 +107,11 @@ def expected_incomparable_pairs(n: int) -> list[tuple[Variable, Variable]]:
     return [(Variable.x(i, i), Variable.y(i)) for i in range(1, n + 1)]
 
 
-def _incomparable_pairs(ctx: RingContext, comparable: list[int]
-                        ) -> list[tuple[Variable, Variable]]:
-    """The incomparable pairs of ring variables, in layout order, off the masks."""
-    variables = ctx.variables
-    return [(a, variables[q]) for p, a in enumerate(variables)
-            for q in range(p + 1, len(variables)) if not comparable[p] >> q & 1]
+def _check_poset(ctx: RingContext, poset: Poset) -> None:
+    """Raise ValueError unless the poset's elements are the ring's variables."""
+    if poset.elements != ctx.variables:
+        raise ValueError("poset elements are not the ring's variables "
+                         "in layout order")
 
 
 def _only_diagonal(pairs: list[tuple[Variable, Variable]], n: int) -> bool:
@@ -156,13 +155,6 @@ def axiom1_work(n: int, degree_bound: int) -> int:
                for d in range(degree_bound + 1))
 
 
-def _comparable_masks(ctx: RingContext, poset: Poset) -> list[int]:
-    """Bitmask, per variable position, of the positions comparable with it."""
-    variables = ctx.variables
-    return [sum(1 << q for q, b in enumerate(variables) if poset.comparable(a, b))
-            for a in variables]
-
-
 def _walk(order, init: InitialIdeal, comparable: list[int],
           degree_bound: int) -> list[list]:
     """Per degree d <= degree_bound: [monomials, standard, non-normal, mismatches].
@@ -202,8 +194,7 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
     spans = [((1 << nv) - 1) >> first << first for first in range(nv)]
     partners = [0] * nv  # partners[v]: the p with g/x_p = x_v for some g
     quotients = []
-    for g in init.generators:
-        e = order.packed(order.heap_key(g))
+    for g, e in zip(init.generators, init.packed):
         for p, _ in g.exps:
             d = e - packed[p]  # g/x_p
             v = single.get(d)
@@ -309,7 +300,7 @@ def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
     generators) must be exactly the non-normal monomials: as many of
     them, each non-normal.  Together these say the standard monomials
     are a basis of the slice of the quotient.  "Standard" is read off
-    ``comparable``, the bitmasks of ``_comparable_masks``, and "normal"
+    ``comparable``, one comparability bitmask per variable, and "normal"
     off the generators of ``init``.  Each generator is tested once: its
     leading monomial is certified when it is a quadric that a generator
     of ``init`` divides, and the slices then skip the pivots that are
@@ -318,7 +309,7 @@ def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
     """
     order = ctx.order
     order.check_degree(degree_bound)
-    divisors = [order.packed(order.heap_key(g)) for g in init.generators]
+    divisors = init.packed
     gen_terms = [tuple((order.heap_key(m), c) for c, m in g.terms) for g in gens]
     guard = order.guard
     uncertified = []
@@ -350,28 +341,31 @@ def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
 
 
 def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
-                  init: InitialIdeal | None, comparable: list[int],
+                  init: InitialIdeal | None, poset: Poset,
                   degree_bound: int) -> dict:
     """Check freeness on standard monomials, degree by degree up to a bound.
 
     ``gens`` are the generic product generators, ``certificate`` their
     pair check, ``init`` their initial ideal (None when the check failed)
-    and ``comparable`` the variable poset's bitmasks from
-    ``_comparable_masks``.  Per degree d <= degree_bound: every
+    and ``poset`` the variable poset, read through its comparability
+    bitmasks.  Per degree d <= degree_bound: every
     monomial is standard iff it is normal; the number of standard
     monomials matches the closed form; and eliminating the slice spanned
     by all degree-d multiples of the generators yields pivot monomials
     exactly equal to the non-normal set, so the standard residues are
-    linearly independent and spanning.  A certificate of another set
-    raises ValueError.
+    linearly independent and spanning.  A certificate of another set, or
+    a poset on other elements than the ring's variables, raises
+    ValueError.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     certificate.check_same_set(gens)
     ctx = gens.ctx
+    _check_poset(ctx, poset)
     per_degree = []
     if certificate.is_basis:
-        per_degree = _axiom1_degrees(ctx, gens, init, comparable, degree_bound)
+        per_degree = _axiom1_degrees(ctx, gens, init, poset.comparable_masks,
+                                     degree_bound)
     ok = (certificate.is_basis
           and all(d["standard_equals_normal"] and d["count_matches"]
                   and d["basis_check"] for d in per_degree))
@@ -388,27 +382,26 @@ def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
 
 
 def verify_axiom2(gens: GeneratorSet, certificate: GroebnerCertificate,
-                  poset: Poset, comparable: list[int],
-                  pairs: list[tuple[Variable, Variable]]) -> dict:
+                  poset: Poset) -> dict:
     """Check the straightening condition for every incomparable pair.
 
     ``gens`` are the generic product generators, ``certificate`` their
-    pair check, ``poset`` the variable poset, ``comparable`` its bitmasks
-    from ``_comparable_masks`` and ``pairs`` its incomparable pairs.  For
-    each pair (alpha, beta), every term of the normal form of alpha*beta
-    must be standard (its factors pairwise comparable, so they sort into
-    an ascending chain), the least factor of each chain must lie below
-    both alpha and beta, and the product minus the expansion rebuilt from
-    the chains must reduce to zero, so the identity holds in the quotient.
-    A certificate of another set raises ValueError.
+    pair check and ``poset`` the variable poset.  For each of its
+    incomparable pairs (alpha, beta), every term of the normal form of
+    alpha*beta must be standard (its factors pairwise comparable, so they
+    sort into an ascending chain: along a chain, a larger element has
+    fewer elements above it), the least factor of each chain must lie
+    below both alpha and beta, and the product minus the expansion
+    rebuilt from the chains must reduce to zero, so the identity holds in
+    the quotient.  A certificate of another set, or a poset on other
+    elements than the ring's variables, raises ValueError.
     """
     certificate.check_same_set(gens)
     ctx = gens.ctx
-    variables = ctx.variables
-
-    def cmp(a: Variable, b: Variable) -> int:
-        return 0 if a == b else -1 if poset.leq(a, b) else 1
-
+    _check_poset(ctx, poset)
+    variables, comparable = ctx.variables, poset.comparable_masks
+    above = [u.bit_count() for u in poset.up]
+    pairs = poset.incomparable_pairs()
     pairs_ok = _only_diagonal(pairs, ctx.n)
     entries = []
     all_ok = certificate.is_basis and pairs_ok
@@ -424,8 +417,9 @@ def verify_axiom2(gens: GeneratorSet, certificate: GroebnerCertificate,
             if support & allowed != support:
                 non_standard = m
                 break
-            expansion.append((c, sorted([variables[p] for p, e in m.exps
-                                         for _ in range(e)], key=cmp_to_key(cmp))))
+            factors = sorted(m.exps, key=lambda f: -above[f[0]])
+            expansion.append((c, [variables[p] for p, e in factors
+                                  for _ in range(e)]))
         if non_standard is not None:
             entries.append({"alpha": alpha.name, "beta": beta.name,
                             "status": "fail",
@@ -475,9 +469,8 @@ def verify(pattern: MatrixPattern, degree: int,
 
     Each invariant is built once and passed down: the generators (for a
     zero pattern, their Buchberger completion), one pair certificate, the
-    initial ideal and, for the generic pattern only, the variable poset
-    with its comparability bitmasks and incomparable pairs, which the
-    poset section and both axiom checks read.  The verdict passes
+    initial ideal and, for the generic pattern only, the variable poset,
+    whose bitmasks the poset section and both axiom checks read.  The verdict passes
     when every section passes or is skipped.  Bases, pairs and initial-ideal
     generators are Polynomial, SPairRecord and Monomial objects, not dicts.
     """
@@ -516,8 +509,7 @@ def verify(pattern: MatrixPattern, degree: int,
 
     if pattern.kind == "generic":
         poset = build_poset(ctx.n)
-        comparable = _comparable_masks(ctx, poset)
-        pairs = _incomparable_pairs(ctx, comparable)
+        pairs = poset.incomparable_pairs()
         pairs_ok = _only_diagonal(pairs, ctx.n)
         sections["poset"] = {
             "status": "pass" if pairs_ok else "fail",
@@ -526,10 +518,8 @@ def verify(pattern: MatrixPattern, degree: int,
             "incomparable_pairs": [[a.name, b.name] for a, b in pairs],
             "only_diagonal_pairs_incomparable": pairs_ok,
         }
-        sections["axiom1"] = verify_axiom1(gens, certificate, init, comparable,
-                                           degree)
-        sections["axiom2"] = verify_axiom2(gens, certificate, poset, comparable,
-                                           pairs)
+        sections["axiom1"] = verify_axiom1(gens, certificate, init, poset, degree)
+        sections["axiom2"] = verify_axiom2(gens, certificate, poset)
     else:
         skipped = {"status": "skipped", "reason": STRAIGHTENING_SKIP_REASON}
         sections.update(poset=skipped, axiom1=skipped, axiom2=skipped)

@@ -330,22 +330,26 @@ def buchberger(gens: GeneratorSet) -> GeneratorSet:
 
 
 class InitialIdeal:
-    """Monomial ideal of leading monomials, kept by minimal generators."""
+    """Monomial ideal of leading monomials, kept by minimal generators.
 
-    __slots__ = ("ctx", "generators", "_packed")
+    ``packed`` holds their packed exponent vectors, aligned with them.
+    """
+
+    __slots__ = ("ctx", "generators", "packed")
 
     def __init__(self, ctx: RingContext, monomials):
         self.ctx = ctx
         order = ctx.order
-        self._packed: list[int] = []
+        self.packed: list[int] = []
         minimal = []
         # a proper divisor has a lower degree, so each monomial is tested
         # against the minimal generators found before it
         for m in sorted(set(monomials), key=lambda m: m.total_degree):
             if self.is_normal(m):
                 minimal.append(m)
-                self._packed.append(order.packed(order.heap_key(m)))
+                self.packed.append(order.packed(order.heap_key(m)))
         self.generators = tuple(sorted(minimal, key=order.heap_key))  # descending
+        self.packed = [order.packed(order.heap_key(g)) for g in self.generators]
 
     def is_normal(self, m: Monomial) -> bool:
         """True when m avoids the ideal, i.e. m is a staircase monomial."""
@@ -354,7 +358,7 @@ class InitialIdeal:
         order = self.ctx.order
         guard = order.guard
         e = order.packed(order.heap_key(m)) | guard
-        return not any((e - d) & guard == guard for d in self._packed)
+        return not any((e - d) & guard == guard for d in self.packed)
 
     def __iter__(self):
         return iter(self.generators)

@@ -1,86 +1,84 @@
 """Finite posets given by generating relations.
 
 A Poset is built from a list of elements and a list of (a, b) pairs read
-as a <= b.  Construction takes the reflexive-transitive closure and
-rejects any antisymmetry violation (a cycle through two or more distinct
-elements), so every constructed instance is a genuine partial order.
+as a <= b.  The constructor takes the reflexive-transitive closure as
+bitmasks over element positions, once: ``up[k]`` holds the elements
+>= element k, and ``comparable_masks[k]`` those comparable with it.
+Every query reads these masks.  Any antisymmetry violation (a cycle
+through two or more distinct elements) is rejected, so every constructed
+instance is a genuine partial order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Hashable, Iterable, Sequence
 
 
 class Poset:
-    __slots__ = ("elements", "_index", "_up")
+    __slots__ = ("elements", "_index", "up", "comparable_masks")
 
     def __init__(self, elements: Sequence[Hashable],
                  relations: Iterable[tuple[Hashable, Hashable]]):
-        ordered: list[Hashable] = []
-        for e in elements:
-            if e not in ordered:
-                ordered.append(e)
-        self.elements: tuple = tuple(ordered)
+        self.elements: tuple = tuple(dict.fromkeys(elements))
         self._index = {e: k for k, e in enumerate(self.elements)}
+        nv = len(self.elements)
 
-        succ: dict = {e: set() for e in self.elements}
-        pairs = list(relations)
-        for a, b in pairs:
+        up = [1 << k for k in range(nv)]
+        for a, b in relations:
             if a not in self._index or b not in self._index:
                 missing = a if a not in self._index else b
                 raise ValueError(f"relation mentions unknown element {missing!r}")
-            if a != b:
-                succ[a].add(b)
+            up[self._index[a]] |= 1 << self._index[b]
+        # Warshall's closure: each element below k gets k's up-set
+        for k in range(nv):
+            above = up[k]
+            up = [u | above if u >> k & 1 else u for u in up]
+        down = [sum(1 << i for i in range(nv) if up[i] >> k & 1)
+                for k in range(nv)]
 
-        # _up[e] = all elements >= e, computed by BFS along generating edges
-        self._up: dict = {}
-        for e in self.elements:
-            seen = {e}
-            queue = deque([e])
-            while queue:
-                cur = queue.popleft()
-                for nxt in succ[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            self._up[e] = frozenset(seen)
+        for k, a in enumerate(self.elements):
+            both = up[k] & down[k] & ~(1 << k)
+            if both:
+                b = self.elements[(both & -both).bit_length() - 1]
+                raise ValueError(
+                    f"relations force {a!r} <= {b!r} and {b!r} <= {a!r}")
+        self.up: tuple[int, ...] = tuple(up)
+        self.comparable_masks: tuple[int, ...] = tuple(
+            u | d for u, d in zip(up, down))
 
-        for a in self.elements:
-            for b in self._up[a]:
-                if b != a and a in self._up[b]:
-                    raise ValueError(
-                        f"relations force {a!r} <= {b!r} and {b!r} <= {a!r}")
+    def _position(self, e) -> int:
+        if e not in self._index:
+            raise ValueError(f"unknown element {e!r}")
+        return self._index[e]
 
     def leq(self, a, b) -> bool:
         """a <= b in the partial order."""
-        if a not in self._index or b not in self._index:
-            missing = a if a not in self._index else b
-            raise ValueError(f"unknown element {missing!r}")
-        return b in self._up[a]
+        p, q = self._position(a), self._position(b)
+        return bool(self.up[p] >> q & 1)
 
     def comparable(self, a, b) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
+        p, q = self._position(a), self._position(b)
+        return bool(self.comparable_masks[p] >> q & 1)
 
     def incomparable_pairs(self) -> list[tuple]:
         """All unordered incomparable pairs, in element-list order."""
-        out = []
-        for k, a in enumerate(self.elements):
-            for b in self.elements[k + 1:]:
-                if not self.comparable(a, b):
-                    out.append((a, b))
-        return out
+        elements, masks = self.elements, self.comparable_masks
+        return [(a, elements[q]) for p, a in enumerate(elements)
+                for q in range(p + 1, len(elements)) if not masks[p] >> q & 1]
 
     def covers(self) -> list[tuple]:
-        """Edges (a, b) of the Hasse diagram: a < b with nothing between."""
-        out = []
-        for a in self.elements:
-            strictly_above = [b for b in self._up[a] if b != a]
-            for b in sorted(strictly_above, key=self._index.__getitem__):
-                if not any(c != a and c != b and b in self._up[c]
-                           for c in strictly_above):
-                    out.append((a, b))
-        return out
+        """Edges (a, b) of the Hasse diagram: a < b with nothing between.
+
+        The interval [a, b] is up[a] AND down[b], where down[b] is b plus
+        the elements comparable with b and not above it; b covers a when
+        that interval holds exactly a and b.
+        """
+        elements, up = self.elements, self.up
+        down = [m & ~u | 1 << k
+                for k, (m, u) in enumerate(zip(self.comparable_masks, up))]
+        return [(a, b) for p, a in enumerate(elements)
+                for q, b in enumerate(elements)
+                if (up[p] & down[q]).bit_count() == 2]
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -30,8 +30,6 @@ from asl_forge import (
 )
 from asl_forge.asl import (
     _axiom1_degrees,
-    _comparable_masks,
-    _incomparable_pairs,
     axiom1_work,
 )
 
@@ -97,17 +95,14 @@ def non_standard(ctx, poset, d):
     Against an empty initial ideal every monomial is normal, so the slice
     check's standard-versus-normal mismatches are the non-standard ones.
     """
-    comparable = _comparable_masks(ctx, poset)
     _, gens = matrix_product_ideal(MatrixPattern.generic(ctx.n))
-    return _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), comparable, d)[d][
-        "mismatches"]
+    return _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []),
+                           poset.comparable_masks, d)[d]["mismatches"]
 
 
 def straightening(gens, poset):
     """verify_axiom2's report on gens over the pairs the poset leaves incomparable."""
-    comparable = _comparable_masks(gens.ctx, poset)
-    return verify_axiom2(gens, is_groebner(gens), poset, comparable,
-                         _incomparable_pairs(gens.ctx, comparable))
+    return verify_axiom2(gens, is_groebner(gens), poset)
 
 
 def relation(report, alpha, beta):
@@ -183,11 +178,28 @@ class TestStraighten:
         assert entry["minimal_factors"] == []
 
     def test_pair_outside_the_ring_raises(self):
-        ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
-        p = build_poset(2)
-        with pytest.raises(ValueError, match="x_3_3 is not a variable"):
-            verify_axiom2(gens, is_groebner(gens), p, _comparable_masks(ctx, p),
-                          [(Variable.x(3, 3), Variable.y(3))])
+        # build_poset(3) holds x_3_3 and y_3, which the n = 2 ring lacks
+        _, gens = matrix_product_ideal(MatrixPattern.generic(2))
+        with pytest.raises(ValueError, match="not the ring's variables"):
+            verify_axiom2(gens, is_groebner(gens), build_poset(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_poset_on_other_elements_raises(self, n):
+        # a poset on more variables, on the same variables in another
+        # order, or missing one variable is not the ring's variable poset
+        _, gens = matrix_product_ideal(MatrixPattern.generic(n))
+        certificate = is_groebner(gens)
+        init = initial_ideal(gens, certificate)
+        base = build_poset(n)
+        others = [build_poset(n + 1),
+                  Poset(base.elements[::-1], base.covers()),
+                  Poset(base.elements[1:],
+                        [c for c in base.covers() if base.elements[0] not in c])]
+        for poset in others:
+            with pytest.raises(ValueError, match="not the ring's variables"):
+                verify_axiom1(gens, certificate, init, poset, 2)
+            with pytest.raises(ValueError, match="not the ring's variables"):
+                verify_axiom2(gens, certificate, poset)
 
     def test_non_standard_expansion_fails(self):
         # against a bare antichain every two-variable monomial is
@@ -412,8 +424,7 @@ class TestAxiom1:
             ctx.polynomial({ctx.monomial({ctx.x(1, 1): 1, ctx.x(1, 2): 1}): 1})])
         certificate = is_groebner(extra)
         assert not certificate.is_basis
-        report = verify_axiom1(extra, certificate, None,
-                               _comparable_masks(ctx, build_poset(2)), 3)
+        report = verify_axiom1(extra, certificate, None, build_poset(2), 3)
         assert report["verdict"] == "fail"
         assert not report["groebner_verified"] and report["degrees"] == []
 
@@ -424,7 +435,7 @@ class TestAxiom1:
         relations = base.covers() + [(Variable.x(1, 1), Variable.y(1))]
         poset = Poset(base.elements, relations)
         entry = _axiom1_degrees(ctx, gens, initial_ideal(gens),
-                                _comparable_masks(ctx, poset), d)[d]
+                                poset.comparable_masks, d)[d]
         expected = oracles.standard_normal_mismatches(
             n, d, [(a.name, b.name) for a, b in relations])
         assert expected
@@ -436,7 +447,7 @@ class TestAxiom1:
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
         entry = _axiom1_degrees(ctx, GeneratorSet(ctx, list(gens)[:-1]),
                                 initial_ideal(gens),
-                                _comparable_masks(ctx, build_poset(3)), d)[d]
+                                build_poset(3).comparable_masks, d)[d]
         assert entry["standard_equals_normal"] and entry["count_matches"]
         assert entry["ideal_slice_rank"] < entry["monomials"] - entry["normal"]
         assert not entry["basis_check"]
@@ -447,7 +458,7 @@ class TestAxiom1:
         swapped = ctx.polynomial({ctx.monomial({ctx.x(3, 1): 1, ctx.y(1): 1}): 1})
         entry = _axiom1_degrees(ctx, GeneratorSet(ctx, list(gens)[:-1] + [swapped]),
                                 initial_ideal(gens),
-                                _comparable_masks(ctx, build_poset(3)), 2)[2]
+                                build_poset(3).comparable_masks, 2)[2]
         assert entry["ideal_slice_rank"] == entry["monomials"] - entry["normal"]
         assert not entry["basis_check"]
 
@@ -465,14 +476,19 @@ class TestAxiom1:
             assert not entry["basis_check"]
 
     def test_comparability_built_once_and_no_monomial_per_row(self, monkeypatch):
-        # a generic verify builds the comparability bitmasks once, at N**2
-        # Poset.comparable calls for N variables, and reads the incomparable
-        # pairs and both axioms' "standard" off them, whatever the degree
-        # bound.  Monomials and Macaulay rows are heap keys, so the
-        # Monomials built do not grow with the rows eliminated (234 more
-        # at n = 3, degree 4)
+        # a generic verify builds one Poset, whose constructor makes the
+        # comparability bitmasks, and reads the incomparable pairs and both
+        # axioms' "standard" off them with no Poset.comparable call,
+        # whatever the degree bound.  Monomials and Macaulay rows are heap
+        # keys, so the Monomials built do not grow with the rows eliminated
+        # (234 more at n = 3, degree 4)
         counts = Counter()
+        real_poset = Poset.__init__
         real_comparable, real_init = Poset.comparable, Monomial.__init__
+
+        def poset_init(self, *args):
+            counts["poset"] += 1
+            real_poset(self, *args)
 
         def comparable(self, a, b):
             counts["comparable"] += 1
@@ -481,6 +497,7 @@ class TestAxiom1:
         def monomial_init(self, *args):
             counts["monomial"] += 1
             real_init(self, *args)
+        monkeypatch.setattr(Poset, "__init__", poset_init)
         monkeypatch.setattr(Poset, "comparable", comparable)
         monkeypatch.setattr(Monomial, "__init__", monomial_init)
         for n, bounds in ((3, (3, 4)), (4, (2, 3))):
@@ -489,9 +506,10 @@ class TestAxiom1:
                 counts.clear()
                 report = verify(MatrixPattern.generic(n), bound)
                 assert report["verdict"] == "pass"
-                seen[bound] = (counts["comparable"], counts["monomial"])
+                seen[bound] = (counts["poset"], counts["comparable"],
+                               counts["monomial"])
             assert seen[bounds[0]] == seen[bounds[1]]
-            assert seen[bounds[1]][0] == (n * n + n) ** 2
+            assert seen[bounds[1]][:2] == (1, 0)
 
     def test_row_shift_past_the_order_bound_raises(self, monkeypatch):
         # with 4-bit fields the order encodes total degree at most 7.  At
@@ -507,10 +525,10 @@ class TestAxiom1:
         assert entry["ideal_slice_rank"] == 6  # x_1_1*y_1 times 6 monomials
         certificate = is_groebner(gens)
         init = initial_ideal(gens, certificate)
-        comparable = _comparable_masks(ctx, build_poset(1))
-        assert verify_axiom1(gens, certificate, init, comparable, 7)["verdict"] == "pass"
+        poset = build_poset(1)
+        assert verify_axiom1(gens, certificate, init, poset, 7)["verdict"] == "pass"
         with pytest.raises(ValueError, match="total degree 8"):
-            verify_axiom1(gens, certificate, init, comparable, 8)
+            verify_axiom1(gens, certificate, init, poset, 8)
         started = []
         staircase, walk = asl.staircase, asl._walk
         monkeypatch.setattr(asl, "staircase", lambda rows, field: (
@@ -633,7 +651,7 @@ class TestAxiom1:
                  ctx.polynomial(cubic)]
         assert str(mixed[0].leading_monomial()) == f"x_1_{n}*y_{n}"
         assert mixed[-1].leading_monomial().total_degree == 3
-        masks = _comparable_masks(ctx, build_poset(n))
+        masks = build_poset(n).comparable_masks
         pairs = {(p, q) for p in range(nv) for q in range(nv) if masks[p] >> q & 1}
         slices = []
         staircase = asl.staircase
@@ -677,15 +695,15 @@ class TestAxiom1:
 
     def test_certificate_of_another_set_raises(self):
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
-        comparable = _comparable_masks(ctx, build_poset(2))
+        poset = build_poset(2)
         fewer = GeneratorSet(ctx, list(gens)[:1])
         other = is_groebner(fewer)
         assert other.is_basis
         with pytest.raises(ValueError, match="another set"):
-            verify_axiom1(gens, other, initial_ideal(fewer), comparable, 2)
+            verify_axiom1(gens, other, initial_ideal(fewer), poset, 2)
         # an equal set checked separately is the same set
         assert verify_axiom1(gens, is_groebner(GeneratorSet(ctx, list(gens))),
-                             initial_ideal(gens), comparable, 2)["verdict"] == "pass"
+                             initial_ideal(gens), poset, 2)["verdict"] == "pass"
 
     def test_unit_initial_ideal_makes_every_monomial_non_normal(self):
         # the monomial 1 in the ideal: the walk's root is non-normal, so
@@ -739,9 +757,7 @@ class TestAxiom2:
     def test_certificate_of_another_set_raises(self):
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
         p = build_poset(2)
-        comparable = _comparable_masks(ctx, p)
         other = is_groebner(GeneratorSet(ctx, list(gens)[1:]))
         assert other.is_basis
         with pytest.raises(ValueError, match="another set"):
-            verify_axiom2(gens, other, p, comparable,
-                          _incomparable_pairs(ctx, comparable))
+            verify_axiom2(gens, other, p)

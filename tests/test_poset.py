@@ -29,6 +29,20 @@ def test_cycle_rejected():
         Poset("ab", [("a", "b"), ("b", "a")])
 
 
+def test_cycle_error_names_the_first_element_and_its_first_partner():
+    # the first element on a cycle, in element-list order, and the first
+    # element above and below it, whatever the hash seed
+    cycle = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+    message = "relations force 'a' <= 'b' and 'b' <= 'a'"
+    for relations in (cycle, cycle[::-1]):
+        with pytest.raises(ValueError) as caught:
+            Poset("abcd", relations)
+        assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        Poset("xabc", [("x", "a"), ("c", "b"), ("b", "c")])
+    assert str(caught.value) == "relations force 'b' <= 'c' and 'c' <= 'b'"
+
+
 def test_self_relation_harmless():
     p = Poset("ab", [("a", "a"), ("a", "b")])
     assert p.leq("a", "b")
@@ -69,6 +83,17 @@ def test_covers_and_incomparability_match_oracle_on_random_dags():
             for b in elements:
                 expected = a == b or tc.has_edge(a, b)
                 assert p.leq(a, b) == expected
+        # elements are their own positions here
+        assert list(p.up) == [
+            sum(1 << b for b in elements if a == b or tc.has_edge(a, b))
+            for a in elements]
+        masks = p.comparable_masks
+        for a in elements:
+            assert masks[a] >> a & 1
+            for b in elements:
+                assert masks[a] >> b & 1 == masks[b] >> a & 1
+                assert bool(masks[a] >> b & 1) == (
+                    a == b or tc.has_edge(a, b) or tc.has_edge(b, a))
 
 
 def test_json_export():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from asl_forge import MatrixPattern, initial_ideal, is_groebner, matrix_product_ideal
-from asl_forge.asl import _comparable_masks, build_poset, verify_axiom1
+from asl_forge.asl import build_poset, verify_axiom1
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "asl_forge"
 MODULES = sorted(SRC.glob("*.py"))
@@ -222,10 +222,10 @@ def test_recursion_guard_sees_a_self_call():
 
 
 def test_axiom1_above_the_recursion_limit_passes():
-    ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
+    _, gens = matrix_product_ideal(MatrixPattern.generic(1))
     certificate = is_groebner(gens)
     init = initial_ideal(gens, certificate)
-    comparable = _comparable_masks(ctx, build_poset(1))
+    poset = build_poset(1)
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -233,7 +233,7 @@ def test_axiom1_above_the_recursion_limit_passes():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
-        report = verify_axiom1(gens, certificate, init, comparable, limit + 20)
+        report = verify_axiom1(gens, certificate, init, poset, limit + 20)
     finally:
         sys.setrecursionlimit(old)
     assert report["verdict"] == "pass"
