@@ -8,12 +8,10 @@ statements at bounded degree:
 
   axiom 1: standard monomials coincide with the monomials outside the
            initial ideal, and they form a basis of each degree slice of
-           the quotient (one depth-first walk visits every monomial up
-           to the degree bound once, and each node's children, which
-           differ in one variable, are counted as bitmasks over that
-           variable, in the loop of the node's parent;
-           sparse elimination on each slice of the ideal itself gives
-           the pivots);
+           the quotient (a depth-first walk counts each monomial up to
+           the degree bound once, as bitmasks over its last variable,
+           and expands each distinct subtree state once; sparse
+           elimination on each slice of the ideal gives the pivots);
   axiom 2: for each incomparable pair (alpha, beta) of the poset, every
            term of the Groebner normal form of alpha*beta is standard,
            so its factors sort into an ascending chain, and each chain's
@@ -114,7 +112,7 @@ def _check_poset(ctx: RingContext, poset: Poset) -> None:
                          "in layout order")
 
 
-def _only_diagonal(pairs: list[tuple[Variable, Variable]], n: int) -> bool:
+def _only_diagonal(pairs: tuple[tuple, ...], n: int) -> bool:
     """Whether the pairs are exactly the diagonal pairs (x_i_i, y_i)."""
     expected = expected_incomparable_pairs(n)
     return {frozenset(p) for p in pairs} == {frozenset(p) for p in expected}
@@ -143,9 +141,9 @@ def count_standard_monomials(n: int, d: int) -> int:
 def axiom1_work(n: int, degree_bound: int) -> int:
     """Closed-form size of the axiom-1 check for the generic n-by-n pattern.
 
-    Per degree d <= degree_bound, the check visits every degree-d monomial
-    and eliminates n * #(degree d-2 monomials) Macaulay rows, so in
-    N = n*n + n variables the work is
+    Per degree d <= degree_bound, the check counts each degree-d monomial
+    (expanding only distinct walk states) and eliminates n * #(degree d-2
+    monomials) Macaulay rows, so in N = n*n + n variables the work is
 
         sum_d C(d + N - 1, N - 1) + n * C(d + N - 3, N - 1).
     """
@@ -159,29 +157,32 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
           degree_bound: int) -> list[list]:
     """Per degree d <= degree_bound: [monomials, standard, non-normal, mismatches].
 
-    One depth-first walk, on an explicit stack, over the nondecreasing
-    sequences of variable positions visits each monomial of degree at
-    most the bound once.  The stack holds parents; a parent's loop makes
-    each child m = x_p*parent from the parent's packed exponent vector,
-    the AND of its variables' ``comparable`` masks, ``near`` and the
-    bitmasks of its standard and its non-normal children, and counts
-    m's own children x_q*m, q >= p, all at once as bitmasks over q.  The
-    root, the monomial 1, is the only child of a sentinel parent at
-    depth -1.  With symmetric masks, x_q*m is standard exactly when m is
-    standard (bit p of the parent's standard mask), q is comparable to
-    m's variables (q is in ``allowed``) and to itself.  A multiple of a
-    non-normal monomial is non-normal, and x_q*m for a normal m is
-    non-normal exactly when g/x_q divides m for a generator g of
-    ``init`` that involves q.  A quotient g/x_q that is one variable x_v
-    divides m exactly when v is in m's support, so it sets bit q of
+    A depth-first walk over the nondecreasing sequences of variable
+    positions counts each monomial of degree at most the bound once.  A
+    node's loop makes each child m = x_p*node and counts m's children
+    x_q*m, q >= p, at once as bitmasks over q; the root, the monomial 1,
+    is the only child of a sentinel at depth -1.  With symmetric masks,
+    x_q*m is standard exactly when m is (bit p of the node's standard
+    mask) and q is comparable to m's variables (q is in ``allowed``) and
+    to itself.  Below a non-normal m every x_q*m is non-normal; below a
+    normal one, x_q*m is when g/x_q divides m for a generator g of
+    ``init``.  A quotient that is one variable x_v sets bit q of
     ``partners[v]``, and a normal node's ``near`` is the OR of
-    ``partners`` over its support; a non-normal node's ``near`` is -1.
-    Every other quotient (1, a square, anything of degree 2 or more)
-    keeps the exact guard-bit test; both are built once per run.  A
-    parent adds its children's counts once, and pushes only the children
-    whose children have children within the bound.  A child's exponent
-    vector is summed only where it is read.  Mismatches are kept as
-    packed vectors.  Asymmetric masks raise ValueError.
+    ``partners`` over its support (-1 for a non-normal node); every other
+    quotient keeps the exact guard-bit test.
+
+    Each distinct state is expanded once.  A node's subtree reads only
+    its key: position p, depth, the standard, ``allowed``, ``near`` and
+    non-normal masks cut to the positions >= p, and the exponent vector
+    on the fields the guard-bit tests read (none for the generic initial
+    ideal).  A key's result is relative to its node: one int of
+    ``width``-bit count fields, three per level from its grandchildren
+    down, and its mismatches as offsets from its exponent vector.  An
+    explicit post-order stack adds each pushed child's result one level
+    down, its mismatches shifted by the child's step.  A node pushes only
+    the children whose children have children within the bound.
+    Mismatches are packed vectors, placed by their degree field.
+    Asymmetric masks raise ValueError.
     """
     nv = len(order.weights)
     if any((comparable[p] >> q ^ comparable[q] >> p) & 1
@@ -194,39 +195,54 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
     spans = [((1 << nv) - 1) >> first << first for first in range(nv)]
     partners = [0] * nv  # partners[v]: the p with g/x_p = x_v for some g
     quotients = []
+    reads = 0  # guard bits of the fields that the guard-bit tests read
     for g, e in zip(init.generators, init.packed):
         for p, _ in g.exps:
             d = e - packed[p]  # g/x_p
             v = single.get(d)
             if v is None:
                 quotients.append((d, p))
+                reads |= order.support(d)
             else:
                 partners[v] |= 1 << p
+    reads -= reads >> (order.field_bits - 1)  # ... widened to their values
     tests = [[(d, 1 << p) for d, p in quotients if p >= first]
              for first in range(nv)]
-    # a child x_p*m: its position, step, mask, partners, and the
-    # positions of its own children, all and self-comparable ones
-    nodes = [(p, packed[p], comparable[p], partners[p], spans[p],
-              self_comparable & spans[p]) for p in range(nv)]
+    # a child x_p*m: position, step, mask, partners, the cut to positions
+    # >= p, and the positions of its children, all and self-comparable ones
+    nodes = [(p, packed[p], comparable[p] & -1 << p, partners[p], -1 << p,
+              spans[p], self_comparable & spans[p]) for p in range(nv)]
     suffixes = [nodes[p:] for p in range(nv)]
     normal = all(g.exps for g in init.generators)  # else 1 is in the ideal
-    stats = [[1, 1, int(not normal), [] if normal else [0]]]
-    stats += [[0, 0, 0, []] for _ in range(degree_bound)]
+    width = math.comb(degree_bound + nv - 1, nv - 1).bit_length()
     # the sentinel: children [root], e 0, standard children [root],
     # allowed -1, near 0, and non-normal children [root] if 1 is in the ideal
-    root = [(0, 0, -1, 0, spans[0], self_comparable)]
-    stack = [(root, -1, 0, 1, -1, 0, int(not normal))] if degree_bound else []
+    top = (0, -1, 1, -1, 0, int(not normal), 0)
+    root = [(0, 0, -1, 0, -1, spans[0], self_comparable)]
+    stack = [(top, 0, root)] if degree_bound else []
+    kept = {}
     while stack:
-        children, depth, e, standard, allowed, near, non_normal = stack.pop()
+        key, e, children = stack.pop()
+        if e is None:  # every pushed child's result is kept: add them in
+            counts, mismatches, kids = children
+            for kid, step in kids:
+                kid_counts, m = kept[kid]
+                counts += kid_counts << 3 * width  # one level down
+                if m:
+                    mismatches += [o + step for o in m]
+            kept[key] = counts, mismatches
+            continue
+        if key in kept:
+            continue
+        _, depth, standard, allowed, near, non_normal, _ = key
         depth += 1  # the children's degree
-        row = stats[depth + 1]
-        mismatches = row[3]
         push = depth + 1 < degree_bound
         total = std_count = non_normal_count = 0
-        for p, step, comp, partner, span, std_span in children:
+        mismatches, kids, mark = [], [], len(stack)
+        for p, step, comp, partner, cut, span, std_span in children:
             child_allowed = allowed & comp
             # a non-normal child's near is -1
-            child_near = near | partner | -(non_normal >> p & 1)
+            child_near = (near | partner) & cut | -(non_normal >> p & 1)
             std = child_allowed & std_span if standard >> p & 1 else 0
             child_non_normal = child_near & span
             if quotients and child_near >= 0:
@@ -240,14 +256,23 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
             mismatched = std ^ (span & ~child_non_normal)
             while mismatched:
                 q_bit = mismatched & -mismatched
-                mismatches.append(e + step + packed[q_bit.bit_length() - 1])
+                mismatches.append(step + packed[q_bit.bit_length() - 1])
                 mismatched ^= q_bit
             if push:
-                stack.append((suffixes[p], depth, e + step, std,
-                              child_allowed, child_near, child_non_normal))
-        row[0] += total
-        row[1] += std_count
-        row[2] += non_normal_count
+                kid = (p, depth, std, child_allowed, child_near,
+                       child_non_normal, (e + step) & reads)
+                kids.append((kid, step))
+                if kid not in kept:
+                    stack.append((kid, e + step, suffixes[p]))
+        counts = total | std_count << width | non_normal_count << 2 * width
+        stack.insert(mark, (key, None, (counts, mismatches, kids)))
+    counts, mismatches = kept.get(top, (0, []))
+    stats = [[1, 1, int(not normal), [] if normal else [0]]]
+    stats += [[counts >> width * k & (1 << width) - 1
+               for k in range(3 * d, 3 * d + 3)] + [[]]
+              for d in range(degree_bound)]
+    for e in mismatches:
+        stats[order.degree(e)][3].append(e)
     return stats
 
 

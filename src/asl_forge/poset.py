@@ -3,10 +3,10 @@
 A Poset is built from a list of elements and a list of (a, b) pairs read
 as a <= b.  The constructor takes the reflexive-transitive closure as
 bitmasks over element positions, once: ``up[k]`` holds the elements
->= element k, and ``comparable_masks[k]`` those comparable with it.
-Every query reads these masks.  Any antisymmetry violation (a cycle
-through two or more distinct elements) is rejected, so every constructed
-instance is a genuine partial order.
+>= element k, and ``comparable_masks[k]`` those comparable with it; it
+also lists the incomparable pairs.  Every query reads these.  Any
+antisymmetry violation (a cycle through two or more distinct elements)
+is rejected, so every constructed instance is a genuine partial order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from collections.abc import Hashable, Iterable, Sequence
 
 
 class Poset:
-    __slots__ = ("elements", "_index", "up", "comparable_masks")
+    __slots__ = ("elements", "_index", "up", "comparable_masks",
+                 "_incomparable")
 
     def __init__(self, elements: Sequence[Hashable],
                  relations: Iterable[tuple[Hashable, Hashable]]):
@@ -45,6 +46,10 @@ class Poset:
         self.up: tuple[int, ...] = tuple(up)
         self.comparable_masks: tuple[int, ...] = tuple(
             u | d for u, d in zip(up, down))
+        masks = self.comparable_masks
+        self._incomparable = tuple(
+            (a, self.elements[q]) for p, a in enumerate(self.elements)
+            for q in range(p + 1, nv) if not masks[p] >> q & 1)
 
     def _position(self, e) -> int:
         if e not in self._index:
@@ -60,11 +65,9 @@ class Poset:
         p, q = self._position(a), self._position(b)
         return bool(self.comparable_masks[p] >> q & 1)
 
-    def incomparable_pairs(self) -> list[tuple]:
+    def incomparable_pairs(self) -> tuple[tuple, ...]:
         """All unordered incomparable pairs, in element-list order."""
-        elements, masks = self.elements, self.comparable_masks
-        return [(a, elements[q]) for p, a in enumerate(elements)
-                for q in range(p + 1, len(elements)) if not masks[p] >> q & 1]
+        return self._incomparable
 
     def covers(self) -> list[tuple]:
         """Edges (a, b) of the Hasse diagram: a < b with nothing between.

@@ -1,5 +1,6 @@
 """Variable poset, standard monomials, straightening, axiom reports."""
 
+import math
 import random
 from collections import Counter
 
@@ -51,7 +52,7 @@ class TestBuildPoset:
     def test_n1_antichain(self):
         p = build_poset(1)
         assert p.covers() == []
-        assert p.incomparable_pairs() == [(Variable.x(1, 1), Variable.y(1))]
+        assert p.incomparable_pairs() == ((Variable.x(1, 1), Variable.y(1)),)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -277,7 +278,6 @@ class TestCounting:
     @settings(max_examples=30)
     @given(st.integers(1, 3), st.integers(0, 5))
     def test_never_exceeds_total(self, n, d):
-        import math
         N = n * n + n
         total = math.comb(d + N - 1, N - 1)
         assert 0 < count_standard_monomials(n, d) <= total
@@ -302,7 +302,6 @@ class TestCounting:
         assert axiom1_work(4, 8) == 4_029_025
 
     def test_monomials_of_degree_enumeration(self):
-        import math
         ctx, _ = matrix_product_ideal(MatrixPattern.generic(2))
         for d in range(4):
             ms = list(oracles.monomials_of_degree(ctx, d))
@@ -376,6 +375,19 @@ class TestAxiom1:
             assert entry["count_matches"]
             assert entry["basis_check"]
             assert entry["mismatches"] == []
+
+    def test_generic_counts_match_the_closed_forms_at_depth(self):
+        # every degree of the generic n = 4 check up to 7, against the
+        # monomial count in N = 20 variables and the inclusion-exclusion
+        # count of standard monomials
+        report = axiom1(4, 7)
+        assert report["verdict"] == "pass"
+        assert len(report["degrees"]) == 8
+        for d, entry in enumerate(report["degrees"]):
+            assert entry["monomials"] == math.comb(d + 19, 19)
+            standard = count_standard_monomials(4, d)
+            assert entry["standard"] == standard == entry["normal"]
+            assert entry["standard_equals_normal"]
 
     def test_n2_standard_counts(self):
         # inclusion-exclusion by hand: 21-2, 56-12, 126-42+1
@@ -545,15 +557,16 @@ class TestAxiom1:
 
     @pytest.mark.parametrize("bound,seed", [
         pytest.param(bound, seed, id=str(seed) if bound == 4 else f"{bound}-{seed}")
-        for bound in (4, 1, 2) for seed in range(8)])
+        for bound in (4, 1, 2, 6) for seed in range(8)])
     def test_walk_matches_dense_brute_force(self, bound, seed):
         # random symmetric comparability masks and initial ideals with a
         # non-squarefree generator, against a scan of dense exponent
         # tuples: per degree the counts, the mismatches and the basis
         # check, whose pivots come from dense elimination of the generic
-        # n = 2 slice; seed 0 keeps the true initial ideal.  Bound 4 sees
-        # mismatches in both directions; bound 1 hangs every monomial off
-        # the root, and bound 2 pushes only the root's children
+        # n = 2 slice; seed 0 keeps the true initial ideal.  Bounds 4 and
+        # 6 see mismatches in both directions, and at bound 6 walk states
+        # recur under up to 10 exponent vectors; bound 1 hangs every
+        # monomial off the root, and bound 2 pushes only the root's children
         rng = random.Random(seed)
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
         variables = ctx.variables
@@ -579,18 +592,19 @@ class TestAxiom1:
         reports, directions = _walk_against_dense(ctx, gens, init, pairs, bound)
         if seed == 0:
             assert all(e["basis_check"] for e in reports)
-        elif bound == 4:
+        elif bound >= 4:
             assert directions == {True, False}
             assert not reports[bound]["basis_check"]
 
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("bound", [1, 2, 4])
+    @pytest.mark.parametrize("bound,n", [
+        (bound, n) for bound in (1, 2, 4) for n in (2, 3)] + [(6, 2)])
     def test_walk_matches_dense_brute_force_on_every_quotient_shape(self, n, bound):
         # one initial ideal with every shape of quotient g/x_p: x_a gives
         # the quotient 1; x_b^2 gives x_b, its own partner; x_c*x_d and
         # x_c*x_e share x_c, so x_c has two partners; the cubic x_d^2*x_e
         # gives x_d*x_e and x_d^2.  The single-variable quotients go
-        # through the support mask, the others through the guard-bit test
+        # through the support mask, the others through the guard-bit test,
+        # which the walk's state key reads off the exponent vector
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(n))
         variables = ctx.variables
         nv = len(variables)
@@ -607,7 +621,7 @@ class TestAxiom1:
             reports, directions = _walk_against_dense(ctx, gens, init, pairs,
                                                       bound)
             assert reports[1]["normal"] == nv - 1  # only x_a is non-normal
-            if bound == 4:
+            if bound >= 4:
                 assert directions == {True, False}
 
     @pytest.mark.parametrize("ideal", ["generic", "unit"])
