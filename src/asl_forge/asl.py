@@ -177,11 +177,12 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
     on the fields the guard-bit tests read (none for the generic initial
     ideal).  A key's result is relative to its node: one int of
     ``width``-bit count fields, three per level from its grandchildren
-    down, and its mismatches as offsets from its exponent vector.  An
-    explicit post-order stack adds each pushed child's result one level
-    down, its mismatches shifted by the child's step.  A node pushes only
-    the children whose children have children within the bound.
-    Mismatches are packed vectors, placed by their degree field.
+    down, its own mismatches as offsets from its exponent vector, and its
+    children with mismatches below.  An explicit post-order stack adds
+    each pushed child's counts one level down; the mismatches are
+    unfolded once, from the sentinel, each shifted by the steps to its
+    node.  A node pushes only the children whose children have children
+    within the bound.  Mismatches are packed vectors, placed by degree.
     Asymmetric masks raise ValueError.
     """
     nv = len(order.weights)
@@ -225,12 +226,13 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
         key, e, children = stack.pop()
         if e is None:  # every pushed child's result is kept: add them in
             counts, mismatches, kids = children
+            below = []  # the children with mismatches in their subtrees
             for kid, step in kids:
-                kid_counts, m = kept[kid]
+                kid_counts, kid_below = kept[kid]
                 counts += kid_counts << 3 * width  # one level down
-                if m:
-                    mismatches += [o + step for o in m]
-            kept[key] = counts, mismatches
+                if kid_below:
+                    below.append((kid_below, step))
+            kept[key] = counts, (mismatches, below) if mismatches or below else None
             continue
         if key in kept:
             continue
@@ -266,13 +268,17 @@ def _walk(order, init: InitialIdeal, comparable: list[int],
                     stack.append((kid, e + step, suffixes[p]))
         counts = total | std_count << width | non_normal_count << 2 * width
         stack.insert(mark, (key, None, (counts, mismatches, kids)))
-    counts, mismatches = kept.get(top, (0, []))
+    counts, below = kept.get(top, (0, None))
     stats = [[1, 1, int(not normal), [] if normal else [0]]]
     stats += [[counts >> width * k & (1 << width) - 1
                for k in range(3 * d, 3 * d + 3)] + [[]]
               for d in range(degree_bound)]
-    for e in mismatches:
-        stats[order.degree(e)][3].append(e)
+    unfold = [(below, 0)] if below else []  # in pre-order, as they were found
+    while unfold:
+        (mismatches, below), offset = unfold.pop()
+        for o in mismatches:
+            stats[order.degree(o + offset)][3].append(o + offset)
+        unfold += [(kid_below, offset + step) for kid_below, step in reversed(below)]
     return stats
 
 
@@ -365,26 +371,24 @@ def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
     return reports
 
 
-def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
-                  init: InitialIdeal | None, poset: Poset,
-                  degree_bound: int) -> dict:
+def verify_axiom1(certificate: GroebnerCertificate, init: InitialIdeal | None,
+                  poset: Poset, degree_bound: int) -> dict:
     """Check freeness on standard monomials, degree by degree up to a bound.
 
-    ``gens`` are the generic product generators, ``certificate`` their
-    pair check, ``init`` their initial ideal (None when the check failed)
-    and ``poset`` the variable poset, read through its comparability
-    bitmasks.  Per degree d <= degree_bound: every
+    ``certificate`` is the pair check of the generic product generators,
+    which it carries as its ``basis``, ``init`` their initial ideal (None
+    when the check failed) and ``poset`` the variable poset, read through
+    its comparability bitmasks.  Per degree d <= degree_bound: every
     monomial is standard iff it is normal; the number of standard
     monomials matches the closed form; and eliminating the slice spanned
     by all degree-d multiples of the generators yields pivot monomials
     exactly equal to the non-normal set, so the standard residues are
-    linearly independent and spanning.  A certificate of another set, or
-    a poset on other elements than the ring's variables, raises
-    ValueError.
+    linearly independent and spanning.  A poset on other elements than
+    the ring's variables raises ValueError.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
-    certificate.check_same_set(gens)
+    gens = certificate.basis
     ctx = gens.ctx
     _check_poset(ctx, poset)
     per_degree = []
@@ -406,22 +410,22 @@ def verify_axiom1(gens: GeneratorSet, certificate: GroebnerCertificate,
     }
 
 
-def verify_axiom2(gens: GeneratorSet, certificate: GroebnerCertificate,
-                  poset: Poset) -> dict:
+def verify_axiom2(certificate: GroebnerCertificate, poset: Poset) -> dict:
     """Check the straightening condition for every incomparable pair.
 
-    ``gens`` are the generic product generators, ``certificate`` their
-    pair check and ``poset`` the variable poset.  For each of its
+    ``certificate`` is the pair check of the generic product generators,
+    which it carries as its ``basis``, and ``poset`` the variable poset;
+    the normal forms below are taken by that basis.  For each of its
     incomparable pairs (alpha, beta), every term of the normal form of
     alpha*beta must be standard (its factors pairwise comparable, so they
     sort into an ascending chain: along a chain, a larger element has
     fewer elements above it), the least factor of each chain must lie
     below both alpha and beta, and the product minus the expansion
     rebuilt from the chains must reduce to zero, so the identity holds in
-    the quotient.  A certificate of another set, or a poset on other
-    elements than the ring's variables, raises ValueError.
+    the quotient.  A poset on other elements than the ring's variables
+    raises ValueError.
     """
-    certificate.check_same_set(gens)
+    gens = certificate.basis
     ctx = gens.ctx
     _check_poset(ctx, poset)
     variables, comparable = ctx.variables, poset.comparable_masks
@@ -493,11 +497,12 @@ def verify(pattern: MatrixPattern, degree: int,
     """The full verification report for one pattern, field and degree bound.
 
     Each invariant is built once and passed down: the generators (for a
-    zero pattern, their Buchberger completion), one pair certificate, the
-    initial ideal and, for the generic pattern only, the variable poset,
-    whose bitmasks the poset section and both axiom checks read.  The verdict passes
-    when every section passes or is skipped.  Bases, pairs and initial-ideal
-    generators are Polynomial, SPairRecord and Monomial objects, not dicts.
+    zero pattern, their Buchberger completion), one pair certificate that
+    carries them, the initial ideal and, for the generic pattern only,
+    the variable poset, whose bitmasks the poset section and both axiom
+    checks read.  The verdict passes when every section passes or is
+    skipped.  Certificates, bases, pairs and initial-ideal generators are
+    library objects, not dicts.
     """
     if degree < 0:
         raise ValueError("degree bound must be >= 0")
@@ -511,14 +516,12 @@ def verify(pattern: MatrixPattern, degree: int,
                 "checked": "completed basis" if completed else "generators"}
     if completed:
         groebner["basis"] = list(gens)
-    groebner["certificate"] = {"is_basis": certificate.is_basis,
-                               "pairs": list(certificate.pairs),
-                               "basis": list(certificate.basis)}
+    groebner["certificate"] = certificate
     sections: dict = {"groebner": groebner}
 
     init = None
     if certificate.is_basis:
-        init = initial_ideal(gens, certificate)
+        init = initial_ideal(certificate)
         section = {"status": "pass", "generators": list(init)}
         if not completed:
             expected = [ctx.monomial({ctx.x(i, i): 1, ctx.y(i): 1})
@@ -543,8 +546,8 @@ def verify(pattern: MatrixPattern, degree: int,
             "incomparable_pairs": [[a.name, b.name] for a, b in pairs],
             "only_diagonal_pairs_incomparable": pairs_ok,
         }
-        sections["axiom1"] = verify_axiom1(gens, certificate, init, poset, degree)
-        sections["axiom2"] = verify_axiom2(gens, certificate, poset)
+        sections["axiom1"] = verify_axiom1(certificate, init, poset, degree)
+        sections["axiom2"] = verify_axiom2(certificate, poset)
     else:
         skipped = {"status": "skipped", "reason": STRAIGHTENING_SKIP_REASON}
         sections.update(poset=skipped, axiom1=skipped, axiom2=skipped)

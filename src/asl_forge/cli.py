@@ -3,7 +3,7 @@
 Subcommands map onto the library layers: ideal / gb / verify-gb /
 init-ideal expose the Groebner side, poset and std-count the
 combinatorial side, and verify emits the library's whole report.  The
-emitter writes polynomials, monomials and pair records straight to JSON.
+emitter writes the library's objects in a report straight to JSON.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage,
 malformed input or an unwritable output file.  Output is deterministic
@@ -20,7 +20,8 @@ from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from .asl import axiom1_work, build_poset, count_standard_monomials, verify
-from .groebner import SPairRecord, buchberger, initial_ideal, is_groebner
+from .groebner import (GroebnerCertificate, SPairRecord, buchberger,
+                       initial_ideal, is_groebner)
 from .matrix_ideal import MatrixPattern, matrix_product_ideal, product_generators
 from .poly_core import CoefficientField, Monomial, Polynomial
 
@@ -138,11 +139,11 @@ def _json_parts(value, newline: str, out: list, memo: dict) -> None:
     ``newline`` is the line break plus the indentation of value's own
     line.  A Polynomial is written as ``[{"c": "<coefficient>", "m":
     <monomial>}, ...]``, a Monomial as ``{"<variable>": <exponent>, ...}``
-    and an SPairRecord as the dict of its fields.  ``memo`` holds, by
-    object id, the texts built so far for this report, so a polynomial
-    the report holds twice is rendered once.  Module level, not a
-    closure: a recursive closure would hold each report's pieces in a
-    reference cycle until the next collection.
+    and an SPairRecord or a GroebnerCertificate as the dict of its
+    fields.  ``memo`` holds, by object id, the texts built so far for
+    this report, so a polynomial the report holds twice is rendered once.
+    Module level, not a closure: a recursive closure would hold each
+    report's pieces in a reference cycle until the next collection.
     """
     if isinstance(value, SPairRecord):
         inner = newline + "  "
@@ -190,6 +191,9 @@ def _json_parts(value, newline: str, out: list, memo: dict) -> None:
             _json_parts(v, inner, out, memo)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(value, GroebnerCertificate):
+        _json_parts({"is_basis": value.is_basis, "pairs": list(value.pairs),
+                     "basis": list(value.basis)}, newline, out, memo)
     else:
         raise TypeError(f"Object of type {type(value).__name__} "
                         "is not JSON serializable")
@@ -256,16 +260,14 @@ def cmd_verify_gb(cfg: RunConfig) -> int:
             "n": cfg.pattern.n,
             "pattern": cfg.pattern.to_json_dict(),
             "field": cfg.fieldspec.name,
-            "certificate": {"is_basis": certificate.is_basis,
-                            "pairs": list(certificate.pairs),
-                            "basis": list(certificate.basis)},
+            "certificate": certificate,
         }, cfg)
     return 0 if certificate.is_basis else 1
 
 
 def cmd_init_ideal(cfg: RunConfig) -> int:
     _, gens = matrix_product_ideal(cfg.pattern, cfg.fieldspec)
-    init = initial_ideal(buchberger(gens))
+    init = initial_ideal(is_groebner(buchberger(gens)))
     if cfg.fmt == "text":
         lines = [str(m) for m in init]
         _emit("\n".join(lines) + "\n", cfg)

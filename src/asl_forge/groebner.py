@@ -53,6 +53,14 @@ class GeneratorSet:
     def __getitem__(self, k: int) -> Polynomial:
         return self.polys[k]
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GeneratorSet)
+                and (self.ctx is other.ctx or self.ctx == other.ctx)
+                and self.polys == other.polys)
+
+    def __hash__(self) -> int:
+        return hash(self.polys)
+
     def __repr__(self) -> str:
         return f"GeneratorSet({len(self.polys)} polynomials, n={self.ctx.n})"
 
@@ -196,48 +204,28 @@ class SPairRecord(namedtuple("SPairRecord", "i j criterion remainder_zero")):
     __slots__ = ()
 
 
-class GroebnerCertificate:
-    """Per-pair evidence that a set is (or is not) a Groebner basis."""
+class GroebnerCertificate(namedtuple("GroebnerCertificate", "is_basis pairs basis")):
+    """Per-pair evidence that a set is (or is not) a Groebner basis.
 
-    __slots__ = ("is_basis", "pairs", "basis")
+    ``basis`` is the GeneratorSet that ``is_groebner`` checked, so the
+    checks that need a Groebner basis take the certificate alone.  It is
+    true exactly when ``is_basis`` is.
+    """
 
-    def __init__(self, is_basis: bool, pairs: tuple[SPairRecord, ...],
-                 basis: tuple[Polynomial, ...]):
-        object.__setattr__(self, "is_basis", is_basis)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.is_basis, self.pairs, self.basis)
-                == (other.is_basis, other.pairs, other.basis))
-
-    def __hash__(self) -> int:
-        return hash((self.is_basis, self.pairs, self.basis))
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.is_basis
 
-    def check_same_set(self, gens: GeneratorSet) -> None:
-        """Raise ValueError unless this is the pair check of ``gens``."""
-        if self.basis is not gens.polys and self.basis != gens.polys:
-            raise ValueError("the certificate checks another set of polynomials")
-
 
 def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
-    """Check every S-pair, recording coprime skips and reduction outcomes.
+    """Check every S-pair of the set; the certificate carries the set itself.
 
     Pairs whose leading monomials are coprime are recorded with criterion
     "coprime" and no division is run; all other pairs must reduce to zero
     against the full set.  No other criterion is applied: the records are
-    the certificate.
+    the certificate, and the consumers that need a Groebner basis take
+    the certificate alone, reading the set off its ``basis``.
     """
     polys = gens.polys
     ctx = gens.ctx
@@ -256,7 +244,7 @@ def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
             zero = not _pair_remainder(ctx, table, a, b, lcm)
             ok = ok and zero
             records.append(SPairRecord(a, b, "reduced", zero))
-    return GroebnerCertificate(ok, tuple(records), polys)
+    return GroebnerCertificate(ok, tuple(records), gens)
 
 
 def _add_with_pairs(order: MonomialOrder, table: list[tuple], pairs: dict,
@@ -348,8 +336,10 @@ class InitialIdeal:
             if self.is_normal(m):
                 minimal.append(m)
                 self.packed.append(order.packed(order.heap_key(m)))
-        self.generators = tuple(sorted(minimal, key=order.heap_key))  # descending
-        self.packed = [order.packed(order.heap_key(g)) for g in self.generators]
+        # sort both by heap key, cached on each monomial: descending
+        ranks = sorted(range(len(minimal)), key=lambda k: order.heap_key(minimal[k]))
+        self.generators = tuple([minimal[k] for k in ranks])
+        self.packed = [self.packed[k] for k in ranks]
 
     def is_normal(self, m: Monomial) -> bool:
         """True when m avoids the ideal, i.e. m is a staircase monomial."""
@@ -375,18 +365,15 @@ class InitialIdeal:
         return f"InitialIdeal({', '.join(str(g) for g in self.generators)})"
 
 
-def initial_ideal(gens: GeneratorSet,
-                  certificate: GroebnerCertificate | None = None) -> InitialIdeal:
-    """Initial ideal of the ideal generated by a verified Groebner basis.
+def initial_ideal(certificate: GroebnerCertificate) -> InitialIdeal:
+    """Initial ideal of the ideal generated by the set a certificate checks.
 
     The set must be a Groebner basis, otherwise its leading monomials
-    would not determine the initial ideal; a failed or missing check
-    raises NotGroebnerError, and a certificate of another set ValueError.
+    would not determine the initial ideal; a failed certificate raises
+    NotGroebnerError.
     """
-    if certificate is None:
-        certificate = is_groebner(gens)
-    certificate.check_same_set(gens)
     if not certificate.is_basis:
         raise NotGroebnerError(
             "leading monomials of a non-Groebner set do not span the initial ideal")
-    return InitialIdeal(gens.ctx, (f.leading_monomial() for f in gens))
+    basis = certificate.basis
+    return InitialIdeal(basis.ctx, (f.leading_monomial() for f in basis))

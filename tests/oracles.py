@@ -21,7 +21,7 @@ from math import comb
 
 import networkx as nx
 
-from asl_forge import Monomial, Polynomial, SPairRecord
+from asl_forge import GroebnerCertificate, Monomial, Polynomial, SPairRecord
 
 
 # ---------------------------------------------------------------- posets
@@ -293,7 +293,8 @@ def pair_json(p):
             "remainder_zero": p.remainder_zero}
 
 def report_json(value):
-    """value with each Polynomial, Monomial and SPairRecord in its report form."""
+    """value with each Polynomial, Monomial, SPairRecord and
+    GroebnerCertificate in its report form."""
     if isinstance(value, dict):
         return {k: report_json(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -304,6 +305,10 @@ def report_json(value):
         return monomial_json(value)
     if isinstance(value, SPairRecord):
         return pair_json(value)
+    if isinstance(value, GroebnerCertificate):
+        return {"is_basis": value.is_basis,
+                "pairs": [pair_json(p) for p in value.pairs],
+                "basis": [polynomial_json(f) for f in value.basis]}
     return value
 
 def polynomial_from_json(ctx, data):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -31,6 +32,7 @@ from asl_forge import (
 )
 from asl_forge.asl import (
     _axiom1_degrees,
+    _walk,
     axiom1_work,
 )
 
@@ -103,7 +105,7 @@ def non_standard(ctx, poset, d):
 
 def straightening(gens, poset):
     """verify_axiom2's report on gens over the pairs the poset leaves incomparable."""
-    return verify_axiom2(gens, is_groebner(gens), poset)
+    return verify_axiom2(is_groebner(gens), poset)
 
 
 def relation(report, alpha, beta):
@@ -182,7 +184,7 @@ class TestStraighten:
         # build_poset(3) holds x_3_3 and y_3, which the n = 2 ring lacks
         _, gens = matrix_product_ideal(MatrixPattern.generic(2))
         with pytest.raises(ValueError, match="not the ring's variables"):
-            verify_axiom2(gens, is_groebner(gens), build_poset(3))
+            verify_axiom2(is_groebner(gens), build_poset(3))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_poset_on_other_elements_raises(self, n):
@@ -190,7 +192,7 @@ class TestStraighten:
         # order, or missing one variable is not the ring's variable poset
         _, gens = matrix_product_ideal(MatrixPattern.generic(n))
         certificate = is_groebner(gens)
-        init = initial_ideal(gens, certificate)
+        init = initial_ideal(certificate)
         base = build_poset(n)
         others = [build_poset(n + 1),
                   Poset(base.elements[::-1], base.covers()),
@@ -198,9 +200,9 @@ class TestStraighten:
                         [c for c in base.covers() if base.elements[0] not in c])]
         for poset in others:
             with pytest.raises(ValueError, match="not the ring's variables"):
-                verify_axiom1(gens, certificate, init, poset, 2)
+                verify_axiom1(certificate, init, poset, 2)
             with pytest.raises(ValueError, match="not the ring's variables"):
-                verify_axiom2(gens, certificate, poset)
+                verify_axiom2(certificate, poset)
 
     def test_non_standard_expansion_fails(self):
         # against a bare antichain every two-variable monomial is
@@ -436,7 +438,7 @@ class TestAxiom1:
             ctx.polynomial({ctx.monomial({ctx.x(1, 1): 1, ctx.x(1, 2): 1}): 1})])
         certificate = is_groebner(extra)
         assert not certificate.is_basis
-        report = verify_axiom1(extra, certificate, None, build_poset(2), 3)
+        report = verify_axiom1(certificate, None, build_poset(2), 3)
         assert report["verdict"] == "fail"
         assert not report["groebner_verified"] and report["degrees"] == []
 
@@ -446,7 +448,7 @@ class TestAxiom1:
         base = build_poset(n)
         relations = base.covers() + [(Variable.x(1, 1), Variable.y(1))]
         poset = Poset(base.elements, relations)
-        entry = _axiom1_degrees(ctx, gens, initial_ideal(gens),
+        entry = _axiom1_degrees(ctx, gens, initial_ideal(is_groebner(gens)),
                                 poset.comparable_masks, d)[d]
         expected = oracles.standard_normal_mismatches(
             n, d, [(a.name, b.name) for a, b in relations])
@@ -458,7 +460,7 @@ class TestAxiom1:
     def test_dropped_generator_fails_basis_check(self, d):
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
         entry = _axiom1_degrees(ctx, GeneratorSet(ctx, list(gens)[:-1]),
-                                initial_ideal(gens),
+                                initial_ideal(is_groebner(gens)),
                                 build_poset(3).comparable_masks, d)[d]
         assert entry["standard_equals_normal"] and entry["count_matches"]
         assert entry["ideal_slice_rank"] < entry["monomials"] - entry["normal"]
@@ -469,7 +471,7 @@ class TestAxiom1:
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
         swapped = ctx.polynomial({ctx.monomial({ctx.x(3, 1): 1, ctx.y(1): 1}): 1})
         entry = _axiom1_degrees(ctx, GeneratorSet(ctx, list(gens)[:-1] + [swapped]),
-                                initial_ideal(gens),
+                                initial_ideal(is_groebner(gens)),
                                 build_poset(3).comparable_masks, 2)[2]
         assert entry["ideal_slice_rank"] == entry["monomials"] - entry["normal"]
         assert not entry["basis_check"]
@@ -536,11 +538,11 @@ class TestAxiom1:
         entry = _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), everything, 7)[7]
         assert entry["ideal_slice_rank"] == 6  # x_1_1*y_1 times 6 monomials
         certificate = is_groebner(gens)
-        init = initial_ideal(gens, certificate)
+        init = initial_ideal(certificate)
         poset = build_poset(1)
-        assert verify_axiom1(gens, certificate, init, poset, 7)["verdict"] == "pass"
+        assert verify_axiom1(certificate, init, poset, 7)["verdict"] == "pass"
         with pytest.raises(ValueError, match="total degree 8"):
-            verify_axiom1(gens, certificate, init, poset, 8)
+            verify_axiom1(certificate, init, poset, 8)
         started = []
         staircase, walk = asl.staircase, asl._walk
         monkeypatch.setattr(asl, "staircase", lambda rows, field: (
@@ -575,7 +577,7 @@ class TestAxiom1:
                  if rng.random() < 0.75}
         pairs |= {(q, p) for p, q in pairs}
         if seed == 0:
-            init = initial_ideal(gens)
+            init = initial_ideal(is_groebner(gens))
         else:
             square = [0] * nv
             square[rng.randrange(nv)] = rng.randint(2, 3)
@@ -636,7 +638,7 @@ class TestAxiom1:
         pairs = {(p, q) for p in range(nv) for q in range(p, nv)
                  if rng.random() < 0.75}
         pairs |= {(q, p) for p, q in pairs}
-        init = (initial_ideal(gens) if ideal == "generic"
+        init = (initial_ideal(is_groebner(gens)) if ideal == "generic"
                 else InitialIdeal(ctx, [ctx.one]))
         reports, _ = _walk_against_dense(ctx, gens, init, pairs, bound)
         assert [e["monomials"] for e in reports] == [1, nv][:bound + 1]
@@ -655,7 +657,7 @@ class TestAxiom1:
         # slice holds all three kinds
         from asl_forge import asl
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(n))
-        init = initial_ideal(gens)
+        init = initial_ideal(is_groebner(gens))
         nv = len(ctx.variables)
         first, *middle, last = gens
         x = Counter([ctx.x(1, 1)])
@@ -707,17 +709,19 @@ class TestAxiom1:
             with pytest.raises(ValueError, match="not symmetric"):
                 _axiom1_degrees(ctx, gens, init, masks, 2)
 
-    def test_certificate_of_another_set_raises(self):
+    def test_checks_the_set_its_certificate_carries(self):
+        # g_1 alone is a basis, but its initial ideal leaves x_2_2*y_2
+        # normal, and that monomial is not standard
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
         poset = build_poset(2)
-        fewer = GeneratorSet(ctx, list(gens)[:1])
-        other = is_groebner(fewer)
-        assert other.is_basis
-        with pytest.raises(ValueError, match="another set"):
-            verify_axiom1(gens, other, initial_ideal(fewer), poset, 2)
-        # an equal set checked separately is the same set
-        assert verify_axiom1(gens, is_groebner(GeneratorSet(ctx, list(gens))),
-                             initial_ideal(gens), poset, 2)["verdict"] == "pass"
+        fewer = is_groebner(GeneratorSet(ctx, list(gens)[:1]))
+        assert fewer.is_basis
+        report = verify_axiom1(fewer, initial_ideal(fewer), poset, 2)
+        assert report["verdict"] == "fail"
+        assert report["degrees"][2]["mismatches"] == ["x_2_2*y_2"]
+        # an equal set checked separately passes
+        again = is_groebner(GeneratorSet(ctx, list(gens)))
+        assert verify_axiom1(again, initial_ideal(again), poset, 2)["verdict"] == "pass"
 
     def test_unit_initial_ideal_makes_every_monomial_non_normal(self):
         # the monomial 1 in the ideal: the walk's root is non-normal, so
@@ -729,6 +733,23 @@ class TestAxiom1:
         assert [e["mismatches"] for e in reports] == [
             ["1"], ["x_1_1", "y_1"], ["x_1_1*y_1", "x_1_1^2", "y_1^2"]]
         assert [e["basis_check"] for e in reports] == [False, False, False]
+
+    def test_walk_memory_grows_with_its_output(self):
+        # with the unit ideal and every pair comparable, each of the
+        # C(18, 12) = 18,564 monomials of degree <= 6 in 12 variables is a
+        # mismatch, about 1.1 MiB of packed vectors and lists; kept per
+        # walk state and unfolded once, they are not held again per level
+        ctx, _ = matrix_product_ideal(MatrixPattern.generic(3))
+        init = InitialIdeal(ctx, [ctx.one])
+        tracemalloc.start()
+        try:
+            stats = _walk(ctx.order, init, [-1] * len(ctx.variables), 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(row[3]) for row in stats] == [
+            math.comb(d + 11, 11) for d in range(7)]
+        assert peak < 2 * 2**20
 
 
 class TestAxiom2:
@@ -768,10 +789,14 @@ class TestAxiom2:
     def test_note_embedded(self):
         assert axiom2(2)["poset_note"] == POSET_NOTE
 
-    def test_certificate_of_another_set_raises(self):
+    def test_checks_the_set_its_certificate_carries(self):
+        # without g_1, x_1_1*y_1 is its own normal form, which is not standard
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
-        p = build_poset(2)
-        other = is_groebner(GeneratorSet(ctx, list(gens)[1:]))
-        assert other.is_basis
-        with pytest.raises(ValueError, match="another set"):
-            verify_axiom2(gens, other, p)
+        fewer = is_groebner(GeneratorSet(ctx, list(gens)[1:]))
+        assert fewer.is_basis
+        report = verify_axiom2(fewer, build_poset(2))
+        assert report["verdict"] == "fail"
+        assert relation(report, "x_1_1", "y_1") == {
+            "alpha": "x_1_1", "beta": "y_1", "status": "fail",
+            "non_standard_term": "x_1_1*y_1"}
+        assert relation(report, "x_2_2", "y_2")["status"] == "pass"

@@ -332,25 +332,40 @@ class TestRunConfig:
 
 
 class TestSinglePipeline:
+    MASK = "[[1,1,0],[0,0,1],[1,1,1]]"
+
     @pytest.mark.parametrize("argv,builds", [
         (["verify", "--n", "3", "--degree", "3"], (1, 1, 1)),
-        (["verify", "--n", "3", "--pattern", "zero",
-          "--mask", "[[1,1,0],[0,0,1],[1,1,1]]"], (1, 1, 0)),
+        (["verify", "--n", "3", "--pattern", "zero", "--mask", MASK], (1, 1, 0)),
+        (["init-ideal", "--n", "3"], (1, 1, 0)),
+        (["init-ideal", "--n", "3", "--pattern", "zero", "--mask", MASK], (1, 1, 0)),
+        (["verify-gb", "--n", "3"], (1, 1, 0)),
     ])
     def test_each_invariant_built_once(self, monkeypatch, capsys, argv, builds):
-        from asl_forge import GroebnerCertificate, Poset, RingContext
+        # contexts and posets by their constructors; certificates by
+        # is_groebner, the one function that makes them, wherever imported
+        import asl_forge
+        from asl_forge import Poset, RingContext, groebner
         from asl_forge.cli import main
         counts = {}
-        for cls in (RingContext, GroebnerCertificate, Poset):
+        for cls in (RingContext, Poset):
             def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
                 counts[_cls] = counts.get(_cls, 0) + 1
                 _init(self, *args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counted)
-        assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
-        assert tuple(counts.get(c, 0) for c in
-                     (RingContext, GroebnerCertificate, Poset)) == builds
 
+        check = groebner.is_groebner
+
+        def certified(gens):
+            counts["certificate"] = counts.get("certificate", 0) + 1
+            return check(gens)
+        for module in vars(asl_forge).values():
+            if getattr(module, "is_groebner", None) is check:
+                monkeypatch.setattr(module, "is_groebner", certified)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out).get("verdict", "pass") == "pass"
+        assert tuple(counts.get(c, 0) for c in
+                     (RingContext, "certificate", Poset)) == builds
 
 class TestDeterminism:
     def test_verify_stable_across_runs_and_threads(self):
@@ -499,19 +514,22 @@ class TestLibraryObjectEmitter:
 
     def test_fixed_cases(self):
         # the zero polynomial, the constant monomial, Fraction and GF(p)
-        # coefficients, exponents above 1, and one polynomial at three
-        # depths of one payload, which re-indents its cached text
+        # coefficients, exponents above 1, a certificate, and one
+        # polynomial at three depths of one payload, which re-indents its
+        # cached text
         from fractions import Fraction
 
-        from asl_forge import CoefficientField, RingContext, SPairRecord
+        from asl_forge import (CoefficientField, GeneratorSet, RingContext,
+                               SPairRecord, is_groebner)
         for field in (CoefficientField.rationals(), CoefficientField.prime(7)):
             ctx = RingContext(2, field=field)
             m = ctx.monomial({ctx.x(1, 1): 3, ctx.x(2, 1): 1, ctx.y(2): 2})
             c = Fraction(-3, 7) if field.p is None else 12
             f = ctx.polynomial({m: c, ctx.monomial({ctx.y(1): 1}): 1, ctx.one: 2})
             pair = SPairRecord(0, 3, "reduced", False)
+            cert = is_groebner(GeneratorSet(ctx, [f, ctx.polynomial({m: 1})]))
             payload = {"f": f, "deep": [[{"f": f, "m": m}], [pair, ctx.zero]],
-                       "zero": ctx.zero, "one": ctx.one, "g": [f]}
+                       "zero": ctx.zero, "one": ctx.one, "g": [f], "cert": [cert]}
             expected = json.dumps(oracles.report_json(payload), indent=2) + "\n"
             assert _emitted(payload) == expected
 

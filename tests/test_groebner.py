@@ -104,7 +104,7 @@ class TestReduce:
         factor1 = reduce(poly(ctx, (1, {ctx.x(1, 1): 1, ctx.y(1): 1})), gens)
         factor2 = reduce(poly(ctx, (1, {ctx.x(2, 2): 1, ctx.y(2): 1})), gens)
         assert nf == reduce(times(factor1, factor2), gens)
-        init = initial_ideal(gens)
+        init = initial_ideal(is_groebner(gens))
         assert all(init.is_normal(m) for _, m in nf.terms)
         assert oracles.is_member(ctx, gens, f - nf)
 
@@ -490,6 +490,9 @@ class TestCertificates:
         ctx, gens = generic(2)
         cert, again = is_groebner(gens), is_groebner(gens)
         assert cert == again and hash(cert) == hash(again)
+        copy = is_groebner(GeneratorSet(ctx, list(gens)))
+        assert cert == copy and hash(cert) == hash(copy)
+        assert cert != is_groebner(GeneratorSet(ctx, list(gens)[:1]))
         assert cert == GroebnerCertificate(is_basis=True, pairs=cert.pairs,
                                            basis=cert.basis)
         assert cert != GroebnerCertificate(False, cert.pairs, cert.basis)
@@ -514,7 +517,7 @@ class TestCertificates:
 class TestInitialIdeal:
     def test_generic_diagonal_products(self):
         ctx, gens = generic(3)
-        init = initial_ideal(gens)
+        init = initial_ideal(is_groebner(gens))
         expected = {ctx.monomial({ctx.x(i, i): 1, ctx.y(i): 1})
                     for i in range(1, 4)}
         assert set(init) == expected
@@ -522,13 +525,13 @@ class TestInitialIdeal:
     def test_principal(self):
         ctx, _ = generic(2)
         f = poly(ctx, (2, {ctx.x(1, 1): 1, ctx.y(2): 1}), (1, {ctx.y(1): 1}))
-        init = initial_ideal(GeneratorSet(ctx, [f]))
+        init = initial_ideal(is_groebner(GeneratorSet(ctx, [f])))
         assert list(init) == [ctx.monomial({ctx.x(1, 1): 1, ctx.y(2): 1})]
 
     def test_zero_pattern_minimal_generators(self):
         ctx, gens = matrix_product_ideal(MatrixPattern.zero_pattern([[1, 1], [1, 0]]))
         basis = buchberger(gens)
-        init = initial_ideal(basis)
+        init = initial_ideal(is_groebner(basis))
         expected = {
             ctx.monomial({ctx.x(1, 1): 1, ctx.y(1): 1}),
             ctx.monomial({ctx.x(2, 1): 1, ctx.y(1): 1}),
@@ -546,18 +549,19 @@ class TestInitialIdeal:
     def test_requires_groebner_input(self):
         ctx, gens = matrix_product_ideal(MatrixPattern.zero_pattern([[1, 1], [1, 0]]))
         with pytest.raises(NotGroebnerError):
-            initial_ideal(gens)
+            initial_ideal(is_groebner(gens))
 
-    def test_certificate_of_another_set_raises(self):
-        # the raw generators are no basis; their completion's certificate
-        # must not vouch for them, or their two leading monomials would
-        # pass for an initial ideal that also needs x_1_2*x_2_1*y_2
+    def test_reads_the_set_its_certificate_carries(self):
+        # the raw generators are no basis, and their two leading monomials
+        # miss x_1_2*x_2_1*y_2; the completion's certificate gives all three
         ctx, gens = matrix_product_ideal(MatrixPattern.zero_pattern([[1, 1], [1, 0]]))
+        with pytest.raises(NotGroebnerError):
+            initial_ideal(is_groebner(gens))
         basis = buchberger(gens)
-        with pytest.raises(ValueError, match="another set"):
-            initial_ideal(gens, is_groebner(basis))
-        copy = GeneratorSet(ctx, list(basis))
-        assert initial_ideal(copy, is_groebner(basis)) == initial_ideal(basis)
+        init = initial_ideal(is_groebner(basis))
+        assert len(init) == 3
+        assert ctx.monomial({ctx.x(1, 2): 1, ctx.x(2, 1): 1, ctx.y(2): 1}) in set(init)
+        assert initial_ideal(is_groebner(GeneratorSet(ctx, list(basis)))) == init
 
     @settings(max_examples=150)
     @given(st.lists(small_polys(_RING2, max_terms=1, max_degree=4).filter(bool),
@@ -582,14 +586,14 @@ class TestInitialIdeal:
         ctx, _ = generic(2)
         f = poly(ctx, (1, {ctx.y(1): 1}))
         g = poly(ctx, (1, {ctx.y(1): 2}))  # lead divisible by f's
-        init = initial_ideal(buchberger(GeneratorSet(ctx, [f, g])))
+        init = initial_ideal(is_groebner(buchberger(GeneratorSet(ctx, [f, g]))))
         assert list(init) == [ctx.monomial({ctx.y(1): 1})]
 
 
 class TestNormalMonomials:
     def test_examples(self):
         ctx, gens = generic(2)
-        init = initial_ideal(gens)
+        init = initial_ideal(is_groebner(gens))
         assert init.is_normal(ctx.monomial({ctx.x(1, 1): 1, ctx.y(2): 1}))
         assert not init.is_normal(
             ctx.monomial({ctx.x(1, 1): 1, ctx.y(1): 1, ctx.x(1, 2): 1}))
@@ -597,7 +601,7 @@ class TestNormalMonomials:
 
     def test_degree2_count_19(self):
         ctx, gens = generic(2)
-        init = initial_ideal(gens)
+        init = initial_ideal(is_groebner(gens))
         normal = [m for m in oracles.monomials_of_degree(ctx, 2)
                   if init.is_normal(m)]
         assert len(normal) == 19
@@ -607,7 +611,7 @@ class TestNormalMonomials:
         # the ideal's degree slice, echelonized by an independent
         # elimination, pivots exactly on the non-normal monomials
         ctx, gens = generic(n)
-        init = initial_ideal(gens)
+        init = initial_ideal(is_groebner(gens))
         nv = len(ctx.variables)
         for d in range(dmax + 1):
             non_normal = {oracles.to_dense(m, nv)
@@ -627,7 +631,7 @@ def test_completed_initial_ideal_counts_slice_ranks():
         ctx, gens = matrix_product_ideal(MatrixPattern.zero_pattern(mask))
         nv = len(ctx.variables)
         init = [oracles.to_dense(m, nv)
-                for m in initial_ideal(buchberger(gens))]
+                for m in initial_ideal(is_groebner(buchberger(gens)))]
         for d in range(4):
             rank = len(oracles.slice_pivots_descending(ctx, gens, d))
             assert (math.comb(d + nv - 1, nv - 1)

@@ -105,9 +105,16 @@ def test_every_import_is_used(path):
 
 
 def private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
-    """Module-level `_name` functions, classes and constants, by name."""
+    """Module-level `_name` functions, classes and constants, and the `_name`
+    methods of module-level classes, by name (a method's as `Class._name`)."""
     found = {}
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and item.name.startswith("_")
+                        and not item.name.startswith("__")):
+                    found[f"{node.name}.{item.name}"] = item
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, ast.Assign):
@@ -136,6 +143,14 @@ def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def unused_private_names(tree: ast.Module, others: set[str]) -> list[str]:
+    """The tree's private definitions that neither `others` nor the rest of
+    the tree reads."""
+    return [name for name, node in private_definitions(tree).items()
+            if name.rpartition(".")[2]
+            not in others | referenced_names(tree, skip=node)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_name_is_used(path):
     # a helper that lost its last caller is dead code, even if a test calls it
@@ -144,9 +159,23 @@ def test_every_private_name_is_used(path):
     for p, tree in trees.items():
         if p != path:
             others |= referenced_names(tree)
-    unused = [name for name, node in private_definitions(trees[path]).items()
-              if name not in others | referenced_names(trees[path], skip=node)]
+    unused = unused_private_names(trees[path], others)
     assert not unused, f"{path.name} defines {unused} but nothing in src uses them"
+
+
+def test_unused_private_method_is_found():
+    source = ("class A:\n"
+              "    def _used(self):\n        return self.{}()\n"
+              "    def _alone(self):\n        return self._alone()\n"
+              "    def __len__(self):\n        return 0\n"
+              "def _helper():\n    return A()._used()\n")
+    tree = ast.parse(source.format("_alone"))
+    assert list(private_definitions(tree)) == ["A._used", "A._alone", "_helper"]
+    assert unused_private_names(tree, set()) == ["_helper"]
+    assert unused_private_names(tree, {"_helper"}) == []
+    # a method that only calls itself is unused
+    tree = ast.parse(source.format("_other"))
+    assert unused_private_names(tree, {"_helper"}) == ["A._alone"]
 
 
 def declared_slots(tree: ast.AST) -> set[str]:
@@ -224,7 +253,7 @@ def test_recursion_guard_sees_a_self_call():
 def test_axiom1_above_the_recursion_limit_passes():
     _, gens = matrix_product_ideal(MatrixPattern.generic(1))
     certificate = is_groebner(gens)
-    init = initial_ideal(gens, certificate)
+    init = initial_ideal(certificate)
     poset = build_poset(1)
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -233,7 +262,7 @@ def test_axiom1_above_the_recursion_limit_passes():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
-        report = verify_axiom1(gens, certificate, init, poset, limit + 20)
+        report = verify_axiom1(certificate, init, poset, limit + 20)
     finally:
         sys.setrecursionlimit(old)
     assert report["verdict"] == "pass"
