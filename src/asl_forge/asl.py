@@ -8,10 +8,10 @@ statements at bounded degree:
 
   axiom 1: standard monomials coincide with the monomials outside the
            initial ideal, and they form a basis of each degree slice of
-           the quotient (a depth-first walk counts each monomial up to
-           the degree bound once, as bitmasks over its last variable,
-           and expands each distinct subtree state once; sparse
-           elimination on each slice of the ideal gives the pivots);
+           the quotient (both sets are complements of monomial ideals,
+           whose minimal generators settle the equality in all degrees;
+           the counts come from the poset's chains and the initial
+           ideal's Hilbert numerator, the pivots from each slice);
   axiom 2: for each incomparable pair (alpha, beta) of the poset, every
            term of the Groebner normal form of alpha*beta is standard,
            so its factors sort into an ascending chain, and each chain's
@@ -139,11 +139,12 @@ def count_standard_monomials(n: int, d: int) -> int:
 
 
 def axiom1_work(n: int, degree_bound: int) -> int:
-    """Closed-form size of the axiom-1 check for the generic n-by-n pattern.
+    """Closed-form size estimate of the axiom-1 check for the generic pattern.
 
-    Per degree d <= degree_bound, the check counts each degree-d monomial
-    (expanding only distinct walk states) and eliminates n * #(degree d-2
-    monomials) Macaulay rows, so in N = n*n + n variables the work is
+    Per degree d <= degree_bound, the check eliminates n * #(degree d-2
+    monomials) Macaulay rows.  The estimate adds the degree-d monomials,
+    which no longer measure work done but keep the command line accepting
+    exactly what it did; in N = n*n + n variables it is
 
         sum_d C(d + N - 1, N - 1) + n * C(d + N - 3, N - 1).
     """
@@ -153,133 +154,65 @@ def axiom1_work(n: int, degree_bound: int) -> int:
                for d in range(degree_bound + 1))
 
 
-def _walk(order, init: InitialIdeal, comparable: list[int],
-          degree_bound: int) -> list[list]:
-    """Per degree d <= degree_bound: [monomials, standard, non-normal, mismatches].
+def _chain_counts(poset: Poset, bound: int) -> list[int]:
+    """c_1, c_2, ...: the numbers of chains of the poset, by size, to the bound.
 
-    A depth-first walk over the nondecreasing sequences of variable
-    positions counts each monomial of degree at most the bound once.  A
-    node's loop makes each child m = x_p*node and counts m's children
-    x_q*m, q >= p, at once as bitmasks over q; the root, the monomial 1,
-    is the only child of a sentinel at depth -1.  With symmetric masks,
-    x_q*m is standard exactly when m is (bit p of the node's standard
-    mask) and q is comparable to m's variables (q is in ``allowed``) and
-    to itself.  Below a non-normal m every x_q*m is non-normal; below a
-    normal one, x_q*m is when g/x_q divides m for a generator g of
-    ``init``.  A quotient that is one variable x_v sets bit q of
-    ``partners[v]``, and a normal node's ``near`` is the OR of
-    ``partners`` over its support (-1 for a non-normal node); every other
-    quotient keeps the exact guard-bit test.
-
-    Each distinct state is expanded once.  A node's subtree reads only
-    its key: position p, depth, the standard, ``allowed``, ``near`` and
-    non-normal masks cut to the positions >= p, and the exponent vector
-    on the fields the guard-bit tests read (none for the generic initial
-    ideal).  A key's result is relative to its node: one int of
-    ``width``-bit count fields, three per level from its grandchildren
-    down, its own mismatches as offsets from its exponent vector, and its
-    children with mismatches below.  An explicit post-order stack adds
-    each pushed child's counts one level down; the mismatches are
-    unfolded once, from the sentinel, each shifted by the steps to its
-    node.  A node pushes only the children whose children have children
-    within the bound.  Mismatches are packed vectors, placed by degree.
-    Asymmetric masks raise ValueError.
+    ``tops[v]`` counts the chains of the current size with largest
+    element v, so the next size's ``tops[v]`` sums ``tops[u]`` over v's
+    strict down-set: bit plane by bit plane, as popcounts of the down-set
+    against the elements whose count has that bit set.
     """
-    nv = len(order.weights)
-    if any((comparable[p] >> q ^ comparable[q] >> p) & 1
-           for p in range(nv) for q in range(p + 1, nv)):
-        raise ValueError("comparability masks are not symmetric")
+    below = [m & ~u for m, u in zip(poset.comparable_masks, poset.up)]
+    tops = [1] * len(below)
+    counts = []
+    for k in range(bound):
+        if k:
+            planes = [sum(1 << v for v, t in enumerate(tops) if t >> b & 1)
+                      for b in range(max(tops).bit_length())]
+            tops = [sum((m & plane).bit_count() << b
+                        for b, plane in enumerate(planes)) for m in below]
+        counts.append(sum(tops))
+        if not counts[-1]:  # no chain of this size, so none larger
+            break
+    return counts
+
+
+def _hilbert_numerator(order, packed: list[int], bound: int) -> list[int]:
+    """K_0, ..., K_bound of the Hilbert numerator of a monomial ideal.
+
+    ``packed`` holds the ideal's minimal generators as packed vectors.
+    The quotient by J has Hilbert series K_J(t) / (1 - t)^N, and
+    K(J + (m)) = K(J) - t^deg m * K(J : m), where J : m is spanned by the
+    lcm(g, m) / m (Bigatti, JPAA 119, 1997).  An explicit list unfolds
+    that split until a set's generators are pairwise coprime, whose
+    numerator is the product of the (1 - t^deg g), 0 if one is 1.
+    """
     guard = order.guard
-    packed = [order.packed(w) for w in order.weights]
-    single = {e: v for v, e in enumerate(packed)}
-    self_comparable = sum(1 << p for p in range(nv) if comparable[p] >> p & 1)
-    spans = [((1 << nv) - 1) >> first << first for first in range(nv)]
-    partners = [0] * nv  # partners[v]: the p with g/x_p = x_v for some g
-    quotients = []
-    reads = 0  # guard bits of the fields that the guard-bit tests read
-    for g, e in zip(init.generators, init.packed):
-        for p, _ in g.exps:
-            d = e - packed[p]  # g/x_p
-            v = single.get(d)
-            if v is None:
-                quotients.append((d, p))
-                reads |= order.support(d)
-            else:
-                partners[v] |= 1 << p
-    reads -= reads >> (order.field_bits - 1)  # ... widened to their values
-    tests = [[(d, 1 << p) for d, p in quotients if p >= first]
-             for first in range(nv)]
-    # a child x_p*m: position, step, mask, partners, the cut to positions
-    # >= p, and the positions of its children, all and self-comparable ones
-    nodes = [(p, packed[p], comparable[p] & -1 << p, partners[p], -1 << p,
-              spans[p], self_comparable & spans[p]) for p in range(nv)]
-    suffixes = [nodes[p:] for p in range(nv)]
-    normal = all(g.exps for g in init.generators)  # else 1 is in the ideal
-    width = math.comb(degree_bound + nv - 1, nv - 1).bit_length()
-    # the sentinel: children [root], e 0, standard children [root],
-    # allowed -1, near 0, and non-normal children [root] if 1 is in the ideal
-    top = (0, -1, 1, -1, 0, int(not normal), 0)
-    root = [(0, 0, -1, 0, -1, spans[0], self_comparable)]
-    stack = [(top, 0, root)] if degree_bound else []
-    kept = {}
-    while stack:
-        key, e, children = stack.pop()
-        if e is None:  # every pushed child's result is kept: add them in
-            counts, mismatches, kids = children
-            below = []  # the children with mismatches in their subtrees
-            for kid, step in kids:
-                kid_counts, kid_below = kept[kid]
-                counts += kid_counts << 3 * width  # one level down
-                if kid_below:
-                    below.append((kid_below, step))
-            kept[key] = counts, (mismatches, below) if mismatches or below else None
+    numerator = [0] * (bound + 1)
+    work = [(1, 0, packed)]
+    while work:
+        sign, shift, gens = work.pop()
+        seen = 0
+        for k, m in enumerate(gens):
+            if order.support(m) & seen:
+                break
+            seen |= order.support(m)
+        else:  # pairwise coprime
+            terms = [0] * (bound + 1)
+            terms[shift] = sign
+            for d in map(order.degree, gens):
+                for i in range(bound, d - 1, -1):
+                    terms[i] -= terms[i - d]
+            numerator = [a + b for a, b in zip(numerator, terms)]
             continue
-        if key in kept:
-            continue
-        _, depth, standard, allowed, near, non_normal, _ = key
-        depth += 1  # the children's degree
-        push = depth + 1 < degree_bound
-        total = std_count = non_normal_count = 0
-        mismatches, kids, mark = [], [], len(stack)
-        for p, step, comp, partner, cut, span, std_span in children:
-            child_allowed = allowed & comp
-            # a non-normal child's near is -1
-            child_near = (near | partner) & cut | -(non_normal >> p & 1)
-            std = child_allowed & std_span if standard >> p & 1 else 0
-            child_non_normal = child_near & span
-            if quotients and child_near >= 0:
-                eg = (e + step) | guard
-                for d, q_bit in tests[p]:
-                    if (eg - d) & guard == guard:
-                        child_non_normal |= q_bit
-            total += nv - p
-            std_count += std.bit_count()
-            non_normal_count += child_non_normal.bit_count()
-            mismatched = std ^ (span & ~child_non_normal)
-            while mismatched:
-                q_bit = mismatched & -mismatched
-                mismatches.append(step + packed[q_bit.bit_length() - 1])
-                mismatched ^= q_bit
-            if push:
-                kid = (p, depth, std, child_allowed, child_near,
-                       child_non_normal, (e + step) & reads)
-                kids.append((kid, step))
-                if kid not in kept:
-                    stack.append((kid, e + step, suffixes[p]))
-        counts = total | std_count << width | non_normal_count << 2 * width
-        stack.insert(mark, (key, None, (counts, mismatches, kids)))
-    counts, below = kept.get(top, (0, None))
-    stats = [[1, 1, int(not normal), [] if normal else [0]]]
-    stats += [[counts >> width * k & (1 << width) - 1
-               for k in range(3 * d, 3 * d + 3)] + [[]]
-              for d in range(degree_bound)]
-    unfold = [(below, 0)] if below else []  # in pre-order, as they were found
-    while unfold:
-        (mismatches, below), offset = unfold.pop()
-        for o in mismatches:
-            stats[order.degree(o + offset)][3].append(o + offset)
-        unfold += [(kid_below, offset + step) for kid_below, step in reversed(below)]
-    return stats
+        rest = gens[:k] + gens[k + 1:]
+        work.append((sign, shift, rest))
+        shift += order.degree(m)
+        if shift <= bound:  # J : m, kept minimal
+            colon = sorted({order.lcm(g, m) - m for g in rest}, key=order.degree)
+            work.append((-sign, shift, [q for j, q in enumerate(colon) if not any(
+                ((q | guard) - d) & guard == guard for d in colon[:j])]))
+    return numerator
 
 
 def _ideal_slice(order, field: CoefficientField, gen_terms: list,
@@ -322,21 +255,21 @@ def _ideal_slice(order, field: CoefficientField, gen_terms: list,
 
 
 def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
-                    comparable: list[int], degree_bound: int) -> list[dict]:
+                    poset: Poset, degree_bound: int) -> list[dict]:
     """Axiom-1 evidence for each degree slice up to the bound.
 
-    Standard must match normal monomial-by-monomial, the standard count
-    must match the closed form, and the pivot monomials of the ideal's
-    degree slice (row echelon over all monomial multiples of the
-    generators) must be exactly the non-normal monomials: as many of
-    them, each non-normal.  Together these say the standard monomials
-    are a basis of the slice of the quotient.  "Standard" is read off
-    ``comparable``, one comparability bitmask per variable, and "normal"
-    off the generators of ``init``.  Each generator is tested once: its
-    leading monomial is certified when it is a quadric that a generator
-    of ``init`` divides, and the slices then skip the pivots that are
-    its unbuilt multiples.  The order's bound is checked once, for the
-    top degree, before any key is summed.
+    Every mismatch is a multiple of a minimal one: a generator of ``init``
+    whose support is a chain, or a normal product a*b of an incomparable
+    pair of ``poset``.  Those are listed at their degree, and a degree's
+    flag holds while none has degree <= it.  The standard count is
+    sum_k c_k C(d-1, k-1) over the chain counts c_k of ``poset``, the normal
+    count sum_i K_i C(d-i+N-1, N-1) over the Hilbert numerator K of
+    ``init``, and the pivot monomials of the ideal's degree slice (row
+    echelon over all monomial multiples of the generators) must be as many
+    as the non-normal monomials, each non-normal.  A generator's leading
+    monomial is certified once when it is a quadric that a generator of
+    ``init`` divides; the slices then skip the pivots that are its unbuilt
+    multiples.  The order's bound is checked before any slice.
     """
     order = ctx.order
     order.check_degree(degree_bound)
@@ -349,9 +282,23 @@ def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
         if not (order.degree(lead) == 2
                 and any(((lead | guard) - d) & guard == guard for d in divisors)):
             uncertified.append(terms)
+    nv = len(ctx.variables)
+    chains = _chain_counts(poset, degree_bound)
+    numerator = _hilbert_numerator(order, divisors, degree_bound)
+    comparable = poset.comparable_masks
+    mismatches = [g for g in init if all(
+        comparable[p] >> q & 1 for p, _ in g.exps for q, _ in g.exps)]
+    mismatches += [m for m in (ctx.monomial({a: 1, b: 1})
+                               for a, b in poset.incomparable_pairs())
+                   if init.is_normal(m)]
+    lowest = min((m.total_degree for m in mismatches), default=degree_bound + 1)
     reports = []
-    for degree, (total, standard, non_normal, mismatches) in enumerate(
-            _walk(order, init, comparable, degree_bound)):
+    for degree in range(degree_bound + 1):
+        total = math.comb(degree + nv - 1, nv - 1)
+        standard = (sum(c * math.comb(degree - 1, k) for k, c in enumerate(chains))
+                    if degree else 1)
+        normal = sum(c * math.comb(degree - i + nv - 1, nv - 1)
+                     for i, c in enumerate(numerator[:degree + 1]) if c)
         rank, pivots_non_normal = _ideal_slice(order, ctx.field, gen_terms,
                                                uncertified, divisors, degree)
         expected = count_standard_monomials(ctx.n, degree)
@@ -359,14 +306,14 @@ def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
             "degree": degree,
             "monomials": total,
             "standard": standard,
-            "normal": total - non_normal,
-            "standard_equals_normal": not mismatches,
-            "mismatches": sorted([str(order.monomial(order.packed(e)))
-                                  for e in mismatches]),
+            "normal": normal,
+            "standard_equals_normal": degree < lowest,
+            "mismatches": sorted([str(m) for m in mismatches
+                                  if m.total_degree == degree]),
             "count_formula": expected,
             "count_matches": standard == expected,
             "ideal_slice_rank": rank,
-            "basis_check": rank == non_normal and pivots_non_normal,
+            "basis_check": rank == total - normal and pivots_non_normal,
         })
     return reports
 
@@ -378,13 +325,17 @@ def verify_axiom1(certificate: GroebnerCertificate, init: InitialIdeal | None,
     ``certificate`` is the pair check of the generic product generators,
     which it carries as its ``basis``, ``init`` their initial ideal (None
     when the check failed) and ``poset`` the variable poset, read through
-    its comparability bitmasks.  Per degree d <= degree_bound: every
-    monomial is standard iff it is normal; the number of standard
-    monomials matches the closed form; and eliminating the slice spanned
-    by all degree-d multiples of the generators yields pivot monomials
-    exactly equal to the non-normal set, so the standard residues are
-    linearly independent and spanning.  A poset on other elements than
-    the ring's variables raises ValueError.
+    its bitmasks.  Standard and normal are compared in every degree at
+    once, through the minimal generators of the two monomial ideals they
+    complement; each degree d lists the minimal mismatches of degree d
+    (every mismatch is a multiple of a listed one), and its
+    "standard_equals_normal" says they agree in every degree up to d.
+    The verdict fails exactly when some mismatch has degree <= the bound.
+    Per degree, too, the standard count matches the closed form, and
+    eliminating the slice spanned by all degree-d multiples of the
+    generators yields pivot monomials exactly equal to the non-normal
+    set, so the standard residues are linearly independent and spanning.
+    A poset on other elements than the ring's variables raises ValueError.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
@@ -393,8 +344,7 @@ def verify_axiom1(certificate: GroebnerCertificate, init: InitialIdeal | None,
     _check_poset(ctx, poset)
     per_degree = []
     if certificate.is_basis:
-        per_degree = _axiom1_degrees(ctx, gens, init, poset.comparable_masks,
-                                     degree_bound)
+        per_degree = _axiom1_degrees(ctx, gens, init, poset, degree_bound)
     ok = (certificate.is_basis
           and all(d["standard_equals_normal"] and d["count_matches"]
                   and d["basis_check"] for d in per_degree))

@@ -27,11 +27,11 @@ from .poly_core import CoefficientField, Monomial, Polynomial
 
 LARGE_N = 8
 LARGE_DEGREE = 8
-# bound on axiom1_work for a generic verify.  On a shared 2-vCPU Xeon VM,
-# in process, (n, degree) = (8, 4) at about 1.3e6 runs in 0.03-0.05 s at
-# 20 MiB peak RSS, (5, 6) at 2.2e6 in 0.5-0.7 s at 70 MiB, (4, 8) at
-# 4.0e6 in 3.5-4.5 s at 227 MiB; slice elimination is nearly all of it
-# (ranges span the VM's load)
+# bound on axiom1_work for a generic verify, whose monomial term no longer
+# measures work done.  On a shared 2-vCPU Xeon VM, in process, (n, degree)
+# = (8, 4) at about 1.3e6 ran in 0.03-0.05 s at 20 MiB peak RSS, (5, 6) at
+# 2.2e6 in 0.5-0.7 s at 70 MiB, (4, 8) at 4.0e6 in 3.5-4.5 s at 227 MiB;
+# slice elimination is nearly all of it (ranges span the VM's load)
 LARGE_WORK = 2_000_000
 
 

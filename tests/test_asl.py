@@ -2,7 +2,6 @@
 
 import math
 import random
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -32,7 +31,8 @@ from asl_forge import (
 )
 from asl_forge.asl import (
     _axiom1_degrees,
-    _walk,
+    _chain_counts,
+    _hilbert_numerator,
     axiom1_work,
 )
 
@@ -92,15 +92,29 @@ class TestBuildPoset:
         assert not p.comparable(x(2, 2), y(2))
 
 
-def non_standard(ctx, poset, d):
-    """The degree-d monomials the axiom-1 bitmask test calls non-standard.
+def multiples(ctx, reports, d):
+    """The degree-d multiples of the minimal mismatches the reports list.
 
-    Against an empty initial ideal every monomial is normal, so the slice
-    check's standard-versus-normal mismatches are the non-standard ones.
+    Every mismatch is a multiple of a listed one of no larger degree, so
+    these are all the degree-d mismatches, rendered and sorted.
+    """
+    listed = {name for entry in reports[:d + 1] for name in entry["mismatches"]}
+    minimal = [m for k in range(d + 1) for m in oracles.monomials_of_degree(ctx, k)
+               if str(m) in listed]
+    assert len(minimal) == len(listed)
+    return sorted(str(m) for m in oracles.monomials_of_degree(ctx, d)
+                  if any(oracles.monomial_divides(g, m) for g in minimal))
+
+
+def non_standard(ctx, poset, d):
+    """The degree-d monomials the axiom-1 check calls non-standard.
+
+    Against an empty initial ideal every monomial is normal, so the
+    check's mismatches are the non-standard monomials.
     """
     _, gens = matrix_product_ideal(MatrixPattern.generic(ctx.n))
-    return _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []),
-                           poset.comparable_masks, d)[d]["mismatches"]
+    reports = _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), poset, d)
+    return multiples(ctx, reports, d)
 
 
 def straightening(gens, poset):
@@ -320,25 +334,44 @@ def axiom2(n):
     return verify(MatrixPattern.generic(n), 0)["sections"]["axiom2"]
 
 
-def _walk_against_dense(ctx, gens, init, pairs, bound):
+def random_poset(rng, variables):
+    """Relations of a random partial order on the variables.
+
+    Each pair in a random linear order is related with one density drawn
+    per poset, so posets run from near-antichains to near-chains.
+    """
+    order = rng.sample(list(variables), len(variables))
+    density = rng.choice((0.2, 0.5, 0.8))
+    return [(a, b) for k, a in enumerate(order) for b in order[k + 1:]
+            if rng.random() < density]
+
+
+def _against_dense(ctx, gens, init, relations, bound):
     """Check ``_axiom1_degrees`` against a scan of dense exponent tuples.
 
-    ``pairs`` is the symmetric comparability relation on positions.  Per
-    degree: the counts, the mismatches and the basis check, whose pivots
-    come from dense elimination of the same Macaulay rows (the slice's,
-    for quadric generators).  Returns the reports and the set of
+    The poset is given by its relations, whose closure the oracle takes
+    through networkx.  Per degree: the counts; each listed mismatch is a
+    dense mismatch of its degree that no mismatch of lower degree
+    divides; every dense mismatch is a multiple of a listed one; the flag
+    says no dense mismatch has degree <= d; and the basis check, whose
+    pivots come from dense elimination of the same Macaulay rows (the
+    slice's, for quadric generators).  Returns the reports and the set of
     directions (standard or not) seen among the mismatches.
     """
     variables = ctx.variables
     nv = len(variables)
-    masks = [sum(1 << q for q in range(nv) if (p, q) in pairs) for p in range(nv)]
+    tc = oracles.closure(variables, relations)
+    pairs = {(p, q) for p in range(nv) for q in range(nv)
+             if p == q or tc.has_edge(variables[p], variables[q])
+             or tc.has_edge(variables[q], variables[p])}
     dense_init = [oracles.to_dense(g, nv) for g in init]
-    reports = _axiom1_degrees(ctx, gens, init, masks, bound)
+    reports = _axiom1_degrees(ctx, gens, init, Poset(variables, relations), bound)
     assert len(reports) == bound + 1
-    directions = set()
+    directions, mismatched, listed = set(), {}, []
     for d, entry in enumerate(reports):
         total = standard = normal = 0
-        mismatches, non_normal = [], set()
+        lower = list(mismatched.values())  # the mismatches of degree < d
+        non_normal = set()
         for e in oracles.dense_monomials(nv, d):
             support = [p for p in range(nv) if e[p]]
             std = all((p, q) in pairs for p in support for q in support)
@@ -350,15 +383,22 @@ def _walk_against_dense(ctx, gens, init, pairs, bound):
                 non_normal.add(e)
             if std != nrm:
                 directions.add(std)
-                mismatches.append("*".join(
+                mismatched["*".join(
                     variables[p].name + (f"^{e[p]}" if e[p] > 1 else "")
-                    for p in support) or "1")
-        pivots = oracles.macaulay_pivots_descending(ctx, gens, d)
+                    for p in support) or "1"] = e
         assert entry["degree"] == d
         assert (entry["monomials"], entry["standard"], entry["normal"]) == (
             total, standard, normal)
-        assert entry["mismatches"] == sorted(mismatches)
-        assert entry["standard_equals_normal"] == (not mismatches)
+        assert entry["mismatches"] == sorted(entry["mismatches"])
+        for name in entry["mismatches"]:
+            e = mismatched[name]
+            assert sum(e) == d
+            assert not any(oracles.divides(f, e) for f in lower)
+            listed.append(e)
+        assert all(any(oracles.divides(f, e) for f in listed)
+                   for e in mismatched.values())
+        assert entry["standard_equals_normal"] == (not mismatched)
+        pivots = oracles.macaulay_pivots_descending(ctx, gens, d)
         assert entry["ideal_slice_rank"] == len(pivots)
         assert entry["basis_check"] == (pivots == non_normal)
     return reports, directions
@@ -448,20 +488,25 @@ class TestAxiom1:
         base = build_poset(n)
         relations = base.covers() + [(Variable.x(1, 1), Variable.y(1))]
         poset = Poset(base.elements, relations)
-        entry = _axiom1_degrees(ctx, gens, initial_ideal(is_groebner(gens)),
-                                poset.comparable_masks, d)[d]
+        reports = _axiom1_degrees(ctx, gens, initial_ideal(is_groebner(gens)),
+                                  poset, d)
         expected = oracles.standard_normal_mismatches(
             n, d, [(a.name, b.name) for a, b in relations])
         assert expected
-        assert not entry["standard_equals_normal"]
-        assert entry["mismatches"] == expected
+        assert not reports[d]["standard_equals_normal"]
+        # the one minimal mismatch, x_1_1*y_1, and its degree-d multiples
+        assert [e["mismatches"] for e in reports] == [
+            [], [], ["x_1_1*y_1"]] + [[]] * (d - 2)
+        assert [e["standard_equals_normal"] for e in reports] == [
+            True, True] + [False] * (d - 1)
+        assert multiples(ctx, reports, d) == expected
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_dropped_generator_fails_basis_check(self, d):
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(3))
         entry = _axiom1_degrees(ctx, GeneratorSet(ctx, list(gens)[:-1]),
                                 initial_ideal(is_groebner(gens)),
-                                build_poset(3).comparable_masks, d)[d]
+                                build_poset(3), d)[d]
         assert entry["standard_equals_normal"] and entry["count_matches"]
         assert entry["ideal_slice_rank"] < entry["monomials"] - entry["normal"]
         assert not entry["basis_check"]
@@ -472,7 +517,7 @@ class TestAxiom1:
         swapped = ctx.polynomial({ctx.monomial({ctx.x(3, 1): 1, ctx.y(1): 1}): 1})
         entry = _axiom1_degrees(ctx, GeneratorSet(ctx, list(gens)[:-1] + [swapped]),
                                 initial_ideal(is_groebner(gens)),
-                                build_poset(3).comparable_masks, 2)[2]
+                                build_poset(3), 2)[2]
         assert entry["ideal_slice_rank"] == entry["monomials"] - entry["normal"]
         assert not entry["basis_check"]
 
@@ -485,7 +530,8 @@ class TestAxiom1:
         x, y = ctx.x(1, 1), ctx.y(1)
         cubic = GeneratorSet(ctx, [ctx.polynomial({ctx.monomial({x: 2, y: 1}): 1})])
         init = InitialIdeal(ctx, [ctx.monomial({x: 1, y: 1})])
-        for entry in _axiom1_degrees(ctx, cubic, init, [-1, -1], 4)[2:]:
+        chain = Poset(ctx.variables, [(x, y)])
+        for entry in _axiom1_degrees(ctx, cubic, init, chain, 4)[2:]:
             assert entry["ideal_slice_rank"] == entry["monomials"] - entry["normal"]
             assert not entry["basis_check"]
 
@@ -529,13 +575,13 @@ class TestAxiom1:
         # with 4-bit fields the order encodes total degree at most 7.  At
         # degree 8 a generator term (degree 2) and a multiplier (degree 6)
         # each have a key in range, but their sum, a Macaulay row term,
-        # does not; the bound is checked once, before the walk sums any
-        # key and before any slice is eliminated
+        # does not; the bound is checked once, before any slice is
+        # eliminated
         from asl_forge import asl, poly_core
         monkeypatch.setattr(poly_core, "EXPONENT_BITS", 4)
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
-        everything = [-1] * len(ctx.variables)
-        entry = _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), everything, 7)[7]
+        chain = Poset(ctx.variables, [(ctx.x(1, 1), ctx.y(1))])
+        entry = _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), chain, 7)[7]
         assert entry["ideal_slice_rank"] == 6  # x_1_1*y_1 times 6 monomials
         certificate = is_groebner(gens)
         init = initial_ideal(certificate)
@@ -544,103 +590,101 @@ class TestAxiom1:
         with pytest.raises(ValueError, match="total degree 8"):
             verify_axiom1(certificate, init, poset, 8)
         started = []
-        staircase, walk = asl.staircase, asl._walk
+        staircase = asl.staircase
         monkeypatch.setattr(asl, "staircase", lambda rows, field: (
             started.append("staircase") or staircase(rows, field)))
-        monkeypatch.setattr(asl, "_walk", lambda *args: (
-            started.append("walk") or walk(*args)))
         with pytest.raises(ValueError, match="total degree 8"):
-            _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), everything, 8)
+            _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), chain, 8)
         assert started == []
-        # positive control: within the bound both wrappers are reached,
-        # once for the walk and once per slice
-        _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), everything, 7)
-        assert started == ["walk"] + ["staircase"] * 8
+        # positive control: within the bound the wrapper is reached once
+        # per slice
+        _axiom1_degrees(ctx, gens, InitialIdeal(ctx, []), chain, 7)
+        assert started == ["staircase"] * 8
 
+    # The four test_walk_matches_dense_brute_force* tests keep the names
+    # and parameter ids they had when they checked the monomial walk that
+    # these routes replaced: the chain counts, the Hilbert numerator and
+    # the minimal mismatches, each against the dense scan, on posets
     @pytest.mark.parametrize("bound,seed", [
         pytest.param(bound, seed, id=str(seed) if bound == 4 else f"{bound}-{seed}")
         for bound in (4, 1, 2, 6) for seed in range(8)])
     def test_walk_matches_dense_brute_force(self, bound, seed):
-        # random symmetric comparability masks and initial ideals with a
-        # non-squarefree generator, against a scan of dense exponent
-        # tuples: per degree the counts, the mismatches and the basis
-        # check, whose pivots come from dense elimination of the generic
-        # n = 2 slice; seed 0 keeps the true initial ideal.  Bounds 4 and
-        # 6 see mismatches in both directions, and at bound 6 walk states
-        # recur under up to 10 exponent vectors; bound 1 hangs every
-        # monomial off the root, and bound 2 pushes only the root's children
+        # random posets on the variables of the generic n = 2 ring, and
+        # random initial ideals of every kind, against a scan of dense
+        # exponent tuples: per degree the counts, the minimal mismatches,
+        # the flag and the basis check, whose pivots come from dense
+        # elimination of the generic slice; seed 0 keeps the true initial
+        # ideal
+        kind = ("generic", "squarefree", "non-squarefree", "cubic", "unit",
+                "empty", "squarefree", "non-squarefree")[seed]
         rng = random.Random(seed)
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
         variables = ctx.variables
-        nv = len(variables)
-        pairs = {(p, q) for p in range(nv) for q in range(p, nv)
-                 if rng.random() < 0.75}
-        pairs |= {(q, p) for p, q in pairs}
-        if seed == 0:
-            init = initial_ideal(is_groebner(gens))
-        else:
-            square = [0] * nv
-            square[rng.randrange(nv)] = rng.randint(2, 3)
-            generators = [tuple(square)]
-            for _ in range(rng.randint(1, 3)):
-                e = [0] * nv
-                for _ in range(rng.randint(2, 3)):
-                    e[rng.randrange(nv)] += 1
-                generators.append(tuple(e))
-            init = InitialIdeal(ctx, [ctx.monomial(dict(zip(variables, e)))
-                                      for e in generators])
-        dense_init = [oracles.to_dense(g, nv) for g in init]
-        assert seed == 0 or max(max(e) for e in dense_init) >= 2
-        reports, directions = _walk_against_dense(ctx, gens, init, pairs, bound)
-        if seed == 0:
+        generators = []
+        if kind == "generic":
+            generators = list(initial_ideal(is_groebner(gens)))
+        elif kind == "unit":
+            generators = [ctx.one]
+        elif kind != "empty":
+            for k in range(rng.randint(1, 3)):
+                if kind == "squarefree":
+                    e = Counter(rng.sample(variables, rng.randint(2, 3)))
+                elif kind == "cubic":
+                    e = Counter(rng.choices(variables, k=3))
+                elif k == 0:  # one square or cube, then degree 2 or 3
+                    e = Counter({rng.choice(variables): rng.randint(2, 3)})
+                else:
+                    e = Counter(rng.choices(variables, k=rng.randint(2, 3)))
+                generators.append(ctx.monomial(e))
+        init = InitialIdeal(ctx, generators)
+        dense_init = [oracles.to_dense(g, len(variables)) for g in init]
+        degrees = {sum(e) for e in dense_init}
+        assert {"generic": degrees == {2}, "unit": degrees == {0},
+                "empty": not degrees, "cubic": degrees == {3},
+                "squarefree": degrees and max(map(max, dense_init)) == 1,
+                "non-squarefree": degrees and max(map(max, dense_init)) >= 2,
+                }[kind]
+        reports, _ = _against_dense(ctx, gens, init, random_poset(rng, variables),
+                                    bound)
+        if kind == "generic":
             assert all(e["basis_check"] for e in reports)
-        elif bound >= 4:
-            assert directions == {True, False}
-            assert not reports[bound]["basis_check"]
 
     @pytest.mark.parametrize("bound,n", [
         (bound, n) for bound in (1, 2, 4) for n in (2, 3)] + [(6, 2)])
     def test_walk_matches_dense_brute_force_on_every_quotient_shape(self, n, bound):
-        # one initial ideal with every shape of quotient g/x_p: x_a gives
-        # the quotient 1; x_b^2 gives x_b, its own partner; x_c*x_d and
-        # x_c*x_e share x_c, so x_c has two partners; the cubic x_d^2*x_e
-        # gives x_d*x_e and x_d^2.  The single-variable quotients go
-        # through the support mask, the others through the guard-bit test,
-        # which the walk's state key reads off the exponent vector
+        # one initial ideal with generators of every shape: x_a is linear,
+        # x_b^2 a square, x_c*x_d and x_c*x_e share x_c, and the cubic
+        # x_d^2*x_e shares x_d and x_e with them, so the Hilbert numerator
+        # splits on shared variables and its colon ideals lose degree
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(n))
         variables = ctx.variables
         nv = len(variables)
         for seed in range(3):
             rng = random.Random(seed)
-            a, b, c, d, e = (variables[p] for p in rng.sample(range(nv), 5))
+            a, b, c, d, e = rng.sample(variables, 5)
             init = InitialIdeal(ctx, [
                 ctx.monomial(g) for g in ({a: 1}, {b: 2}, {c: 1, d: 1},
                                           {c: 1, e: 1}, {d: 2, e: 1})])
             assert len(init) == 5  # each generator is minimal
-            pairs = {(p, q) for p in range(nv) for q in range(p, nv)
-                     if rng.random() < 0.75}
-            pairs |= {(q, p) for p, q in pairs}
-            reports, directions = _walk_against_dense(ctx, gens, init, pairs,
-                                                      bound)
+            reports, directions = _against_dense(
+                ctx, gens, init, random_poset(rng, variables), bound)
             assert reports[1]["normal"] == nv - 1  # only x_a is non-normal
+            assert reports[1]["mismatches"] == [a.name]  # a chain of one
             if bound >= 4:
                 assert directions == {True, False}
 
     @pytest.mark.parametrize("ideal", ["generic", "unit"])
     @pytest.mark.parametrize("bound", [0, 1])
     def test_walk_matches_dense_brute_force_at_the_edge_bounds(self, bound, ideal):
-        # bound 0 walks nothing below the root, and bound 1 counts only the
-        # root's children, in the loop of the sentinel parent; the unit
-        # ideal makes the root itself non-normal
+        # bound 0 reads only the monomial 1, and bound 1 the variables too;
+        # the unit ideal makes the monomial 1 itself non-normal
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
         nv = len(ctx.variables)
         rng = random.Random(bound)
-        pairs = {(p, q) for p in range(nv) for q in range(p, nv)
-                 if rng.random() < 0.75}
-        pairs |= {(q, p) for p, q in pairs}
         init = (initial_ideal(is_groebner(gens)) if ideal == "generic"
                 else InitialIdeal(ctx, [ctx.one]))
-        reports, _ = _walk_against_dense(ctx, gens, init, pairs, bound)
+        reports, _ = _against_dense(ctx, gens, init,
+                                    random_poset(rng, ctx.variables), bound)
         assert [e["monomials"] for e in reports] == [1, nv][:bound + 1]
         assert reports[0]["normal"] == int(ideal == "generic")
 
@@ -667,14 +711,12 @@ class TestAxiom1:
                  ctx.polynomial(cubic)]
         assert str(mixed[0].leading_monomial()) == f"x_1_{n}*y_{n}"
         assert mixed[-1].leading_monomial().total_degree == 3
-        masks = build_poset(n).comparable_masks
-        pairs = {(p, q) for p in range(nv) for q in range(nv) if masks[p] >> q & 1}
         slices = []
         staircase = asl.staircase
         monkeypatch.setattr(asl, "staircase", lambda rows, field: (
             slices.append(staircase(rows, field)) or slices[-1]))
-        reports, _ = _walk_against_dense(ctx, GeneratorSet(ctx, mixed), init,
-                                         pairs, bound)
+        reports, _ = _against_dense(ctx, GeneratorSet(ctx, mixed), init,
+                                    build_poset(n).covers(), bound)
         dense_init = [oracles.to_dense(g, nv) for g in init]
         kinds = []
         for pivots in slices:
@@ -699,16 +741,6 @@ class TestAxiom1:
         if n == 3 and bound == 4:
             assert all(kinds[4])
 
-    def test_asymmetric_masks_raise(self):
-        # the walk reads "p is comparable to m's variables" off the AND of
-        # their masks, which needs comparability to be symmetric
-        ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
-        init = InitialIdeal(ctx, [])
-        assert _axiom1_degrees(ctx, gens, init, [0b01, 0b10], 2)[2]["standard"] == 2
-        for masks in ([0b11, 0b10], [0b01, 0b11], [-1, 0b10]):
-            with pytest.raises(ValueError, match="not symmetric"):
-                _axiom1_degrees(ctx, gens, init, masks, 2)
-
     def test_checks_the_set_its_certificate_carries(self):
         # g_1 alone is a basis, but its initial ideal leaves x_2_2*y_2
         # normal, and that monomial is not standard
@@ -724,32 +756,70 @@ class TestAxiom1:
         assert verify_axiom1(again, initial_ideal(again), poset, 2)["verdict"] == "pass"
 
     def test_unit_initial_ideal_makes_every_monomial_non_normal(self):
-        # the monomial 1 in the ideal: the walk's root is non-normal, so
-        # every standard monomial is a mismatch, the monomial 1 included
+        # the monomial 1 in the ideal: it is standard, so it is the one
+        # minimal mismatch, and standard differs from normal from degree 0
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
-        reports = _axiom1_degrees(ctx, gens, InitialIdeal(ctx, [ctx.one]),
-                                  [-1, -1], 2)
+        chain = Poset(ctx.variables, [(ctx.x(1, 1), ctx.y(1))])
+        reports = _axiom1_degrees(ctx, gens, InitialIdeal(ctx, [ctx.one]), chain, 2)
         assert [e["normal"] for e in reports] == [0, 0, 0]
-        assert [e["mismatches"] for e in reports] == [
-            ["1"], ["x_1_1", "y_1"], ["x_1_1*y_1", "x_1_1^2", "y_1^2"]]
+        assert [e["standard"] for e in reports] == [1, 2, 3]
+        assert [e["mismatches"] for e in reports] == [["1"], [], []]
+        assert [e["standard_equals_normal"] for e in reports] == [False] * 3
         assert [e["basis_check"] for e in reports] == [False, False, False]
 
-    def test_walk_memory_grows_with_its_output(self):
-        # with the unit ideal and every pair comparable, each of the
-        # C(18, 12) = 18,564 monomials of degree <= 6 in 12 variables is a
-        # mismatch, about 1.1 MiB of packed vectors and lists; kept per
-        # walk state and unfolded once, they are not held again per level
-        ctx, _ = matrix_product_ideal(MatrixPattern.generic(3))
-        init = InitialIdeal(ctx, [ctx.one])
-        tracemalloc.start()
-        try:
-            stats = _walk(ctx.order, init, [-1] * len(ctx.variables), 6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert [len(row[3]) for row in stats] == [
-            math.comb(d + 11, 11) for d in range(7)]
-        assert peak < 2 * 2**20
+    def test_cubic_generator_first_fails_at_its_own_degree(self):
+        # x_1_2^3 added to the generic initial ideal is standard (its
+        # support is one variable), so standard and normal agree up to
+        # degree 2 and differ from degree 3 on
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(2))
+        certificate = is_groebner(gens)
+        cube = ctx.monomial({ctx.x(1, 2): 3})
+        init = InitialIdeal(ctx, [*initial_ideal(certificate), cube])
+        poset = build_poset(2)
+        report = verify_axiom1(certificate, init, poset, 4)
+        assert report["verdict"] == "fail"
+        assert [e["mismatches"] for e in report["degrees"]] == [
+            [], [], [], ["x_1_2^3"], []]
+        assert [e["standard_equals_normal"] for e in report["degrees"]] == [
+            True, True, True, False, False]
+        assert [e["standard"] - e["normal"] for e in report["degrees"]] == [
+            0, 0, 0, 1, 6]
+        assert verify_axiom1(certificate, init, poset, 2)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_chain_counts_give_the_closed_form(self, n):
+        # the monomials on the poset's chains, sum_k c_k C(d-1, k-1),
+        # against inclusion-exclusion over the diagonal quadrics
+        N = n * n + n
+        chains = _chain_counts(build_poset(n), 12)
+        assert chains[:2] == [N, N * (N - 1) // 2 - n]
+        for d in range(13):
+            standard = (sum(c * math.comb(d - 1, k) for k, c in enumerate(chains))
+                        if d else 1)
+            assert standard == count_standard_monomials(n, d)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_generic_numerator_is_that_of_n_coprime_quadrics(self, n):
+        # (1 - t^2)^n, cut at the bound
+        ctx, gens = matrix_product_ideal(MatrixPattern.generic(n))
+        init = initial_ideal(is_groebner(gens))
+        bound = 2 * n + 2
+        expected = [0] * (bound + 1)
+        for k in range(n + 1):
+            expected[2 * k] = (-1) ** k * math.comb(n, k)
+        assert _hilbert_numerator(ctx.order, init.packed, bound) == expected
+        assert _hilbert_numerator(ctx.order, init.packed, 1) == [1, 0]
+
+    def test_numerator_splits_shared_variables(self):
+        # (a^2, a*b): (1 - t^2) - t^2 * K((a)) = 1 - 2t^2 + t^3, and the
+        # unit ideal's numerator is 0
+        ctx, _ = matrix_product_ideal(MatrixPattern.generic(1))
+        a, b = ctx.variables
+        init = InitialIdeal(ctx, [ctx.monomial({a: 2}), ctx.monomial({a: 1, b: 1})])
+        assert _hilbert_numerator(ctx.order, init.packed, 5) == [1, 0, -2, 1, 0, 0]
+        assert _hilbert_numerator(ctx.order, init.packed, 2) == [1, 0, -2]
+        unit = InitialIdeal(ctx, [ctx.one])
+        assert _hilbert_numerator(ctx.order, unit.packed, 3) == [0, 0, 0, 0]
 
 
 class TestAxiom2:

@@ -235,7 +235,8 @@ RECURSION_ALLOWED = {("cli.py", "_json_parts")}
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_calls_itself(path):
     # the degree bound comes from the input and --allow-large lifts it past
-    # the interpreter's recursion limit, so a walk keeps an explicit stack
+    # the interpreter's recursion limit, so the axiom-1 Hilbert numerator
+    # unfolds its colon ideals on an explicit worklist
     tree = ast.parse(path.read_text(), filename=str(path))
     recursive = [found for found in self_calls(tree)
                  if (path.name, found.split(": ")[1]) not in RECURSION_ALLOWED]
