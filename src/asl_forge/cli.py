@@ -1,22 +1,25 @@
-"""Command-line driver.
+"""The command line: parse the arguments, run one library call, emit.
 
 Subcommands map onto the library layers: ideal / gb / verify-gb /
 init-ideal expose the Groebner side, poset and std-count the
-combinatorial side, and verify emits the library's whole report.  The
-emitter writes the library's objects in a report straight to JSON.
+combinatorial side, and verify emits the library's whole report.  Each
+subparser names its handler; the three listings share one emitter, which
+writes the library's objects in a report straight to JSON.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage,
-malformed input or an unwritable output file.  Output is deterministic
-byte-for-byte for a fixed command line.
+malformed input, an unwritable output file or a closed standard stream.
+Output is deterministic byte-for-byte for a fixed command line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 from collections import namedtuple
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
 from .asl import axiom1_work, build_poset, count_standard_monomials, verify
@@ -107,6 +110,8 @@ def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif sys.stdout is None:
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
 
@@ -213,71 +218,59 @@ def _emit_json(payload: dict, cfg: RunConfig) -> None:
     _emit("".join(out), cfg)
 
 
-def cmd_ideal(cfg: RunConfig) -> int:
-    _, gens = product_generators(cfg.pattern, cfg.fieldspec)
-    if cfg.fmt == "text":
-        lines = [f"g_{k} = {g}" for k, g in enumerate(gens, start=1)]
-        _emit("\n".join(lines) + "\n", cfg)
-        return 0
-    _emit_json({
+def _header(cfg: RunConfig) -> dict:
+    """The n, pattern and field that open a pattern command's JSON report."""
+    return {
         "n": cfg.pattern.n,
         "pattern": cfg.pattern.to_json_dict(),
         "field": cfg.fieldspec.name,
-        "generators": gens,
-    }, cfg)
+    }
+
+
+def _emit_listing(cfg: RunConfig, key: str, items: list,
+                  lines: Iterable[str]) -> None:
+    """Write lines, one per item, as text, or items under key after the header."""
+    if cfg.fmt == "text":
+        _emit("\n".join(lines) + "\n", cfg)
+    else:
+        _emit_json({**_header(cfg), key: items}, cfg)
+
+
+def cmd_ideal(cfg: RunConfig) -> int:
+    _, gens = product_generators(cfg.pattern, cfg.fieldspec)
+    _emit_listing(cfg, "generators", gens,
+                  (f"g_{k} = {g}" for k, g in enumerate(gens, start=1)))
     return 0
 
 
 def cmd_gb(cfg: RunConfig) -> int:
     _, gens = matrix_product_ideal(cfg.pattern, cfg.fieldspec)
-    basis = buchberger(gens)
-    if cfg.fmt == "text":
-        lines = [f"b_{k} = {g}" for k, g in enumerate(basis, start=1)]
-        _emit("\n".join(lines) + "\n", cfg)
-        return 0
-    _emit_json({
-        "n": cfg.pattern.n,
-        "pattern": cfg.pattern.to_json_dict(),
-        "field": cfg.fieldspec.name,
-        "basis": list(basis),
-    }, cfg)
+    basis = list(buchberger(gens))
+    _emit_listing(cfg, "basis", basis,
+                  (f"b_{k} = {g}" for k, g in enumerate(basis, start=1)))
     return 0
 
 
 def cmd_verify_gb(cfg: RunConfig) -> int:
     _, gens = matrix_product_ideal(cfg.pattern, cfg.fieldspec)
     certificate = is_groebner(gens)
+    verdict = "pass" if certificate.is_basis else "fail"
     if cfg.fmt == "text":
-        verdict = "pass" if certificate.is_basis else "fail"
         lines = [f"verdict: {verdict}"]
         lines += [f"pair ({p.i}, {p.j}): {p.criterion}, "
                   f"remainder_zero={str(p.remainder_zero).lower()}"
                   for p in certificate.pairs]
         _emit("\n".join(lines) + "\n", cfg)
     else:
-        _emit_json({
-            "verdict": "pass" if certificate.is_basis else "fail",
-            "n": cfg.pattern.n,
-            "pattern": cfg.pattern.to_json_dict(),
-            "field": cfg.fieldspec.name,
-            "certificate": certificate,
-        }, cfg)
+        _emit_json({"verdict": verdict, **_header(cfg),
+                    "certificate": certificate}, cfg)
     return 0 if certificate.is_basis else 1
 
 
 def cmd_init_ideal(cfg: RunConfig) -> int:
     _, gens = matrix_product_ideal(cfg.pattern, cfg.fieldspec)
-    init = initial_ideal(is_groebner(buchberger(gens)))
-    if cfg.fmt == "text":
-        lines = [str(m) for m in init]
-        _emit("\n".join(lines) + "\n", cfg)
-        return 0
-    _emit_json({
-        "n": cfg.pattern.n,
-        "pattern": cfg.pattern.to_json_dict(),
-        "field": cfg.fieldspec.name,
-        "generators": list(init),
-    }, cfg)
+    init = list(initial_ideal(is_groebner(buchberger(gens))))
+    _emit_listing(cfg, "generators", init, (str(m) for m in init))
     return 0
 
 
@@ -327,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "of entries of X*Y")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, pattern: bool = False,
+    def common(p: argparse.ArgumentParser, handler, *, pattern: bool = False,
                degree: bool = False, formats: tuple[str, ...] = ("json", "text")):
+        p.set_defaults(run=handler)
         p.add_argument("--n", type=int, required=True, help="matrix size")
         if pattern:
             p.add_argument("--pattern", choices=("generic", "symmetric", "zero"),
@@ -348,53 +342,37 @@ def build_parser() -> argparse.ArgumentParser:
                             f"or a verify whose estimated work exceeds "
                             f"{LARGE_WORK:,}")
 
-    handlers = {}
-
     p = sub.add_parser("ideal", help="print the product generators g_1..g_n")
-    common(p, pattern=True)
-    handlers["ideal"] = cmd_ideal
+    common(p, cmd_ideal, pattern=True)
 
     p = sub.add_parser("gb", help="compute the reduced basis")
-    common(p, pattern=True)
-    handlers["gb"] = cmd_gb
+    common(p, cmd_gb, pattern=True)
 
     p = sub.add_parser("verify-gb", help="run the pair check on the generators")
-    common(p, pattern=True)
-    handlers["verify-gb"] = cmd_verify_gb
+    common(p, cmd_verify_gb, pattern=True)
 
     p = sub.add_parser("init-ideal", help="minimal generators of the initial ideal")
-    common(p, pattern=True)
-    handlers["init-ideal"] = cmd_init_ideal
+    common(p, cmd_init_ideal, pattern=True)
 
     p = sub.add_parser("std-count", help="count standard monomials by degree")
-    common(p, degree=True)
-    handlers["std-count"] = cmd_std_count
+    common(p, cmd_std_count, degree=True)
 
     p = sub.add_parser("poset", help="export the variable poset")
-    common(p, formats=("json", "dot", "text"))
-    handlers["poset"] = cmd_poset
+    common(p, cmd_poset, formats=("json", "dot", "text"))
 
     p = sub.add_parser("verify", help="full verification pipeline")
-    common(p, pattern=True, degree=True, formats=())
-    handlers["verify"] = cmd_verify
-
-    parser.set_defaults(handlers=handlers)
+    common(p, cmd_verify, pattern=True, degree=True, formats=())
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.handlers[args.command](cfg)
+        return args.run(_config_from_args(args))
     except (OSError, ValueError) as exc:
-        # unwritable --output, or a degree past the order's bound: 2, not 1
-        print(f"error: {exc}", file=sys.stderr)
+        # bad input or failed output, a closed stdout too: 2 even if stderr is closed
+        with contextlib.suppress(AttributeError, OSError):
+            sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

@@ -96,7 +96,7 @@ def multiples(ctx, reports, d):
     """The degree-d multiples of the minimal mismatches the reports list.
 
     Every mismatch is a multiple of a listed one of no larger degree, so
-    these are all the degree-d mismatches, rendered and sorted.
+    these include every degree-d mismatch; rendered and sorted.
     """
     listed = {name for entry in reports[:d + 1] for name in entry["mismatches"]}
     minimal = [m for k in range(d + 1) for m in oracles.monomials_of_degree(ctx, k)
@@ -482,24 +482,46 @@ class TestAxiom1:
         assert report["verdict"] == "fail"
         assert not report["groebner_verified"] and report["degrees"] == []
 
-    @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 3)])
-    def test_extra_relation_yields_oracle_mismatches(self, n, d):
+    @pytest.mark.parametrize("n,d,dropped",
+                             [(2, 2, False), (2, 3, False), (3, 3, False),
+                              (2, 3, True)],
+                             ids=["2-2", "2-3", "3-3", "dropped-cover-2-3"])
+    def test_extra_relation_yields_oracle_mismatches(self, n, d, dropped):
         ctx, gens = matrix_product_ideal(MatrixPattern.generic(n))
+        certificate = is_groebner(gens)
         base = build_poset(n)
-        relations = base.covers() + [(Variable.x(1, 1), Variable.y(1))]
+        if dropped:
+            # without the cover x_2_2 <= y_1 the normal x_2_2*y_1 is not standard
+            cover = (Variable.x(2, 2), Variable.y(1))
+            relations = [c for c in base.covers() if c != cover]
+        else:
+            # x_1_1 <= y_1 makes the non-normal x_1_1*y_1 standard
+            cover = (Variable.x(1, 1), Variable.y(1))
+            relations = base.covers() + [cover]
         poset = Poset(base.elements, relations)
-        reports = _axiom1_degrees(ctx, gens, initial_ideal(is_groebner(gens)),
-                                  poset, d)
+        init = initial_ideal(certificate)
+        reports = _axiom1_degrees(ctx, gens, init, poset, d)
         expected = oracles.standard_normal_mismatches(
             n, d, [(a.name, b.name) for a, b in relations])
         assert expected
         assert not reports[d]["standard_equals_normal"]
-        # the one minimal mismatch, x_1_1*y_1, and its degree-d multiples
+        # the one minimal mismatch, the cover's product, and its degree-d multiples
         assert [e["mismatches"] for e in reports] == [
-            [], [], ["x_1_1*y_1"]] + [[]] * (d - 2)
+            [], [], [f"{cover[0]}*{cover[1]}"]] + [[]] * (d - 2)
         assert [e["standard_equals_normal"] for e in reports] == [
             True, True] + [False] * (d - 1)
-        assert multiples(ctx, reports, d) == expected
+        found = multiples(ctx, reports, d)
+        if dropped:
+            # a multiple that x_1_1*y_1 or x_2_2*y_2 divides is in both ideals
+            normal = {str(m) for m in oracles.monomials_of_degree(ctx, d)
+                      if init.is_normal(m)}
+            found = [m for m in found if m in normal]
+        assert found == expected
+        axiom2 = verify_axiom2(certificate, poset)
+        assert axiom2["incomparable_as_expected"] is False
+        if dropped:
+            assert [(e["standard"], e["normal"]) for e in reports[2:]] == [
+                (18, 19), (40, 44)]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_dropped_generator_fails_basis_check(self, d):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -17,13 +18,14 @@ from hypothesis import strategies as st
 import oracles
 
 
-def run_cli(*args, threads=None, check=False, timeout=None):
+def run_cli(*args, threads=None, check=False, timeout=None, closed_fd=None):
     env = {k: v for k, v in os.environ.items() if k != "ASL_FORGE_THREADS"}
     if threads is not None:
         env["ASL_FORGE_THREADS"] = str(threads)
     proc = subprocess.run(
         [sys.executable, "-m", "asl_forge", *args],
         capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=None if closed_fd is None else functools.partial(os.close, closed_fd),
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -163,11 +165,17 @@ class TestVerify:
         assert report["sections"]["axiom1"]["status"] == "skipped"
         assert report["sections"]["initial_ideal"]["equals_diagonal_products"]
 
-    def test_output_file_matches_stdout(self, tmp_path):
-        target = tmp_path / "report.json"
-        with_file = run_cli("verify", "--n", "2", "--degree", "2",
-                            "--output", str(target), check=True)
-        plain = run_cli("verify", "--n", "2", "--degree", "2", check=True)
+    @pytest.mark.parametrize("command,fmt", [
+        ("ideal", "json"), ("ideal", "text"), ("gb", "json"), ("gb", "text"),
+        ("verify-gb", "json"), ("verify-gb", "text"), ("init-ideal", "json"),
+        ("init-ideal", "text"), ("std-count", "json"), ("std-count", "text"),
+        ("poset", "json"), ("poset", "dot"), ("poset", "text"), ("verify", None)])
+    def test_output_file_matches_stdout(self, tmp_path, command, fmt):
+        args = [command, "--n", "2"]
+        args += ["--degree", "2"] if fmt is None else ["--format", fmt]
+        target = tmp_path / "report"
+        with_file = run_cli(*args, "--output", str(target), check=True)
+        plain = run_cli(*args, check=True)
         assert target.read_text() == plain.stdout
         assert with_file.stdout == ""
 
@@ -243,6 +251,25 @@ class TestGuardsAndErrors:
         assert main(["verify", "--n", "1", "--degree", "8"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "total degree 8" in err
+
+    def test_closed_stdout_exits_2(self):
+        proc = run_cli("verify", "--n", "2", "--degree", "2", closed_fd=1)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: standard output is closed\n"
+
+    def test_closed_stderr_keeps_exit_2(self, monkeypatch):
+        # a closed descriptor 2 leaves sys.stderr None, or, when a file
+        # opened at start-up reuses it, a stream whose writes fail
+        proc = run_cli("verify", "--n", "2", "--degree", "-1", closed_fd=2)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr == ""
+        from asl_forge.cli import main
+
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(9, "Bad file descriptor")
+        monkeypatch.setattr(sys, "stderr", Unwritable())
+        assert main(["verify", "--n", "2", "--degree", "-1"]) == 2
 
     def test_zero_pattern_requires_mask(self):
         assert run_cli("ideal", "--n", "2", "--pattern", "zero").returncode == 2

@@ -1,4 +1,4 @@
-"""Byte-identity guards: sha256 digests pin the CLI's output over six grids.
+"""Byte-identity guards: sha256 digests pin the CLI's output over seven grids.
 
 In the first grid every subcommand and output format runs in process over
 the generic and the symmetric n=2 patterns and all 16 n=2 zero masks,
@@ -13,6 +13,10 @@ runs a generic `verify` above degree 2 over the same four fields, from
 n = 1 up to degree 10 to n = 5 at degree 3; it includes the benchmark's
 `verify --n 4 --degree 5`.  The sixth runs the deeper generic calls
 `verify --n 4 --degree 6` and `--n 5 --degree 5` over QQ and GF(32003).
+The seventh runs every other subcommand beyond n = 2: ideal, gb,
+verify-gb and init-ideal in both formats at n = 1 and 3 (generic,
+symmetric and four n = 3 zero masks, over QQ and GF(3)), std-count at
+n = 1 and 3 for degrees 0..4, and poset at n = 1, 3 and 4 in all formats.
 Each digest covers every call's argv, exit code and stdout, so any change
 to a report, a rendering or an exit code shows up here.  A change that
 alters output on purpose must say so and record the new digest.
@@ -34,6 +38,7 @@ N4_MASKS_SHA256 = "1cd181663b63898f20e4441c154eef192b6aff8c75779b9f8b787eda92854
 GENERIC_SHA256 = "cb0f1c0a83145ed2236a42a6fd58c475bef4610d70aa3a11cb209037bad1b4f6"
 AXIOM1_SHA256 = "dcde14bf8c6430927e02e2deee30e35a54b5fbfd2ecfbd14ce876ee55ece6812"
 DEEP_SHA256 = "4b1c342b9aca40195680c200e3d3b5491b97d2bafe2853c182b83f1a22ee02b6"
+SUBCOMMANDS_SHA256 = "2c35151e740bee478ef828b393e51f97a4fd7088e0678bdf4cfab1c73b0ba7d5"
 
 PATTERN_COMMANDS = [("ideal", "json"), ("ideal", "text"), ("gb", "json"),
                     ("gb", "text"), ("verify-gb", "json"), ("verify-gb", "text"),
@@ -104,6 +109,31 @@ def deep_grid():
                    "--degree", str(degree)]
 
 
+N3_MASKS = [[[1, 1, 0], [0, 0, 1], [1, 1, 1]], [[0, 1, 1], [1, 0, 1], [1, 1, 1]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 0], [1, 1, 1], [1, 0, 1]]]
+
+
+def subcommands_grid():
+    for field in ("rationals", "gf(3)"):
+        for n in (1, 3):
+            patterns = [["--pattern", "generic"], ["--pattern", "symmetric"]]
+            if n == 3:
+                patterns += [["--pattern", "zero", "--mask", json.dumps(mask)]
+                             for mask in N3_MASKS]
+            for pattern in patterns:
+                for command, fmt in PATTERN_COMMANDS[:-1]:  # all but verify
+                    yield [command, "--n", str(n), *pattern, "--field", field,
+                           "--format", fmt]
+    for n in (1, 3):
+        for degree in range(5):
+            for fmt in ("json", "text"):
+                yield ["std-count", "--n", str(n), "--degree", str(degree),
+                       "--format", fmt]
+    for n in (1, 3, 4):
+        for fmt in ("json", "dot", "text"):
+            yield ["poset", "--n", str(n), "--format", fmt]
+
+
 def run_grid(argvs):
     """(sha256 hex digest over the calls, number of calls, seconds)."""
     start = time.perf_counter()
@@ -158,4 +188,11 @@ def test_deep_generic_axiom1_reports_are_pinned():
     digest, calls, elapsed = run_grid(deep_grid())
     assert calls == 4
     assert digest == DEEP_SHA256
+    assert elapsed < 3.0, f"grid took {elapsed:.2f} s"
+
+
+def test_every_subcommand_beyond_n2_is_pinned():
+    digest, calls, elapsed = run_grid(subcommands_grid())
+    assert calls == 157
+    assert digest == SUBCOMMANDS_SHA256
     assert elapsed < 3.0, f"grid took {elapsed:.2f} s"
