@@ -69,8 +69,8 @@ def _divisor_entry(ctx: RingContext, g: Polynomial) -> tuple:
     """Check a divisor and return its division entry.
 
     The entry is (lc, leading heap key, leading packed exponents, tail),
-    where the tail holds (coefficient, heap key) for each term after the
-    leading one.
+    where lc is None for the field's one, and the tail holds (coefficient,
+    heap key) for each term after the leading one.
     """
     if g.ctx is not ctx and g.ctx != ctx:
         raise ContextMismatchError("divisor from a different ring context")
@@ -79,25 +79,8 @@ def _divisor_entry(ctx: RingContext, g: Polynomial) -> tuple:
     key = ctx.order.heap_key
     lc, lm = g.terms[0]
     lkey = key(lm)
-    return (lc, lkey, ctx.order.packed(lkey),
+    return (None if lc == ctx.field.one else lc, lkey, ctx.order.packed(lkey),
             tuple((tc, key(tm)) for tc, tm in g.terms[1:]))
-
-
-def _subtract_tail(work: dict, heap: list, tail: tuple, coeff, qkey: int) -> None:
-    """work -= coeff * q * tail, for the monomial q with heap key qkey.
-
-    Heap keys add under multiplication.  A product new to ``work`` is
-    pushed on the heap; one already there only has its coefficient
-    changed, even to zero, so each monomial enters the heap once.
-    """
-    for tc, tkey in tail:
-        k = tkey + qkey
-        prev = work.get(k)
-        if prev is None:
-            work[k] = -(tc * coeff)
-            heappush(heap, k)
-        else:
-            work[k] = prev - tc * coeff
 
 
 def _division(ctx: RingContext, table: list[tuple], work: dict, heap: list,
@@ -106,16 +89,15 @@ def _division(ctx: RingContext, table: list[tuple], work: dict, heap: list,
 
     The working polynomial is a dict of coefficients keyed by heap key
     plus a heap of those keys (heap division, Monagan and Pearce, CASC
-    2007).  Each step takes the largest working term and cancels the
-    tail of the first divisor, in list order, whose leading monomial
-    divides it (guard-bit test on packed exponents), or moves it to the
-    remainder as the Monomial in ``known`` under its key, or else decoded.
-    A product whose degree reaches the order's bound raises ValueError.
+    2007).  Each step takes the largest working term and either cancels it
+    by the first divisor, in list order, whose leading monomial divides it
+    (guard-bit test on packed exponents), or moves it to the remainder as
+    the Monomial in ``known`` under its key, or else decoded.  Only a
+    product new to ``work`` is pushed, so each key enters the heap once; a
+    product whose degree reaches the order's bound raises ValueError.
     """
-    order = ctx.order
-    div = ctx.field.div
-    guard = order.guard
-    s = order.tail_bits
+    order, div = ctx.order, ctx.field.div
+    guard, s = order.guard, order.tail_bits
     remainder = []
     while heap:
         k = heappop(heap)
@@ -128,7 +110,17 @@ def _division(ctx: RingContext, table: list[tuple], work: dict, heap: list,
         e |= guard
         for lc, lkey, lexp, tail in table:
             if (e - lexp) & guard == guard:
-                _subtract_tail(work, heap, tail, div(c, lc), k - lkey)
+                if lc is not None:
+                    c = div(c, lc)
+                q = k - lkey
+                for tc, tkey in tail:
+                    t = tkey + q
+                    prev = work.get(t)
+                    if prev is None:
+                        work[t] = -(tc * c)
+                        heappush(heap, t)
+                    else:
+                        work[t] = prev - tc * c
                 break
         else:
             m = known.get(k)
@@ -167,11 +159,14 @@ def _pair_remainder(ctx: RingContext, table: list[tuple], a: int, b: int,
     """
     field = ctx.field
     lcm_key = ctx.order.packed(lcm)  # packed is its own inverse
-    work, heap = {}, []
+    work = {}
     for k, sign in ((a, -field.one), (b, field.one)):
         lc, lkey, _, tail = table[k]
-        _subtract_tail(work, heap, tail, field.div(sign, lc), lcm_key - lkey)
-    return _division(ctx, table, work, heap, {})
+        c = sign if lc is None else field.div(sign, lc)
+        for tc, tkey in tail:
+            t = tkey + lcm_key - lkey
+            work[t] = work.get(t, field.zero) - tc * c
+    return _division(ctx, table, work, sorted(work), {})  # sorted is a heap
 
 
 def _reduced_basis(ctx: RingContext, basis: list[Polynomial],
@@ -179,20 +174,39 @@ def _reduced_basis(ctx: RingContext, basis: list[Polynomial],
     """The reduced Groebner basis of a Groebner basis with division table ``table``.
 
     An element is dropped when another's leading monomial divides its own
-    (of equal ones, the first is kept).  Each survivor's tail is reduced
-    once by the other survivors, which keeps its leading monomial, and
-    the result is made monic; the divisor order does not matter, since
-    the reduced basis is unique.  Sorted by descending leading monomial.
-    On a set that is not a Groebner basis this could change the ideal.
+    (of equal ones, the first is kept).  A survivor whose tail a leading
+    monomial divides (a dropped one's is a multiple of a survivor's) is
+    reduced once by the other survivors, which keeps its leading monomial,
+    in any divisor order, since the reduced basis is unique.  Each is made
+    monic; sorted by descending leading monomial.  On a set that is not a
+    Groebner basis this could change the ideal.
     """
-    guard = ctx.order.guard
-    keep = sorted((k for k, (_, lkey, lexp, _) in enumerate(table)
-                   if not any(((lexp | guard) - d[2]) & guard == guard
-                              and (d[1] != lkey or j < k)
-                              for j, d in enumerate(table) if j != k)),
-                  key=lambda k: table[k][1])
-    return [_remainder(ctx, [table[j] for j in keep if j != k], basis[k]).monic()
-            for k in keep]
+    guard, s = ctx.order.guard, ctx.order.tail_bits
+    leads = [entry[2] for entry in table]
+    keep = []
+    for k, lexp in enumerate(leads):
+        e = lexp | guard
+        for j, d in enumerate(leads):  # j == k has d == lexp and fails
+            if (e - d) & guard == guard and (d != lexp or j < k):
+                break
+        else:
+            keep.append(k)
+    keep.sort(key=lambda k: table[k][1])
+    reduced = []
+    for k in keep:
+        for _, t in table[k][3]:
+            e = (t - ((t >> s) << (s + 1))) | guard  # order.packed(t), inlined
+            for d in leads:
+                if (e - d) & guard == guard:
+                    break
+            else:
+                continue
+            reduced.append(_remainder(ctx, [table[j] for j in keep if j != k],
+                                      basis[k]).monic())
+            break
+        else:
+            reduced.append(basis[k].monic())
+    return reduced
 
 
 class SPairRecord(namedtuple("SPairRecord", "i j criterion remainder_zero")):
@@ -234,16 +248,17 @@ def is_groebner(gens: GeneratorSet) -> GroebnerCertificate:
     leads = [entry[2] for entry in table]
     supports = [order.support(e) for e in leads]
     records: list[SPairRecord] = []
+    record = tuple.__new__  # SPairRecord's own __new__ is a Python call
     ok = True
     for a in range(len(polys)):
         for b in range(a + 1, len(polys)):
             if not supports[a] & supports[b]:
-                records.append(SPairRecord(a, b, "coprime", True))
+                records.append(record(SPairRecord, (a, b, "coprime", True)))
                 continue
             lcm = order.lcm(leads[a], leads[b])
             zero = not _pair_remainder(ctx, table, a, b, lcm)
             ok = ok and zero
-            records.append(SPairRecord(a, b, "reduced", zero))
+            records.append(record(SPairRecord, (a, b, "reduced", zero)))
     return GroebnerCertificate(ok, tuple(records), gens)
 
 
@@ -263,27 +278,43 @@ def _add_with_pairs(order: MonomialOrder, table: list[tuple], pairs: dict,
     Moeller (J. Symb. Comput. 6, 1988) as given by Becker and Weispfenning,
     "Groebner Bases" (1993).
     """
-    t = len(table)
-    guard = order.guard
-    lh = entry[2]
-    support = order.support(lh)
-    lcms = [order.lcm(lh, g[2]) for g in table]
-    coprime = [not support & order.support(g[2]) for g in table]
-    undecided = list(range(t))
+    t, guard, lh = len(table), order.guard, entry[2]
+    w, s = order.field_bits, order.tail_bits
+    mask, ones = (1 << w) - 1, guard >> (w - 1)  # ones: 1 in each field
+    top, tail_fields = w * len(order.weights), ~(mask << s)
+    lcms, coprime = [], []
+    for _, _, lg, _ in table:  # order.lcm(lh, lg), inlined
+        ge = ((lh | guard) - lg) & guard
+        ge -= ge >> (w - 1)
+        e = (lh & ge | lg & ~ge) & tail_fields
+        degree = e * ones >> top & mask
+        if degree >> (w - 1):
+            order.check_degree(degree)
+        L = e | degree << s
+        lcms.append(L)
+        coprime.append(L == lh + lg)  # field-wise max equals sum
     kept: list[int] = []
-    while undecided:
-        k = undecided.pop(0)
-        multiple = lcms[k] | guard
-        if coprime[k] or not any((multiple - lcms[j]) & guard == guard
-                                 for j in undecided + kept):
+    for k, L in enumerate(lcms):
+        if coprime[k]:
             kept.append(k)
+            continue
+        multiple = L | guard
+        for j in kept:  # the kept pairs, then the undecided ones
+            if (multiple - lcms[j]) & guard == guard:
+                break
+        else:
+            for M in lcms[k + 1:]:
+                if (multiple - M) & guard == guard:
+                    break
+            else:
+                kept.append(k)
     for (a, b), L in list(pairs.items()):
         if ((L | guard) - lh) & guard == guard and lcms[a] != L and lcms[b] != L:
             del pairs[a, b]
     for k in kept:
         if not coprime[k]:
-            pairs[k, t] = lcms[k]
-            heappush(queue, (order.degree(lcms[k]), k, t))
+            L = pairs[k, t] = lcms[k]
+            heappush(queue, (L >> s & mask, k, t))
     table.append(entry)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import weakref
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
+from functools import lru_cache
 
 
 class ContextMismatchError(ValueError):
@@ -43,6 +44,9 @@ class Variable(namedtuple("Variable", "kind i j")):
     def __new__(cls, kind: str, i: int | None, j: int):
         if kind not in ("x", "y"):
             raise ValueError(f"variable kind must be 'x' or 'y', got {kind!r}")
+        # True == 1 == 1.0, yet x_True_2 and x_1.0_2 print apart (so typed interning)
+        if type(j) is not int or (i is not None and type(i) is not int):
+            raise ValueError("variable indices must be ints")
         if kind == "x" and (i is None or i < 1 or j < 1):
             raise ValueError("x variables need row and column indices >= 1")
         if kind == "y" and (i is not None or j < 1):
@@ -50,10 +54,12 @@ class Variable(namedtuple("Variable", "kind i j")):
         return tuple.__new__(cls, (kind, i, j))
 
     @staticmethod
+    @lru_cache(maxsize=None, typed=True)
     def x(i: int, j: int) -> "Variable":
         return Variable("x", i, j)
 
     @staticmethod
+    @lru_cache(maxsize=None, typed=True)
     def y(j: int) -> "Variable":
         return Variable("y", None, j)
 
@@ -420,17 +426,18 @@ class MonomialOrder:
     def __init__(self, ctx: RingContext):
         self._ctx = weakref.ref(ctx)
         w = self.field_bits = EXPONENT_BITS
-        nv = len(ctx.variables)
-        diagonal = [p for p, v in enumerate(ctx.variables) if v.is_diagonal]
-        tail = [p for p in range(nv) if p not in diagonal]
-        s = self.tail_bits = w * len(tail)
+        diagonal = [v.is_diagonal for v in ctx.variables]
+        nv = len(diagonal)
+        s = self.tail_bits = w * (nv - sum(diagonal))
         # diagonal fields above the degree field at bit s, tail fields below
-        shift = {p: w * (nv - k) for k, p in enumerate(diagonal)}
-        shift.update((p, s - w * (k + 1)) for k, p in enumerate(tail))
-        self.weights = tuple((-1 if p in diagonal else 1) * (1 << shift[p])
-                             - (1 << s) for p in range(nv))
-        self._position = {f + w: p for p, f in shift.items()}  # by guard bit
-        self._ones = sum(1 << (w * k) for k in range(nv + 1))
+        weights, self._position, d = [], {}, 0  # d: diagonal variables up to p
+        for p, is_diagonal in enumerate(diagonal):
+            d += is_diagonal
+            f = w * (nv + 1 - d) if is_diagonal else s - w * (p + 1 - d)
+            weights.append((-(1 << f) if is_diagonal else 1 << f) - (1 << s))
+            self._position[f + w] = p  # by guard bit
+        self.weights = tuple(weights)
+        self._ones = ((1 << w * (nv + 1)) - 1) // ((1 << w) - 1)  # 1 in each field
         self.guard = self._ones << (w - 1)
         self._low = (self.guard - self._ones) & ~(((1 << w) - 1) << s)
 
@@ -471,21 +478,22 @@ class MonomialOrder:
         e = (a & ge | b & ~ge) & ~(mask << s)
         # field nv of e * ones sums all fields: the degree, below 2**w
         degree = e * self._ones >> (w * len(self.weights)) & mask
-        self.check_degree(degree)
+        if degree >> (w - 1):
+            self.check_degree(degree)
         return e | degree << s
 
     def monomial(self, key: int) -> Monomial:
         """The monomial with this heap key."""
-        e = self.packed(key)
-        w = self.field_bits
+        w, s, mask = self.field_bits, self.tail_bits, (1 << self.field_bits) - 1
+        e = key - ((key >> s) << (s + 1))  # self.packed(key), inlined
         exps = []
-        support = self.support(e)
+        support = (e + self._low) & self.guard
         while support:
             top = support.bit_length()
-            exps.append((self._position[top], e >> (top - w) & ((1 << w) - 1)))
+            exps.append((self._position[top], e >> (top - w) & mask))
             support ^= 1 << (top - 1)
         exps.sort()
-        m = Monomial(self._ctx(), tuple(exps), self.degree(e))
+        m = Monomial(self._ctx(), tuple(exps), e >> s & mask)
         m._hkey = key
         return m
 

@@ -1,5 +1,6 @@
 """Division, S-pairs, Buchberger, certificates, initial ideals."""
 
+import hashlib
 import math
 import random
 import re
@@ -27,6 +28,7 @@ from asl_forge import (
     matrix_product_ideal,
     reduce,
 )
+from asl_forge import groebner
 from asl_forge.groebner import _divisor_entry, _pair_remainder
 from asl_forge.poly_core import EXPONENT_BITS
 
@@ -207,6 +209,69 @@ class TestDivisionAgainstOracle:
         g2 = poly(ctx, (1, {y: 2}), (-1, {}))
         assert reduce(f, [g1, g2]) == poly(ctx, (1, {x: 1}), (1, {y: 1}), (1, {}))
         assert reduce(f, [g2, g1]) == poly(ctx, (2, {x: 1}), (1, {}))
+
+
+def random_poly(ctx, rng, terms, lead=None):
+    """Up to `terms` random terms of degree <= 3; `lead` replaces the
+    leading coefficient of a nonzero result."""
+    acc = {}
+    for _ in range(terms):
+        m = ctx.monomial({v: rng.randint(1, 2)
+                          for v in rng.sample(ctx.variables, rng.randint(0, 2))})
+        acc[m] = acc.get(m, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+    f = ctx.polynomial(acc)
+    if lead is None or not f:
+        return f
+    return Polynomial(ctx, ((ctx.field.coerce(lead), f.terms[0][1]),) + f.terms[1:])
+
+
+def lifted(ctx, f):
+    """Dense form of f; a GF(p) coefficient is lifted to its residue."""
+    nv = len(ctx.variables)
+    return {oracles.to_dense(m, nv): Fraction(getattr(c, "residue", c))
+            for c, m in f.terms}
+
+
+def image(field, dense):
+    """A dense QQ result of lifted inputs, mapped into the field.
+
+    Over GF(p) each coefficient is reduced mod p, which commutes with the
+    division as long as every denominator is a unit mod p.
+    """
+    if field.p is None:
+        return dense
+    residues = {m: c.numerator * pow(c.denominator, -1, field.p) % field.p
+                for m, c in dense.items()}
+    return {m: Fraction(r) for m, r in residues.items() if r}
+
+
+class TestNonUnitLeadingCoefficients:
+    # the division skips dividing by a leading coefficient only when it is
+    # the field's one; a lead of 2 or -3 (4 over GF(7)) must still divide
+    @pytest.mark.parametrize("field", [CoefficientField.rationals(),
+                                       CoefficientField.prime(7)],
+                             ids=lambda f: f.name)
+    def test_reduce_and_pair_checks_match_oracle(self, field):
+        ctx = RingContext(2, field=field)
+        rng = random.Random(7)
+        for _ in range(60):
+            # mixed leads, so that no pair's S-polynomial is only rescaled
+            divisors = [g for g in (random_poly(ctx, rng, 3, rng.choice([2, -3]))
+                                    for _ in range(rng.randint(1, 3))) if g]
+            if not divisors:
+                continue
+            dense = [lifted(ctx, g) for g in divisors]
+            f = random_poly(ctx, rng, 5)
+            _, want = oracles.dense_divide(ctx, lifted(ctx, f), dense)
+            assert lifted(ctx, reduce(f, divisors)) == image(field, want)
+            cert = is_groebner(GeneratorSet(ctx, divisors))
+            for rec in cert.pairs:
+                if rec.criterion == "reduced":
+                    _, r = oracles.dense_divide(ctx, oracles.dense_s_polynomial(
+                        ctx, dense[rec.i], dense[rec.j]), dense)
+                    assert rec.remainder_zero == (not image(field, r))
+                    assert lifted(ctx, pair_remainder(divisors, rec.i, rec.j)) \
+                        == image(field, r)
 
 
 class TestSPolynomial:
@@ -430,13 +495,35 @@ def test_pair_criteria_edge_cases(texts):
     assert dense_set(_RING2, basis) == oracles.reduced_groebner_basis(_RING2, polys)
 
 
+def every_mask(n):
+    for bits in product((0, 1), repeat=n * n):
+        yield [list(bits[i * n:(i + 1) * n]) for i in range(n)]
+
+
+@pytest.fixture
+def divided(monkeypatch):
+    """The polynomials groebner._remainder divides while the test runs.
+
+    Within buchberger only the final reduced-basis pass calls it.
+    """
+    calls = []
+    remainder = groebner._remainder
+
+    def spy(ctx, table, f):
+        calls.append(f)
+        return remainder(ctx, table, f)
+
+    monkeypatch.setattr(groebner, "_remainder", spy)
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_pair_criteria_sound_on_every_mask(n):
+def test_pair_criteria_sound_on_every_mask(n, divided):
     # buchberger drops pairs by the Gebauer-Moeller criteria; a reference
     # completion that reduces every pair must reach the same reduced basis,
-    # and the certificate must still check every pair
-    for bits in product((0, 1), repeat=n * n):
-        mask = [list(bits[i * n:(i + 1) * n]) for i in range(n)]
+    # and the certificate must still check every pair.  The completed
+    # tails are already reduced, so the final pass divides nothing
+    for mask in every_mask(n):
         ctx, gens = matrix_product_ideal(MatrixPattern.zero_pattern(mask))
         basis = buchberger(gens)
         assert dense_set(ctx, basis) == oracles.reduced_groebner_basis(ctx, gens), mask
@@ -446,6 +533,58 @@ def test_pair_criteria_sound_on_every_mask(n):
         for rec in cert.pairs:
             coprime = oracles.coprime(leads[rec.i], leads[rec.j])
             assert rec.criterion == ("coprime" if coprime else "reduced")
+    assert divided == []
+
+
+def test_completion_reduces_the_pinned_pair_sequence(monkeypatch):
+    # the work, not only the result: the (a, b) pairs buchberger hands to
+    # the pair reduction, in order, over every n=3 mask and two fields.
+    # The digest was recorded with the list-rebuilding update that the
+    # index loops replaced; a change to the criteria or the order moves it
+    calls = []
+
+    def spy(ctx, table, a, b, lcm):
+        calls.append((a, b))
+        return _pair_remainder(ctx, table, a, b, lcm)
+
+    monkeypatch.setattr(groebner, "_pair_remainder", spy)
+    lines = []
+    for field in (CoefficientField.rationals(), CoefficientField.prime(3)):
+        for mask in every_mask(3):
+            start = len(calls)
+            buchberger(matrix_product_ideal(MatrixPattern.zero_pattern(mask), field)[1])
+            lines.append(f"{field.name} {mask} {calls[start:]}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(calls), digest) == (
+        1786, "1a0586eab3989fd75b4c9faed4969abcb49511e7d6c51d1b3034b9204ba8e4e4")
+
+
+class TestReducedBasisPass:
+    # the final pass divides only a survivor whose tail a leading monomial
+    # divides; every other survivor is kept as it is, made monic
+    def test_reducible_tail_is_divided(self, divided):
+        # coprime leads, so no pair is reduced: only the pass can take the
+        # y_1 out of the first element's tail
+        ctx, _ = generic(2)
+        f = poly(ctx, (2, {ctx.x(1, 1): 1}), (2, {ctx.y(1): 1}))
+        g = poly(ctx, (-3, {ctx.y(1): 1}), (1, {ctx.x(1, 2): 1}))
+        basis = buchberger(GeneratorSet(ctx, [f, g]))
+        assert divided == [f]
+        assert list(basis) == [poly(ctx, (1, {ctx.x(1, 1): 1}),
+                                    (Fraction(1, 3), {ctx.x(1, 2): 1})),
+                               g.monic()]
+        assert dense_set(ctx, basis) == oracles.reduced_groebner_basis(ctx, [f, g])
+
+    def test_repeated_lead_is_dropped(self, divided):
+        # the second element repeats the first's lead and is dropped; the
+        # survivors' tails are irreducible, so nothing is divided
+        ctx, _ = generic(2)
+        f = poly(ctx, (1, {ctx.x(1, 1): 1}))
+        g = poly(ctx, (2, {ctx.x(1, 1): 1}), (2, {ctx.y(1): 1}))
+        basis = buchberger(GeneratorSet(ctx, [f, g]))
+        assert divided == []
+        assert list(basis) == [f, poly(ctx, (1, {ctx.y(1): 1}))]
+        assert dense_set(ctx, basis) == oracles.reduced_groebner_basis(ctx, [f, g])
 
 
 class TestCertificates:

@@ -1,6 +1,7 @@
 """Kernel tests: the block order, exact arithmetic, JSON round-trips."""
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 from functools import cmp_to_key
@@ -23,7 +24,20 @@ from asl_forge import (
 )
 from asl_forge.poly_core import EXPONENT_BITS, PRIME_BOUND, _is_prime
 
-CONTEXTS = [RingContext(n) for n in range(1, 5)]
+
+def mask_ring(n, rng):
+    """The ring of a random zero mask: each entry kept with probability 1/2.
+
+    Its diagonal and off-diagonal variables interleave in the layout, and
+    some diagonal variables are missing, as in the rings masks build.
+    """
+    return RingContext(n, [Variable.x(i, j) for i in range(1, n + 1)
+                           for j in range(1, n + 1) if rng.random() < 0.5])
+
+
+_MASK_RNG = random.Random(30)
+MASK_CONTEXTS = [mask_ring(n, _MASK_RNG) for n in range(1, 7) for _ in range(3)]
+CONTEXTS = [RingContext(n) for n in range(1, 5)] + MASK_CONTEXTS
 
 
 def oracle_key(ctx):
@@ -170,6 +184,19 @@ class TestOrderConditions:
     def test_agrees_with_scan_oracle(self, data):
         ctx, a, b = data
         assert ctx.order.compare(a, b) == oracles.block_compare(ctx, a, b)
+
+    @pytest.mark.parametrize("ctx", MASK_CONTEXTS,
+                             ids=lambda c: f"n{c.n}-{len(c.variables)}vars")
+    def test_mask_rings_sort_like_the_scan_oracle(self, ctx):
+        # the rings zero masks build, which full rings do not cover: heap
+        # keys sort like the scan comparator, and each key decodes back
+        rng = random.Random(len(ctx.variables))
+        ms = list({mono(ctx, [rng.randrange(40) for _ in range(rng.randint(0, 6))])
+                   for _ in range(80)})
+        by_key = sorted(ms, key=ctx.order.heap_key)
+        assert by_key == sorted(ms, key=oracle_key(ctx), reverse=True)
+        for m in ms:
+            assert ctx.order.monomial(ctx.order.heap_key(m)) == m
 
 
 def packed(m):
@@ -554,6 +581,27 @@ class TestValueTypes:
         with pytest.raises(ValueError) as info:
             Variable(*args)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("i,j", [(True, 2), (1.0, 2), (1, True), (2, 1.0),
+                                     ("1", 2)])
+    def test_variable_indices_must_be_ints(self, i, j):
+        # True == 1 and 1.0 == 1: a value check alone made x_True_2 equal
+        # to x_1_2, hashed alike, yet printed apart.  Interning keys on the
+        # argument types too, so an interned x_1_2 is no way around it
+        assert Variable.x(1, 2) is Variable.x(1, 2)
+        with pytest.raises(ValueError, match="^variable indices must be ints$"):
+            Variable.x(i, j)
+        with pytest.raises(ValueError, match="^variable indices must be ints$"):
+            Variable("x", i, j)
+        with pytest.raises(ValueError, match="^variable indices must be ints$"):
+            Variable.y(j if type(j) is not int else i)
+        assert Variable.x(1, 2).name == "x_1_2" and Variable.y(2).name == "y_2"
+
+    def test_ring_lists_no_bool_index(self):
+        with pytest.raises(ValueError, match="indices must be ints"):
+            RingContext(2, [Variable.x(True, 1), Variable.x(2, 2)])
+        ctx = RingContext(2, [Variable.x(1, 1), Variable.x(2, 2)])
+        assert repr(ctx) == "RingContext(n=2, x=[x_1_1, x_2_2], field=QQ)"
 
     def test_fp_element(self):
         a = FpElement(2, 7)
