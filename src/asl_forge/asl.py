@@ -17,10 +17,11 @@ statements at bounded degree:
            so its factors sort into an ascending chain, and each chain's
            least factor sits below both alpha and beta.
 
-"Standard" is one test for both axioms: a monomial's support against the
-poset's comparability bitmasks, which the poset builds once, in its
-constructor, along with its up-sets.  Both checks take the poset itself,
-whose elements must be the ring's variables in layout order.
+"Standard" is one test for both axioms, ``_is_chain``: a monomial's
+support against the poset's comparability bitmasks, which the poset
+builds once, in its constructor, along with its up- and down-sets.  Both
+checks take the poset itself, whose elements must be the ring's
+variables in layout order.
 
 Both checkers return plain-dict reports with a top-level "verdict",
 suitable for direct JSON serialization.  ``verify`` runs the whole
@@ -74,6 +75,8 @@ def build_poset(n: int) -> Poset:
     For n = 1 every family is empty and the result is the antichain
     {x_1_1, y_1}.
     """
+    if type(n) is not int:
+        raise ValueError(f"matrix size n must be an int, not {n!r}")
     if n < 1:
         raise ValueError("matrix size n must be >= 1")
     elements = [Variable.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -121,8 +124,12 @@ def count_standard_monomials(n: int, d: int) -> int:
 
         sum_k (-1)^k C(n, k) C(d - 2k + N - 1, N - 1).
     """
+    if type(n) is not int:
+        raise ValueError(f"matrix size n must be an int, not {n!r}")
     if n < 1:
         raise ValueError("matrix size n must be >= 1")
+    if type(d) is not int:
+        raise ValueError(f"degree must be an int, not {d!r}")
     if d < 0:
         return 0
     N = n * n + n
@@ -148,6 +155,15 @@ def axiom1_work(n: int, degree_bound: int) -> int:
                for d in range(degree_bound + 1))
 
 
+def _is_chain(comparable, exps) -> bool:
+    """True when the positions in ``exps`` are pairwise comparable."""
+    support, allowed = 0, -1
+    for p, _ in exps:
+        support |= 1 << p
+        allowed &= comparable[p]
+    return support & allowed == support
+
+
 def _chain_counts(poset: Poset, bound: int) -> list[int]:
     """c_1, c_2, ...: the numbers of chains of the poset, by size, to the bound.
 
@@ -156,7 +172,7 @@ def _chain_counts(poset: Poset, bound: int) -> list[int]:
     strict down-set: bit plane by bit plane, as popcounts of the down-set
     against the elements whose count has that bit set.
     """
-    below = [m & ~u for m, u in zip(poset.comparable_masks, poset.up)]
+    below = [d ^ 1 << v for v, d in enumerate(poset.down)]  # strict down-sets
     tops = [1] * len(below)
     counts = []
     for k in range(bound):
@@ -280,8 +296,7 @@ def _axiom1_degrees(ctx: RingContext, gens: GeneratorSet, init: InitialIdeal,
     chains = _chain_counts(poset, degree_bound)
     numerator = _hilbert_numerator(order, divisors, degree_bound)
     comparable = poset.comparable_masks
-    mismatches = [g for g in init if all(
-        comparable[p] >> q & 1 for p, _ in g.exps for q, _ in g.exps)]
+    mismatches = [g for g in init if _is_chain(comparable, g.exps)]
     mismatches += [m for m in (ctx.monomial({a: 1, b: 1})
                                for a, b in poset.incomparable_pairs())
                    if init.is_normal(m)]
@@ -331,6 +346,8 @@ def verify_axiom1(certificate: GroebnerCertificate, init: InitialIdeal | None,
     set, so the standard residues are linearly independent and spanning.
     A poset on other elements than the ring's variables raises ValueError.
     """
+    if type(degree_bound) is not int:
+        raise ValueError(f"degree bound must be an int, not {degree_bound!r}")
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     gens = certificate.basis
@@ -384,11 +401,7 @@ def verify_axiom2(certificate: GroebnerCertificate, poset: Poset) -> dict:
         expansion = []
         non_standard = None
         for c, m in reduce(product, gens).terms:
-            support, allowed = 0, -1
-            for p, _ in m.exps:
-                support |= 1 << p
-                allowed &= comparable[p]
-            if support & allowed != support:
+            if not _is_chain(comparable, m.exps):
                 non_standard = m
                 break
             factors = sorted(m.exps, key=lambda f: -above[f[0]])
@@ -450,6 +463,8 @@ def verify(pattern: MatrixPattern, degree: int,
     skipped.  Certificates, bases, pairs and initial-ideal generators are
     library objects, not dicts.
     """
+    if type(degree) is not int:  # True == 1, yet "degree_bound": true is no bound
+        raise ValueError(f"degree bound must be an int, not {degree!r}")
     if degree < 0:
         raise ValueError("degree bound must be >= 0")
     ctx, gens = matrix_product_ideal(pattern, field)

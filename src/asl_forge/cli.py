@@ -38,8 +38,7 @@ LARGE_DEGREE = 8
 LARGE_WORK = 2_000_000
 
 
-class RunConfig(namedtuple("RunConfig", "pattern degree fieldspec fmt output",
-                           defaults=(4, CoefficientField.rationals(), "json", None))):
+class RunConfig(namedtuple("RunConfig", "pattern degree fieldspec fmt output")):
     """One command's pattern, degree bound, field, format and output path."""
 
     __slots__ = ()
@@ -58,8 +57,7 @@ def parse_field(text: str) -> CoefficientField:
 
 
 def _pattern_from_args(args: argparse.Namespace) -> MatrixPattern:
-    kind = getattr(args, "pattern", "generic")
-    mask_text = getattr(args, "mask", None)
+    kind, mask_text = args.pattern, args.mask
     if kind == "zero":
         if mask_text is None:
             raise ValueError("--pattern zero requires --mask")
@@ -80,7 +78,7 @@ def _pattern_from_args(args: argparse.Namespace) -> MatrixPattern:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    degree = getattr(args, "degree", 4)
+    degree = args.degree
     if degree < 0:
         raise ValueError("--degree must be >= 0")
     if (args.n > LARGE_N or degree > LARGE_DEGREE) and not args.allow_large:
@@ -100,8 +98,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         pattern=pattern,
         degree=degree,
-        fieldspec=parse_field(getattr(args, "field", "rationals")),
-        fmt=getattr(args, "format", "json"),
+        fieldspec=parse_field(args.field),
+        fmt=args.format,
         output=args.output,
     )
 
@@ -322,20 +320,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, handler, *, pattern: bool = False,
                degree: bool = False, formats: tuple[str, ...] = ("json", "text")):
-        p.set_defaults(run=handler)
+        # every dest once: a command without the option reads its default
+        p.set_defaults(run=handler, pattern="generic", mask=None, field="rationals",
+                       degree=4, format="json")
         p.add_argument("--n", type=int, required=True, help="matrix size")
         if pattern:
-            p.add_argument("--pattern", choices=("generic", "symmetric", "zero"),
-                           default="generic")
+            p.add_argument("--pattern", choices=("generic", "symmetric", "zero"))
             p.add_argument("--mask", help="JSON n-by-n 0/1 (or boolean) matrix; "
                                           "0 entries of X are forced to zero")
-            p.add_argument("--field", default="rationals",
-                           help="rationals (default) or gf(p)")
+            p.add_argument("--field", help="rationals (default) or gf(p)")
         if degree:
-            p.add_argument("--degree", type=int, default=4,
-                           help="degree bound (default 4)")
+            p.add_argument("--degree", type=int,
+                           help="degree bound (default %(default)s)")
         if formats:
-            p.add_argument("--format", choices=formats, default=formats[0])
+            p.add_argument("--format", choices=formats)
         p.add_argument("--output", help="write to this file instead of stdout")
         p.add_argument("--allow-large", action="store_true",
                        help=f"permit n > {LARGE_N}, degree > {LARGE_DEGREE}, "

@@ -83,16 +83,16 @@ def _divisor_entry(ctx: RingContext, g: Polynomial) -> tuple:
             tuple((tc, key(tm)) for tc, tm in g.terms[1:]))
 
 
-def _division(ctx: RingContext, table: list[tuple], work: dict, heap: list,
-              known: dict) -> Polynomial:
+def _division(ctx: RingContext, table: list[tuple], work: dict,
+              heap: list) -> list[tuple]:
     """Divide the working polynomial by the table's divisors; return the remainder.
 
     The working polynomial is a dict of coefficients keyed by heap key
     plus a heap of those keys (heap division, Monagan and Pearce, CASC
     2007).  Each step takes the largest working term and either cancels it
     by the first divisor, in list order, whose leading monomial divides it
-    (guard-bit test on packed exponents), or moves it to the remainder as
-    the Monomial in ``known`` under its key, or else decoded.  Only a
+    (guard-bit test on packed exponents), or moves it to the remainder,
+    which is a list of (coefficient, heap key) in descending order.  Only a
     product new to ``work`` is pushed, so each key enters the heap once; a
     product whose degree reaches the order's bound raises ValueError.
     """
@@ -123,19 +123,17 @@ def _division(ctx: RingContext, table: list[tuple], work: dict, heap: list,
                         work[t] = prev - tc * c
                 break
         else:
-            m = known.get(k)
-            remainder.append((c, order.monomial(k) if m is None else m))
-    return Polynomial(ctx, tuple(remainder))
+            remainder.append((c, k))
+    return remainder
 
 
 def _remainder(ctx: RingContext, table: list[tuple], f: Polynomial) -> Polynomial:
     """Remainder of f under full tail reduction by the table's divisors."""
-    key = ctx.order.heap_key
-    known = {key(m): m for _, m in f.terms}
+    order = ctx.order
     # descending terms give ascending keys, which is already a heap
-    heap = list(known)
-    return _division(ctx, table, dict(zip(heap, [c for c, _ in f.terms])), heap,
-                     known)
+    heap = [order.heap_key(m) for _, m in f.terms]
+    terms = _division(ctx, table, dict(zip(heap, [c for c, _ in f.terms])), heap)
+    return Polynomial(ctx, tuple([(c, order.monomial(k)) for c, k in terms]))
 
 
 def reduce(f: Polynomial, basis) -> Polynomial:
@@ -149,7 +147,7 @@ def reduce(f: Polynomial, basis) -> Polynomial:
 
 
 def _pair_remainder(ctx: RingContext, table: list[tuple], a: int, b: int,
-                    lcm: int) -> Polynomial:
+                    lcm: int) -> list[tuple]:
     """Remainder of the S-polynomial of divisors a and b by the whole table.
 
     ``lcm`` is the packed lcm of their leading monomials.  With
@@ -166,10 +164,10 @@ def _pair_remainder(ctx: RingContext, table: list[tuple], a: int, b: int,
         for tc, tkey in tail:
             t = tkey + lcm_key - lkey
             work[t] = work.get(t, field.zero) - tc * c
-    return _division(ctx, table, work, sorted(work), {})  # sorted is a heap
+    return _division(ctx, table, work, sorted(work))  # sorted is a heap
 
 
-def _reduced_basis(ctx: RingContext, basis: list[Polynomial],
+def _reduced_basis(ctx: RingContext, gens: GeneratorSet,
                    table: list[tuple]) -> list[Polynomial]:
     """The reduced Groebner basis of a Groebner basis with division table ``table``.
 
@@ -179,9 +177,11 @@ def _reduced_basis(ctx: RingContext, basis: list[Polynomial],
     reduced once by the other survivors, which keeps its leading monomial,
     in any divisor order, since the reduced basis is unique.  Each is made
     monic; sorted by descending leading monomial.  On a set that is not a
-    Groebner basis this could change the ideal.
+    Groebner basis this could change the ideal.  A survivor past the
+    generators is a monic entry the completion added, decoded here.
     """
-    guard, s = ctx.order.guard, ctx.order.tail_bits
+    order, one = ctx.order, ctx.field.one
+    guard, s = order.guard, order.tail_bits
     leads = [entry[2] for entry in table]
     keep = []
     for k, lexp in enumerate(leads):
@@ -194,18 +194,19 @@ def _reduced_basis(ctx: RingContext, basis: list[Polynomial],
     keep.sort(key=lambda k: table[k][1])
     reduced = []
     for k in keep:
-        for _, t in table[k][3]:
+        _, lkey, _, tail = table[k]
+        f = gens[k] if k < len(gens) else Polynomial(ctx, tuple(
+            [(c, order.monomial(t)) for c, t in ((one, lkey), *tail)]))
+        for _, t in tail:
             e = (t - ((t >> s) << (s + 1))) | guard  # order.packed(t), inlined
             for d in leads:
                 if (e - d) & guard == guard:
                     break
             else:
                 continue
-            reduced.append(_remainder(ctx, [table[j] for j in keep if j != k],
-                                      basis[k]).monic())
+            f = _remainder(ctx, [table[j] for j in keep if j != k], f)
             break
-        else:
-            reduced.append(basis[k].monic())
+        reduced.append(f.monic())
     return reduced
 
 
@@ -329,12 +330,12 @@ def buchberger(gens: GeneratorSet) -> GeneratorSet:
     reduces the completed basis.
     """
     ctx = gens.ctx
-    basis = list(gens)
+    order, one, div = ctx.order, ctx.field.one, ctx.field.div
     table: list[tuple] = []
     pairs: dict[tuple[int, int], int] = {}
     queue: list[tuple[int, int, int]] = []
-    for h in basis:
-        _add_with_pairs(ctx.order, table, pairs, queue, _divisor_entry(ctx, h))
+    for h in gens:
+        _add_with_pairs(order, table, pairs, queue, _divisor_entry(ctx, h))
     while queue:
         _, a, b = heappop(queue)
         lcm = pairs.pop((a, b), None)
@@ -342,10 +343,12 @@ def buchberger(gens: GeneratorSet) -> GeneratorSet:
             continue
         r = _pair_remainder(ctx, table, a, b, lcm)
         if r:
-            h = r.monic()
-            basis.append(h)
-            _add_with_pairs(ctx.order, table, pairs, queue, _divisor_entry(ctx, h))
-    return GeneratorSet(ctx, _reduced_basis(ctx, basis, table))
+            (lc, lkey), tail = r[0], r[1:]
+            if lc != one:  # made monic on the keys
+                tail = [(div(c, lc), t) for c, t in tail]
+            _add_with_pairs(order, table, pairs, queue,
+                            (None, lkey, order.packed(lkey), tuple(tail)))
+    return GeneratorSet(ctx, _reduced_basis(ctx, gens, table))
 
 
 class InitialIdeal:

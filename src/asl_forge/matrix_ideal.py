@@ -35,6 +35,8 @@ class MatrixPattern(namedtuple("MatrixPattern", "n kind mask")):
 
     def __new__(cls, n: int, kind: str = "generic",
                 mask: tuple[tuple[int, ...], ...] | None = None):
+        if type(n) is not int:  # True == 1, yet "n": true would reach the report
+            raise ValueError(f"matrix size n must be an int, not {n!r}")
         if n < 1:
             raise ValueError("matrix size n must be >= 1")
         if kind not in PATTERN_KINDS:

@@ -266,6 +266,8 @@ class RingContext:
 
     def __init__(self, n: int, x_variables: Iterable[Variable] | None = None, *,
                  field: CoefficientField | None = None):
+        if type(n) is not int:
+            raise ValueError(f"matrix size n must be an int, not {n!r}")
         if n < 1:
             raise ValueError("matrix size n must be >= 1")
         if x_variables is None:
@@ -518,9 +520,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def leading_term(self) -> tuple[object, Monomial]:
         if not self.terms:

@@ -3,10 +3,11 @@
 A Poset is built from a list of elements and a list of (a, b) pairs read
 as a <= b.  The constructor takes the reflexive-transitive closure as
 bitmasks over element positions, once: ``up[k]`` holds the elements
->= element k, and ``comparable_masks[k]`` those comparable with it; it
-also lists the incomparable pairs.  Every query reads these.  Any
-antisymmetry violation (a cycle through two or more distinct elements)
-is rejected, so every constructed instance is a genuine partial order.
+>= element k, ``down[k]`` those <= it, and ``comparable_masks[k]`` those
+comparable with it; it also lists the incomparable pairs.  Every query
+reads these.  Any antisymmetry violation (a cycle through two or more
+distinct elements) is rejected, so every constructed instance is a
+genuine partial order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Hashable, Iterable, Sequence
 
 
 class Poset:
-    __slots__ = ("elements", "_index", "up", "comparable_masks",
+    __slots__ = ("elements", "_index", "up", "down", "comparable_masks",
                  "_incomparable")
 
     def __init__(self, elements: Sequence[Hashable],
@@ -44,6 +45,7 @@ class Poset:
                 raise ValueError(
                     f"relations force {a!r} <= {b!r} and {b!r} <= {a!r}")
         self.up: tuple[int, ...] = tuple(up)
+        self.down: tuple[int, ...] = tuple(down)
         self.comparable_masks: tuple[int, ...] = tuple(
             u | d for u, d in zip(up, down))
         masks = self.comparable_masks
@@ -72,22 +74,16 @@ class Poset:
     def covers(self) -> list[tuple]:
         """Edges (a, b) of the Hasse diagram: a < b with nothing between.
 
-        The interval [a, b] is up[a] AND down[b], where down[b] is b plus
-        the elements comparable with b and not above it; b covers a when
-        that interval holds exactly a and b.
+        The interval [a, b] is up[a] AND down[b]; b covers a when that
+        interval holds exactly a and b.
         """
-        elements, up = self.elements, self.up
-        down = [m & ~u | 1 << k
-                for k, (m, u) in enumerate(zip(self.comparable_masks, up))]
+        elements, up, down = self.elements, self.up, self.down
         return [(a, b) for p, a in enumerate(elements)
                 for q, b in enumerate(elements)
                 if (up[p] & down[q]).bit_count() == 2]
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, e) -> bool:
-        return e in self._index
 
     def to_json_dict(self) -> dict:
         return {

@@ -892,3 +892,24 @@ class TestAxiom2:
             "alpha": "x_1_1", "beta": "y_1", "status": "fail",
             "non_standard_term": "x_1_1*y_1"}
         assert relation(report, "x_2_2", "y_2")["status"] == "pass"
+
+
+NOT_INTS = [True, 2.0, "2", None]
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+def test_sizes_and_degree_bounds_must_be_ints(value):
+    # True == 1 and 2.0 == 2, yet each would reach the report as written
+    # ("n": true) or fail deep in the ring or the order; all are refused
+    from asl_forge import RingContext
+    ctx, gens = matrix_product_ideal(MatrixPattern.generic(1))
+    certificate = is_groebner(gens)
+    calls = [lambda: MatrixPattern(value), lambda: RingContext(value),
+             lambda: build_poset(value), lambda: count_standard_monomials(value, 1),
+             lambda: count_standard_monomials(1, value),
+             lambda: verify(MatrixPattern.generic(1), value),
+             lambda: verify_axiom1(certificate, initial_ideal(certificate),
+                                   build_poset(1), value)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be an int"):
+            call()

@@ -2,10 +2,11 @@
 
 perfbench/ times `asl_forge.cli.main` on pinned workloads and checks each
 report against its golden digest, but the unit tests never import it.
-These guards run a slice of it, so a renamed import or a changed report
-byte shows up here and not only in a benchmark run.  They write nothing
-under perfbench/: its workload module is executed from source, and the
-set-up probe runs without writing bytecode.
+These guards run one seed-1 pass of each pinned workload and check every
+report against its golden digest, so a renamed import or a changed
+report byte shows up here and not only in a benchmark run.  They write
+nothing under perfbench/: its workload module is executed from source,
+and the set-up probe runs without writing bytecode.
 """
 
 import contextlib
@@ -43,7 +44,7 @@ def test_setup_probe_prints_one_float(workload):
 
 
 @pytest.mark.parametrize("workload,count", [("axiom1-deep", 1),
-                                            ("mask-completion", 100)])
+                                            ("mask-completion", 1600)])
 def test_reports_match_the_golden_digests(workload, count):
     argvs = workloads.calls(workload, 1)[:count]
     golden = workloads.load_golden(workload, 1)

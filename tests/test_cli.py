@@ -347,15 +347,12 @@ class TestRunConfig:
                          fmt="text", output="r.txt")
         assert cfg == same and hash(cfg) == hash(same)
         assert cfg != RunConfig(pattern, 4, CoefficientField.prime(5), "text", "r.txt")
-        default = RunConfig(pattern)
-        assert (default.degree, default.fieldspec, default.fmt, default.output) \
-            == (4, CoefficientField.rationals(), "json", None)
         with pytest.raises(AttributeError):
             cfg.degree = 5
         with pytest.raises(AttributeError):
             cfg.label = "a"
-        with pytest.raises(TypeError):
-            RunConfig()
+        with pytest.raises(TypeError):  # the parser, not RunConfig, holds defaults
+            RunConfig(pattern)
 
 
 class TestSinglePipeline:
@@ -463,11 +460,13 @@ def _json_trees():
 
 
 def _emitted(payload):
+    from asl_forge import CoefficientField, MatrixPattern
     from asl_forge.cli import RunConfig, _emit_json
-    from asl_forge.matrix_ideal import MatrixPattern
+    cfg = RunConfig(MatrixPattern.generic(1), 4, CoefficientField.rationals(), "json",
+                    None)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit_json(payload, RunConfig(pattern=MatrixPattern.generic(1)))
+        _emit_json(payload, cfg)
     return out.getvalue()
 
 

@@ -1,4 +1,4 @@
-"""Byte-identity guards: sha256 digests pin the CLI's output over seven grids.
+"""Byte-identity guards: sha256 digests pin the CLI's output over eight grids.
 
 In the first grid every subcommand and output format runs in process over
 the generic and the symmetric n=2 patterns and all 16 n=2 zero masks,
@@ -17,9 +17,11 @@ The seventh runs every other subcommand beyond n = 2: ideal, gb,
 verify-gb and init-ideal in both formats at n = 1 and 3 (generic,
 symmetric and four n = 3 zero masks, over QQ and GF(3)), std-count at
 n = 1 and 3 for degrees 0..4, and poset at n = 1, 3 and 4 in all formats.
-Each digest covers every call's argv, exit code and stdout, so any change
-to a report, a rendering or an exit code shows up here.  A change that
-alters output on purpose must say so and record the new digest.
+The eighth runs `--help` for the program and each subcommand at 80
+columns.  Each digest covers every call's argv, exit code and stdout, so
+any change to a report, a rendering, a help text or an exit code shows up
+here.  A change that alters output on purpose must say so and record the
+new digest.
 """
 
 import contextlib
@@ -39,6 +41,7 @@ GENERIC_SHA256 = "cb0f1c0a83145ed2236a42a6fd58c475bef4610d70aa3a11cb209037bad1b4
 AXIOM1_SHA256 = "dcde14bf8c6430927e02e2deee30e35a54b5fbfd2ecfbd14ce876ee55ece6812"
 DEEP_SHA256 = "4b1c342b9aca40195680c200e3d3b5491b97d2bafe2853c182b83f1a22ee02b6"
 SUBCOMMANDS_SHA256 = "2c35151e740bee478ef828b393e51f97a4fd7088e0678bdf4cfab1c73b0ba7d5"
+HELP_SHA256 = "07271dc8c069b6a7e493a2e86c056d36ef6c81e5ad9afa0397390d3e49e15299"
 
 PATTERN_COMMANDS = [("ideal", "json"), ("ideal", "text"), ("gb", "json"),
                     ("gb", "text"), ("verify-gb", "json"), ("verify-gb", "text"),
@@ -134,8 +137,18 @@ def subcommands_grid():
             yield ["poset", "--n", str(n), "--format", fmt]
 
 
+def help_grid():
+    yield ["--help"]
+    for command in ("ideal", "gb", "verify-gb", "init-ideal", "std-count", "poset",
+                    "verify"):
+        yield [command, "--help"]
+
+
 def run_grid(argvs):
-    """(sha256 hex digest over the calls, number of calls, seconds)."""
+    """(sha256 hex digest over the calls, number of calls, seconds).
+
+    A call that exits through SystemExit (``--help``) counts its exit code.
+    """
     start = time.perf_counter()
     digest = hashlib.sha256()
     calls = 0
@@ -143,7 +156,10 @@ def run_grid(argvs):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
         digest.update(f"{argv}\0{code}\0{out.getvalue()}\0".encode())
         calls += 1
     return digest.hexdigest(), calls, time.perf_counter() - start
@@ -196,3 +212,10 @@ def test_every_subcommand_beyond_n2_is_pinned():
     assert calls == 157
     assert digest == SUBCOMMANDS_SHA256
     assert elapsed < 3.0, f"grid took {elapsed:.2f} s"
+
+
+def test_help_text_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    digest, calls, _ = run_grid(help_grid())
+    assert calls == 8
+    assert digest == HELP_SHA256

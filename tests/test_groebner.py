@@ -75,14 +75,16 @@ def pair_remainder(polys, a, b):
     """The kernel's remainder of S(polys[a], polys[b]) by all of polys.
 
     The lcm of the leads comes from the oracle, not from the order's
-    packed lcm, and is passed packed as the kernel takes it.
+    packed lcm, and is passed packed as the kernel takes it; the
+    kernel's (coefficient, heap key) terms are decoded into a Polynomial.
     """
     ctx = polys[0].ctx
     table = [_divisor_entry(ctx, f) for f in polys]
     lcm = oracles.monomial_lcm(polys[a].leading_monomial(),
                                polys[b].leading_monomial())
-    return _pair_remainder(ctx, table, a, b,
-                           ctx.order.packed(ctx.order.heap_key(lcm)))
+    terms = _pair_remainder(ctx, table, a, b,
+                            ctx.order.packed(ctx.order.heap_key(lcm)))
+    return Polynomial(ctx, tuple((c, ctx.order.monomial(k)) for c, k in terms))
 
 
 class TestReduce:
@@ -211,12 +213,13 @@ class TestDivisionAgainstOracle:
         assert reduce(f, [g2, g1]) == poly(ctx, (2, {x: 1}), (1, {}))
 
 
-def random_poly(ctx, rng, terms, lead=None):
-    """Up to `terms` random terms of degree <= 3; `lead` replaces the
-    leading coefficient of a nonzero result."""
+def random_poly(ctx, rng, terms, lead=None, exponent=2):
+    """Up to `terms` random terms in at most two variables, each to a power
+    <= `exponent`; `lead` replaces the leading coefficient of a nonzero
+    result."""
     acc = {}
     for _ in range(terms):
-        m = ctx.monomial({v: rng.randint(1, 2)
+        m = ctx.monomial({v: rng.randint(1, exponent)
                           for v in rng.sample(ctx.variables, rng.randint(0, 2))})
         acc[m] = acc.get(m, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
     f = ctx.polynomial(acc)
@@ -230,6 +233,13 @@ def lifted(ctx, f):
     nv = len(ctx.variables)
     return {oracles.to_dense(m, nv): Fraction(getattr(c, "residue", c))
             for c, m in f.terms}
+
+
+def over_qq(f):
+    """f, from a ring on the n=2 variables, over QQ; a GF(p) coefficient
+    is lifted to its residue."""
+    return _RING2.polynomial({_RING2.monomial(dict(m.factors())):
+                              getattr(c, "residue", c) for c, m in f.terms})
 
 
 def image(field, dense):
@@ -272,6 +282,41 @@ class TestNonUnitLeadingCoefficients:
                     assert rec.remainder_zero == (not image(field, r))
                     assert lifted(ctx, pair_remainder(divisors, rec.i, rec.j)) \
                         == image(field, r)
+
+
+class TestKernelOnKeys:
+    # buchberger makes each nonzero S-pair remainder monic on its heap keys
+    # before it joins the division table, and decodes only the survivors.
+    # Every input leads with 2, and some remainder leads with -1 over QQ,
+    # with 3 over GF(7); over GF(7) the oracle runs on the residues over QQ
+    # and its result is mapped back, as in the tests above
+    @pytest.mark.parametrize("field,lead", [(CoefficientField.rationals(), -1),
+                                            (CoefficientField.prime(7), 3)],
+                             ids=["QQ", "GF(7)"])
+    def test_completion_and_reduce_match_oracle(self, field, lead, monkeypatch):
+        leads = []
+
+        def spy(ctx, table, a, b, lcm):
+            r = _pair_remainder(ctx, table, a, b, lcm)
+            leads.extend(r[:1])
+            return r
+
+        monkeypatch.setattr(groebner, "_pair_remainder", spy)
+        ctx = RingContext(2, field=field)
+        rng = random.Random(1)
+        for _ in range(30):
+            polys = [g for g in (random_poly(ctx, rng, 3, 2, exponent=1)
+                                 for _ in range(rng.randint(2, 3))) if g]
+            basis = buchberger(GeneratorSet(ctx, polys))
+            assert all(f.terms[0][0] == field.one for f in basis)
+            want = oracles.reduced_groebner_basis(_RING2, map(over_qq, polys))
+            assert {tuple(sorted(image(field, dict(w)).items())) for w in want} \
+                == {tuple(sorted(lifted(ctx, f).items())) for f in basis}
+            f = random_poly(ctx, rng, 5)
+            _, rest = oracles.dense_divide(ctx, lifted(ctx, f),
+                                           [lifted(ctx, g) for g in basis])
+            assert lifted(ctx, reduce(f, basis)) == image(field, rest)
+        assert field.coerce(lead) in {c for c, _ in leads}
 
 
 class TestSPolynomial:

@@ -87,6 +87,9 @@ def test_covers_and_incomparability_match_oracle_on_random_dags():
         assert list(p.up) == [
             sum(1 << b for b in elements if a == b or tc.has_edge(a, b))
             for a in elements]
+        assert list(p.down) == [
+            sum(1 << a for a in elements if a == b or tc.has_edge(a, b))
+            for b in elements]
         masks = p.comparable_masks
         for a in elements:
             assert masks[a] >> a & 1
