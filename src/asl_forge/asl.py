@@ -45,7 +45,7 @@ from .groebner import (
 )
 from .linalg import staircase
 from .matrix_ideal import MatrixPattern, matrix_product_ideal
-from .poly_core import CoefficientField, RingContext, Variable
+from .poly_core import CoefficientField, RingContext, Variable, check_size
 from .poset import Poset
 
 # Reports that rest on the generator poset carry this note: the bridge
@@ -75,10 +75,7 @@ def build_poset(n: int) -> Poset:
     For n = 1 every family is empty and the result is the antichain
     {x_1_1, y_1}.
     """
-    if type(n) is not int:
-        raise ValueError(f"matrix size n must be an int, not {n!r}")
-    if n < 1:
-        raise ValueError("matrix size n must be >= 1")
+    check_size(n)
     elements = [Variable.x(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     elements += [Variable.y(j) for j in range(1, n + 1)]
 
@@ -108,6 +105,14 @@ def expected_incomparable_pairs(n: int) -> list[tuple[Variable, Variable]]:
     return [(Variable.x(i, i), Variable.y(i)) for i in range(1, n + 1)]
 
 
+def _check_degree_bound(degree: int) -> None:
+    """Raise ValueError unless the degree bound is an int >= 0."""
+    if type(degree) is not int:  # True == 1, yet "degree_bound": true is no bound
+        raise ValueError(f"degree bound must be an int, not {degree!r}")
+    if degree < 0:
+        raise ValueError("degree bound must be >= 0")
+
+
 def _check_poset(ctx: RingContext, poset: Poset) -> None:
     """Raise ValueError unless the poset's elements are the ring's variables."""
     if poset.elements != ctx.variables:
@@ -124,10 +129,7 @@ def count_standard_monomials(n: int, d: int) -> int:
 
         sum_k (-1)^k C(n, k) C(d - 2k + N - 1, N - 1).
     """
-    if type(n) is not int:
-        raise ValueError(f"matrix size n must be an int, not {n!r}")
-    if n < 1:
-        raise ValueError("matrix size n must be >= 1")
+    check_size(n)
     if type(d) is not int:
         raise ValueError(f"degree must be an int, not {d!r}")
     if d < 0:
@@ -346,10 +348,7 @@ def verify_axiom1(certificate: GroebnerCertificate, init: InitialIdeal | None,
     set, so the standard residues are linearly independent and spanning.
     A poset on other elements than the ring's variables raises ValueError.
     """
-    if type(degree_bound) is not int:
-        raise ValueError(f"degree bound must be an int, not {degree_bound!r}")
-    if degree_bound < 0:
-        raise ValueError("degree bound must be >= 0")
+    _check_degree_bound(degree_bound)
     gens = certificate.basis
     ctx = gens.ctx
     _check_poset(ctx, poset)
@@ -463,10 +462,7 @@ def verify(pattern: MatrixPattern, degree: int,
     skipped.  Certificates, bases, pairs and initial-ideal generators are
     library objects, not dicts.
     """
-    if type(degree) is not int:  # True == 1, yet "degree_bound": true is no bound
-        raise ValueError(f"degree bound must be an int, not {degree!r}")
-    if degree < 0:
-        raise ValueError("degree bound must be >= 0")
+    _check_degree_bound(degree)
     ctx, gens = matrix_product_ideal(pattern, field)
     completed = pattern.kind == "zero_pattern"
     if completed:
@@ -485,8 +481,8 @@ def verify(pattern: MatrixPattern, degree: int,
         init = initial_ideal(certificate)
         section = {"status": "pass", "generators": list(init)}
         if not completed:
-            expected = [ctx.monomial({ctx.x(i, i): 1, ctx.y(i): 1})
-                        for i in range(1, ctx.n + 1)]
+            expected = [ctx.monomial({a: 1, b: 1})
+                        for a, b in expected_incomparable_pairs(ctx.n)]
             init_ok = list(init) == sorted(expected, key=ctx.order.heap_key)
             section["status"] = "pass" if init_ok else "fail"
             section["equals_diagonal_products"] = init_ok

@@ -12,7 +12,6 @@ from collections import namedtuple
 from heapq import heappop, heappush
 
 from .poly_core import (
-    ContextMismatchError,
     Monomial,
     MonomialOrder,
     Polynomial,
@@ -37,8 +36,8 @@ class GeneratorSet:
     def __init__(self, ctx: RingContext, polys):
         kept = []
         for f in polys:
-            if f.ctx is not ctx and f.ctx != ctx:
-                raise ContextMismatchError("generator from a different ring context")
+            if f.ctx is not ctx:
+                ctx.require(f.ctx, "generator")
             if f:
                 kept.append(f)
         self.ctx = ctx
@@ -72,8 +71,8 @@ def _divisor_entry(ctx: RingContext, g: Polynomial) -> tuple:
     where lc is None for the field's one, and the tail holds (coefficient,
     heap key) for each term after the leading one.
     """
-    if g.ctx is not ctx and g.ctx != ctx:
-        raise ContextMismatchError("divisor from a different ring context")
+    if g.ctx is not ctx:
+        ctx.require(g.ctx, "divisor")
     if not g:
         raise ZeroPolynomialError("cannot divide by the zero polynomial")
     key = ctx.order.heap_key
@@ -377,8 +376,7 @@ class InitialIdeal:
 
     def is_normal(self, m: Monomial) -> bool:
         """True when m avoids the ideal, i.e. m is a staircase monomial."""
-        if m.ctx is not self.ctx and m.ctx != self.ctx:
-            raise ContextMismatchError("monomial from a different ring context")
+        self.ctx.require(m.ctx, "monomial")
         order = self.ctx.order
         guard = order.guard
         e = order.packed(order.heap_key(m)) | guard

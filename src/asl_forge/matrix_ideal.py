@@ -19,6 +19,7 @@ from .poly_core import (
     Polynomial,
     RingContext,
     Variable,
+    check_size,
 )
 
 PATTERN_KINDS = ("generic", "symmetric", "zero_pattern")
@@ -35,10 +36,7 @@ class MatrixPattern(namedtuple("MatrixPattern", "n kind mask")):
 
     def __new__(cls, n: int, kind: str = "generic",
                 mask: tuple[tuple[int, ...], ...] | None = None):
-        if type(n) is not int:  # True == 1, yet "n": true would reach the report
-            raise ValueError(f"matrix size n must be an int, not {n!r}")
-        if n < 1:
-            raise ValueError("matrix size n must be >= 1")
+        check_size(n)
         if kind not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern kind {kind!r}")
         if kind == "zero_pattern":

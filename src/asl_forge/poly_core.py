@@ -36,6 +36,14 @@ class ZeroPolynomialError(ValueError):
     """The operation needs a nonzero polynomial (e.g. a leading term)."""
 
 
+def check_size(n: int) -> None:
+    """Raise ValueError unless n is a matrix size: an int >= 1."""
+    if type(n) is not int:  # True == 1, yet "n": true would reach the report
+        raise ValueError(f"matrix size n must be an int, not {n!r}")
+    if n < 1:
+        raise ValueError("matrix size n must be >= 1")
+
+
 class Variable(namedtuple("Variable", "kind i j")):
     """A named indeterminate: x_i_j (matrix entry) or y_j (vector entry)."""
 
@@ -266,10 +274,7 @@ class RingContext:
 
     def __init__(self, n: int, x_variables: Iterable[Variable] | None = None, *,
                  field: CoefficientField | None = None):
-        if type(n) is not int:
-            raise ValueError(f"matrix size n must be an int, not {n!r}")
-        if n < 1:
-            raise ValueError("matrix size n must be >= 1")
+        check_size(n)
         if x_variables is None:
             x_variables = [Variable.x(i, j) for i in range(1, n + 1)
                            for j in range(1, n + 1)]
@@ -286,22 +291,21 @@ class RingContext:
         self.order = MonomialOrder(self)
 
     def x(self, i: int, j: int) -> Variable:
-        v = Variable.x(i, j)
-        if v not in self._position:
-            raise ValueError(f"{v.name} is not a variable of this ring")
-        return v
+        return self.variables[self.position(Variable.x(i, j))]
 
     def y(self, j: int) -> Variable:
-        v = Variable.y(j)
-        if v not in self._position:
-            raise ValueError(f"{v.name} is not a variable of this ring")
-        return v
+        return self.variables[self.position(Variable.y(j))]
 
     def position(self, v: Variable) -> int:
         try:
             return self._position[v]
         except KeyError:
             raise ValueError(f"{v.name} is not a variable of this ring") from None
+
+    def require(self, ctx: "RingContext", what: str) -> None:
+        """Raise ContextMismatchError unless ctx is this ring (or equal to it)."""
+        if ctx is not self and ctx != self:
+            raise ContextMismatchError(f"{what} from a different ring context")
 
     @property
     def one(self) -> "Monomial":
@@ -322,17 +326,13 @@ class RingContext:
         return Polynomial(self, ())
 
     def polynomial(self, terms: Mapping["Monomial", object]) -> "Polynomial":
+        """The polynomial with these terms; zero coefficients are dropped."""
         acc: dict[Monomial, object] = {}
         for m, c in terms.items():
-            if m.ctx is not self and m.ctx != self:
-                raise ContextMismatchError("monomial from a different ring context")
+            self.require(m.ctx, "monomial")
             c = self.field.coerce(c)
-            prev = acc.get(m)
-            c = c if prev is None else prev + c
             if c:
                 acc[m] = c
-            elif prev is not None:
-                del acc[m]
         ordered = sorted(acc, key=self.order.heap_key)
         return Polynomial(self, tuple((acc[m], m) for m in ordered))
 
@@ -502,9 +502,8 @@ class MonomialOrder:
     def compare(self, a: Monomial, b: Monomial) -> int:
         """Return -1, 0 or 1 as a <, =, > b in the order."""
         ctx = self._ctx()
-        if ((a.ctx is not ctx and a.ctx != ctx)
-                or (b.ctx is not ctx and b.ctx != ctx)):
-            raise ContextMismatchError("monomial from a different ring context")
+        ctx.require(a.ctx, "monomial")
+        ctx.require(b.ctx, "monomial")
         ka, kb = self.heap_key(a), self.heap_key(b)
         return (ka < kb) - (ka > kb)
 
@@ -529,22 +528,12 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[1]
 
-    def _require_same_ctx(self, other: "Polynomial") -> None:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatchError("polynomials from different ring contexts")
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._require_same_ctx(other)
+        self.ctx.require(other.ctx, "polynomial")
         acc = {m: c for c, m in self.terms}
         for c, m in other.terms:
-            s = acc.get(m)
-            s = c if s is None else s + c
-            if s:
-                acc[m] = s
-            elif m in acc:
-                del acc[m]
-        ordered = sorted(acc, key=self.ctx.order.heap_key)
-        return Polynomial(self.ctx, tuple((acc[m], m) for m in ordered))
+            acc[m] = acc[m] + c if m in acc else c
+        return self.ctx.polynomial(acc)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ctx, tuple((-c, m) for c, m in self.terms))

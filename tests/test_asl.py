@@ -1,5 +1,6 @@
 """Variable poset, standard monomials, straightening, axiom reports."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -12,6 +13,7 @@ import oracles
 from asl_forge import (
     CoefficientField,
     GeneratorSet,
+    GroebnerCertificate,
     InitialIdeal,
     MatrixPattern,
     Monomial,
@@ -913,3 +915,38 @@ def test_sizes_and_degree_bounds_must_be_ints(value):
     for call in calls:
         with pytest.raises(ValueError, match="must be an int"):
             call()
+
+
+@pytest.mark.parametrize("pattern,reason", [
+    (MatrixPattern.generic(2), "generators are not a basis"),
+    (MatrixPattern.zero_pattern([[0, 1], [1, 1]]),
+     "completion failed the pair check"),
+], ids=["generic", "zero"])
+def test_failed_certificate_fails_the_report(pattern, reason, monkeypatch,
+                                             capsys):
+    # a pair check that reports failure must fail the report, whatever
+    # the generators are; the command line then exits 1 with the report
+    from asl_forge import asl
+    from asl_forge.cli import main
+
+    def failing(gens):
+        cert = is_groebner(gens)
+        return GroebnerCertificate(False, cert.pairs, cert.basis)
+
+    monkeypatch.setattr(asl, "is_groebner", failing)
+    report = verify(pattern, 2)
+    sections = report["sections"]
+    assert sections["groebner"]["status"] == "fail"
+    assert sections["initial_ideal"] == {"status": "fail", "reason": reason}
+    if pattern.kind == "generic":
+        assert sections["axiom1"]["verdict"] == "fail"
+        assert sections["axiom1"]["degrees"] == []
+    assert report["verdict"] == "fail"
+    argv = ["verify", "--n", "2", "--degree", "2"]
+    if pattern.kind == "zero_pattern":
+        argv += ["--pattern", "zero", "--mask", "[[0, 1], [1, 1]]"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "fail"
+    assert out["sections"]["initial_ideal"] == {"status": "fail", "reason": reason}

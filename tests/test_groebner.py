@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from asl_forge import (
     CoefficientField,
+    ContextMismatchError,
     GeneratorSet,
     GroebnerCertificate,
     InitialIdeal,
@@ -22,6 +23,7 @@ from asl_forge import (
     Polynomial,
     RingContext,
     SPairRecord,
+    ZeroPolynomialError,
     buchberger,
     initial_ideal,
     is_groebner,
@@ -841,3 +843,27 @@ def test_coprime_criterion_is_sound():
                 assert oracles.coprime(polys[a].leading_monomial(),
                                        polys[b].leading_monomial())
                 assert not pair_remainder(polys, a, b)
+
+
+
+@pytest.mark.parametrize("case", ["generator-from-another-ring",
+                                  "divisor-from-another-ring", "zero-divisor",
+                                  "monomial-from-another-ring"])
+def test_guards_raise_value_errors(case):
+    # each call mixes in an operand the ring cannot take; the error must be
+    # a ValueError, so the command line reports it and exits 2
+    ctx, gens = generic(2)
+    _, other = generic(3)
+    f, g = gens[0], other[0]
+    init = initial_ideal(is_groebner(gens))
+    call, error = {
+        "generator-from-another-ring": (lambda: GeneratorSet(ctx, [g]),
+                                        ContextMismatchError),
+        "divisor-from-another-ring": (lambda: reduce(f, [g]), ContextMismatchError),
+        "zero-divisor": (lambda: reduce(f, [ctx.zero]), ZeroPolynomialError),
+        "monomial-from-another-ring": (
+            lambda: init.is_normal(g.leading_monomial()), ContextMismatchError),
+    }[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error

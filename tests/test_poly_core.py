@@ -556,6 +556,20 @@ def test_variable_validation():
             RingContext(2, xs)
 
 
+@pytest.mark.parametrize("lookup", ["x", "y", "position"])
+def test_variables_outside_the_ring_are_refused(lookup):
+    # Variable.y(3) and Variable.x(3, 1) are variables, but not of a ring
+    # with n = 2; the refusal is a plain ValueError
+    ctx = RingContext(2)
+    call = {"x": lambda: ctx.x(3, 1), "y": lambda: ctx.y(3),
+            "position": lambda: ctx.position(Variable.y(3))}[lookup]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    name = "x_3_1" if lookup == "x" else "y_3"
+    assert str(info.value) == f"{name} is not a variable of this ring"
+
+
 class TestValueTypes:
     # the records are immutable values: equal fields make equal, equally
     # hashed objects, and no field can be reassigned
