@@ -3,11 +3,14 @@
 Subcommands map onto the library layers: ideal / gb / verify-gb /
 init-ideal expose the Groebner side, poset and std-count the
 combinatorial side, and verify emits the library's whole report.  Each
-subparser names its handler; the three listings share one emitter, which
-writes the library's objects in a report straight to JSON.
+subparser names its handler, a view that writes nothing: it returns the
+command's JSON payload and its text lines.  ``main`` is the one writer.
+It emits the payload as JSON, writing the library's objects straight to
+JSON text, or the lines as text, and it sets the exit code.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage,
-malformed input, an unwritable output file or a closed standard stream.
+Exit codes: 0 all checks passed, 1 a verification failed (the payload's
+"verdict" is "fail"), 2 bad usage, malformed input, an unwritable output
+file or a closed standard stream.
 Output is deterministic byte-for-byte for a fixed command line.
 """
 
@@ -72,9 +75,7 @@ def _pattern_from_args(args: argparse.Namespace) -> MatrixPattern:
         return pattern
     if mask_text is not None:
         raise ValueError("--mask is only meaningful with --pattern zero")
-    if kind == "symmetric":
-        return MatrixPattern.symmetric(args.n)
-    return MatrixPattern.generic(args.n)
+    return MatrixPattern(args.n, kind)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -225,87 +226,58 @@ def _header(cfg: RunConfig) -> dict:
     }
 
 
-def _emit_listing(cfg: RunConfig, key: str, items: list,
-                  lines: Iterable[str]) -> None:
-    """Write lines, one per item, as text, or items under key after the header."""
-    if cfg.fmt == "text":
-        _emit("\n".join(lines) + "\n", cfg)
-    else:
-        _emit_json({**_header(cfg), key: items}, cfg)
-
-
-def cmd_ideal(cfg: RunConfig) -> int:
+def cmd_ideal(cfg: RunConfig) -> tuple[dict, Iterable[str]]:
     _, gens = product_generators(cfg.pattern, cfg.fieldspec)
-    _emit_listing(cfg, "generators", gens,
-                  (f"g_{k} = {g}" for k, g in enumerate(gens, start=1)))
-    return 0
+    return ({**_header(cfg), "generators": gens},
+            (f"g_{k} = {g}" for k, g in enumerate(gens, start=1)))
 
 
-def cmd_gb(cfg: RunConfig) -> int:
+def cmd_gb(cfg: RunConfig) -> tuple[dict, Iterable[str]]:
     _, gens = matrix_product_ideal(cfg.pattern, cfg.fieldspec)
     basis = list(buchberger(gens))
-    _emit_listing(cfg, "basis", basis,
-                  (f"b_{k} = {g}" for k, g in enumerate(basis, start=1)))
-    return 0
+    return ({**_header(cfg), "basis": basis},
+            (f"b_{k} = {g}" for k, g in enumerate(basis, start=1)))
 
 
-def cmd_verify_gb(cfg: RunConfig) -> int:
+def cmd_verify_gb(cfg: RunConfig) -> tuple[dict, Iterable[str]]:
     _, gens = matrix_product_ideal(cfg.pattern, cfg.fieldspec)
     certificate = is_groebner(gens)
     verdict = "pass" if certificate.is_basis else "fail"
-    if cfg.fmt == "text":
-        lines = [f"verdict: {verdict}"]
-        lines += [f"pair ({p.i}, {p.j}): {p.criterion}, "
-                  f"remainder_zero={str(p.remainder_zero).lower()}"
-                  for p in certificate.pairs]
-        _emit("\n".join(lines) + "\n", cfg)
-    else:
-        _emit_json({"verdict": verdict, **_header(cfg),
-                    "certificate": certificate}, cfg)
-    return 0 if certificate.is_basis else 1
+    lines = [f"verdict: {verdict}"]
+    lines += [f"pair ({p.i}, {p.j}): {p.criterion}, "
+              f"remainder_zero={str(p.remainder_zero).lower()}"
+              for p in certificate.pairs]
+    return {"verdict": verdict, **_header(cfg), "certificate": certificate}, lines
 
 
-def cmd_init_ideal(cfg: RunConfig) -> int:
+def cmd_init_ideal(cfg: RunConfig) -> tuple[dict, Iterable[str]]:
     _, gens = matrix_product_ideal(cfg.pattern, cfg.fieldspec)
     init = list(initial_ideal(is_groebner(buchberger(gens))))
-    _emit_listing(cfg, "generators", init, (str(m) for m in init))
-    return 0
+    return {**_header(cfg), "generators": init}, map(str, init)
 
 
-def cmd_std_count(cfg: RunConfig) -> int:
+def cmd_std_count(cfg: RunConfig) -> tuple[dict, Iterable[str]]:
     by_degree = [count_standard_monomials(cfg.pattern.n, d)
                  for d in range(cfg.degree + 1)]
-    if cfg.fmt == "text":
-        _emit(f"standard monomials of degree {cfg.degree}: {by_degree[-1]} "
-              f"(cumulative {sum(by_degree)})\n", cfg)
-        return 0
-    _emit_json({
-        "n": cfg.pattern.n,
-        "degree": cfg.degree,
-        "count": by_degree[-1],
-        "cumulative": sum(by_degree),
-        "by_degree": by_degree,
-    }, cfg)
-    return 0
+    count, cumulative = by_degree[-1], sum(by_degree)
+    return ({"n": cfg.pattern.n, "degree": cfg.degree, "count": count,
+             "cumulative": cumulative, "by_degree": by_degree},
+            [f"standard monomials of degree {cfg.degree}: {count} "
+             f"(cumulative {cumulative})"])
 
 
-def cmd_poset(cfg: RunConfig) -> int:
+def cmd_poset(cfg: RunConfig) -> tuple[dict, Iterable[str]]:
     poset = build_poset(cfg.pattern.n)
     if cfg.fmt == "dot":
-        _emit(poset.to_dot("H"), cfg)
-    elif cfg.fmt == "text":
+        lines = poset.to_dot("H").splitlines()
+    else:
         lines = [f"{a} <= {b}" for a, b in poset.covers()]
         lines += [f"{a} || {b}" for a, b in poset.incomparable_pairs()]
-        _emit("\n".join(lines) + "\n", cfg)
-    else:
-        _emit_json(poset.to_json_dict(), cfg)
-    return 0
+    return poset.to_json_dict(), lines
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = verify(cfg.pattern, cfg.degree, cfg.fieldspec)
-    _emit_json(report, cfg)
-    return 0 if report["verdict"] == "pass" else 1
+def cmd_verify(cfg: RunConfig) -> tuple[dict, Iterable[str]]:
+    return verify(cfg.pattern, cfg.degree, cfg.fieldspec), ()
 
 
 # built once per process: parsing never changes the parser, and building it
@@ -318,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "of entries of X*Y")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, handler, *, pattern: bool = False,
-               degree: bool = False, formats: tuple[str, ...] = ("json", "text")):
+    def command(name: str, help: str, handler, *, pattern: bool = False,
+                degree: bool = False, formats: tuple[str, ...] = ("json", "text")):
+        p = sub.add_parser(name, help=help)
         # every dest once: a command without the option reads its default
         p.set_defaults(run=handler, pattern="generic", mask=None, field="rationals",
                        degree=4, format="json")
@@ -340,38 +313,37 @@ def build_parser() -> argparse.ArgumentParser:
                             f"or a verify whose estimated work exceeds "
                             f"{LARGE_WORK:,}")
 
-    p = sub.add_parser("ideal", help="print the product generators g_1..g_n")
-    common(p, cmd_ideal, pattern=True)
-
-    p = sub.add_parser("gb", help="compute the reduced basis")
-    common(p, cmd_gb, pattern=True)
-
-    p = sub.add_parser("verify-gb", help="run the pair check on the generators")
-    common(p, cmd_verify_gb, pattern=True)
-
-    p = sub.add_parser("init-ideal", help="minimal generators of the initial ideal")
-    common(p, cmd_init_ideal, pattern=True)
-
-    p = sub.add_parser("std-count", help="count standard monomials by degree")
-    common(p, cmd_std_count, degree=True)
-
-    p = sub.add_parser("poset", help="export the variable poset")
-    common(p, cmd_poset, formats=("json", "dot", "text"))
-
-    p = sub.add_parser("verify", help="full verification pipeline")
-    common(p, cmd_verify, pattern=True, degree=True, formats=())
+    command("ideal", "print the product generators g_1..g_n", cmd_ideal,
+            pattern=True)
+    command("gb", "compute the reduced basis", cmd_gb, pattern=True)
+    command("verify-gb", "run the pair check on the generators", cmd_verify_gb,
+            pattern=True)
+    command("init-ideal", "minimal generators of the initial ideal",
+            cmd_init_ideal, pattern=True)
+    command("std-count", "count standard monomials by degree", cmd_std_count,
+            degree=True)
+    command("poset", "export the variable poset", cmd_poset,
+            formats=("json", "dot", "text"))
+    command("verify", "full verification pipeline", cmd_verify, pattern=True,
+            degree=True, formats=())
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(_config_from_args(args))
+        cfg = _config_from_args(args)
+        payload, lines = args.run(cfg)
+        if cfg.fmt == "json":
+            _emit_json(payload, cfg)
+        else:
+            _emit("\n".join(lines) + "\n", cfg)
     except (OSError, ValueError) as exc:
         # bad input or failed output, a closed stdout too: 2 even if stderr is closed
         with contextlib.suppress(AttributeError, OSError):
             sys.stderr.write(f"error: {exc}\n")
         return 2
+    return 1 if payload.get("verdict") == "fail" else 0
 
 
 def entry() -> None:
