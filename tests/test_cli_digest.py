@@ -21,7 +21,8 @@ The eighth runs `--help` for the program and each subcommand at 80
 columns.  Each digest covers every call's argv, exit code and stdout, so
 any change to a report, a rendering, a help text or an exit code shows up
 here.  A change that alters output on purpose must say so and record the
-new digest.
+new digest: ``PYTHONPATH=src python tests/test_cli_digest.py`` prints the
+eight ``NAME = "<sha256>"`` lines to paste in.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
 import time
 
@@ -219,3 +221,19 @@ def test_help_text_is_pinned(monkeypatch):
     digest, calls, _ = run_grid(help_grid())
     assert calls == 8
     assert digest == HELP_SHA256
+
+
+GRIDS = {"GRID_SHA256": grid, "N3_MASKS_SHA256": n3_masks_grid,
+         "N4_MASKS_SHA256": n4_masks_grid, "GENERIC_SHA256": generic_grid,
+         "AXIOM1_SHA256": axiom1_grid, "DEEP_SHA256": deep_grid,
+         "SUBCOMMANDS_SHA256": subcommands_grid, "HELP_SHA256": help_grid}
+
+
+def test_the_recorder_covers_every_digest():
+    assert set(GRIDS) == {name for name in globals() if name.endswith("_SHA256")}
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"  # as test_help_text_is_pinned sets it
+    for name, argvs in GRIDS.items():
+        print(f'{name} = "{run_grid(argvs())[0]}"')
