@@ -337,7 +337,7 @@ def main(argv=None) -> int:
         if cfg.fmt == "json":
             _emit_json(payload, cfg)
         else:
-            _emit("\n".join(lines) + "\n", cfg)
+            _emit("".join(f"{line}\n" for line in lines), cfg)
     except (OSError, ValueError) as exc:
         # bad input or failed output, a closed stdout too: 2 even if stderr is closed
         with contextlib.suppress(AttributeError, OSError):

@@ -95,6 +95,15 @@ class TestGroebnerCommands:
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["verdict"] == "fail"
 
+    @pytest.mark.parametrize("field", ["rationals", "gf(3)"])
+    @pytest.mark.parametrize("command", ["gb", "init-ideal"])
+    def test_empty_text_listing_prints_nothing(self, command, field, capsys):
+        # the zero ideal: a line reader must see no items, not one empty one
+        from asl_forge.cli import main
+        assert main([command, "--n", "2", "--pattern", "zero", "--mask",
+                     "[[0,0],[0,0]]", "--field", field, "--format", "text"]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_init_ideal_n3(self):
         proc = run_cli("init-ideal", "--n", "3", check=True)
         gens = json.loads(proc.stdout)["generators"]

@@ -36,7 +36,7 @@ import time
 
 from asl_forge.cli import main
 
-GRID_SHA256 = "965f5fc9b345984defc5384aa1e649f8aa3443d6e804ce1787e508795a143fbe"
+GRID_SHA256 = "bb64f53709ac4f39cd8d15a444a33f2bd6c863b87ae809eb8c93d6a8cf1bd17c"
 N3_MASKS_SHA256 = "6233fbb45012f1c47281e9775a49f521b5761bcc79f886c1685188c4210144e6"
 N4_MASKS_SHA256 = "1cd181663b63898f20e4441c154eef192b6aff8c75779b9f8b787eda92854b24"
 GENERIC_SHA256 = "cb0f1c0a83145ed2236a42a6fd58c475bef4610d70aa3a11cb209037bad1b4f6"
