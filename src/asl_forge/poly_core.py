@@ -226,8 +226,7 @@ class CoefficientField:
                 return q.numerator if q.denominator == 1 else q
             raise TypeError(f"cannot coerce {value!r} into QQ")
         if isinstance(value, FpElement):
-            if value.p != self.p:
-                raise TypeError("element of a different prime field")
+            self.one._check(value)  # as arithmetic across two fields does
             return value
         if isinstance(value, int):
             return FpElement(value % self.p, self.p)

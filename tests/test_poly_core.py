@@ -375,6 +375,12 @@ class TestPolynomialArithmetic:
                             ctx.one: -3})
         assert f.monic().terms == ((1, f.leading_monomial()), (-2, ctx.one))
 
+    @pytest.mark.parametrize("field", [CoefficientField.rationals(),
+                                       CoefficientField.prime(3)])
+    def test_monic_of_zero_is_zero(self, field):
+        zero = RingContext(2, field=field).zero
+        assert zero.monic() is zero and not zero.terms
+
     @settings(max_examples=100)
     @given(ctx_with_polys(1))
     def test_monic_matches_fraction_oracle(self, data):
@@ -469,6 +475,22 @@ class TestCoefficientFields:
         assert -field.coerce(1) == field.coerce(6)
         with pytest.raises(ZeroDivisionError):
             a / field.zero
+
+    def test_prime_field_coercion_branches(self):
+        field = CoefficientField.prime(7)
+        a = FpElement(3, 7)
+        assert field.coerce(a) is a
+        # a foreign element is the error that mixing it in arithmetic gives
+        for mixed in (lambda: field.coerce(FpElement(1, 5)),
+                      lambda: FpElement(1, 7) + FpElement(1, 5)):
+            with pytest.raises(ValueError, match="^mixed prime-field arithmetic$"):
+                mixed()
+        assert field.coerce("10") == field.coerce("-4") == a
+        with pytest.raises(ValueError):
+            field.coerce("1/2")
+        for value in (1.5, Fraction(1, 2), None):
+            with pytest.raises(TypeError, match=r"^cannot coerce .* into GF\(7\)$"):
+                field.coerce(value)
 
     @pytest.mark.parametrize("p", [None, 7])
     def test_constants_are_set_once(self, p, monkeypatch):
