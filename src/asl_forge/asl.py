@@ -91,11 +91,10 @@ def build_poset(n: int) -> Poset:
 
     if n >= 2:
         chain([Variable.x(n, n - 1)] + [Variable.y(j) for j in range(n, 0, -1)])
-        relations.append((Variable.x(2, 2), Variable.y(1)))
-        relations.append((Variable.y(n), Variable.x(n - 1, n - 1)))
-    for i in range(2, n):
+    # families 3 and 4 are the i = 1 and i = n ends of family 5
+    for i in range(1, n):
         relations.append((Variable.x(i + 1, i + 1), Variable.y(i)))
-        relations.append((Variable.y(i), Variable.x(i - 1, i - 1)))
+        relations.append((Variable.y(i + 1), Variable.x(i, i)))
 
     return Poset(elements, relations)
 

@@ -84,6 +84,26 @@ class TestBuildPoset:
         touched = {e for cover in p.covers() for e in cover}
         assert touched == set(p.elements)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closure_is_that_of_the_five_documented_families(self, n):
+        x, y = Variable.x, Variable.y
+        rng = range(1, n + 1)
+        families = [[], [], [], [], []]
+        first = [x(i, j) for i in rng for j in rng if i != j]
+        first += [x(i, i) for i in reversed(rng)]
+        families[0] = list(zip(first, first[1:]))
+        if n >= 2:
+            second = [x(n, n - 1)] + [y(j) for j in reversed(rng)]
+            families[1] = list(zip(second, second[1:]))
+            families[2] = [(x(2, 2), y(1))]
+            families[3] = [(y(n), x(n - 1, n - 1))]
+        for i in range(2, n):
+            families[4] += [(x(i + 1, i + 1), y(i)), (y(i), x(i - 1, i - 1))]
+        p = build_poset(n)
+        tc = oracles.closure(p.elements, [r for f in families for r in f])
+        assert {(a, b) for a in p.elements for b in p.elements
+                if a != b and p.leq(a, b)} == set(tc.edges())
+
     def test_structure_n3(self):
         p = build_poset(3)
         x, y = Variable.x, Variable.y
