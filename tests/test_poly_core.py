@@ -376,7 +376,7 @@ class TestPolynomialArithmetic:
         assert f.monic().terms == ((1, f.leading_monomial()), (-2, ctx.one))
 
     @pytest.mark.parametrize("field", [CoefficientField.rationals(),
-                                       CoefficientField.prime(3)])
+                                       CoefficientField.prime(3)], ids=str)
     def test_monic_of_zero_is_zero(self, field):
         zero = RingContext(2, field=field).zero
         assert zero.monic() is zero and not zero.terms
